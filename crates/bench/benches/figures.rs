@@ -11,7 +11,7 @@ fn main() {
         // Print each figure's data once so `cargo bench` regenerates the
         // paper's tables as a side effect of timing them.
         println!("################ {name} ################");
-        println!("{}", runner());
+        println!("{}", runner().table);
         bench(&format!("figures/{name}"), || black_box(runner()));
     }
 }

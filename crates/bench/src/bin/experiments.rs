@@ -36,6 +36,7 @@ use std::env;
 use std::time::Instant;
 
 use wmpt_core::Heartbeat;
+use wmpt_obs::json::Value;
 use wmpt_obs::{MetricKey, MetricShards, Tracer};
 use wmpt_par::{available_jobs, ParPool};
 
@@ -77,6 +78,11 @@ fn parse_progress(args: &mut Vec<String>) -> Option<u64> {
             }
         },
     }
+}
+
+/// Writes a measured report into the working directory as one JSON line.
+fn write_snapshot(file: &str, report: &Value) -> std::io::Result<()> {
+    std::fs::write(file, report.render() + "\n")
 }
 
 fn main() {
@@ -135,9 +141,9 @@ fn main() {
         false
     };
     if obs_only || args.is_empty() {
-        let path = wmpt_bench::obs_report::write_obs_report(std::path::Path::new("."))
-            .expect("BENCH_obs.json must be writable");
-        eprintln!("wrote {}", path.display());
+        let report = wmpt_bench::obs_report::obs_report();
+        write_snapshot("BENCH_obs.json", &report).expect("BENCH_obs.json must be writable");
+        eprintln!("wrote BENCH_obs.json");
         if obs_only {
             return;
         }
@@ -166,7 +172,7 @@ fn main() {
     // its own metric shard, and results print in submission order.
     let pool = ParPool::new(jobs);
     let shards = MetricShards::new(selected.len());
-    let timed: Vec<(f64, String)> = pool.map_indexed(selected.len(), |i| {
+    let timed: Vec<(f64, wmpt_bench::Output)> = pool.map_indexed(selected.len(), |i| {
         let (_, runner) = *selected[i];
         let t0 = Instant::now();
         let out = runner();
@@ -180,8 +186,15 @@ fn main() {
     let mut hb = progress.map(Heartbeat::new);
     let pulse = Tracer::new();
     for ((name, _), (ms, out)) in selected.iter().zip(&timed) {
+        // The snapshot is the report the table was rendered from.
+        if let Some((file, report)) = &out.snapshot {
+            match write_snapshot(file, report) {
+                Ok(()) => eprintln!("wrote {file}"),
+                Err(e) => eprintln!("could not write {file}: {e}"),
+            }
+        }
         println!("################ {name} ################");
-        println!("{out}");
+        println!("{}", out.table);
         println!("[{name}: {ms:.1} ms host wall-clock]\n");
         if let Some(hb) = hb.as_mut() {
             if let Some(line) = hb.tick("experiment", &pulse) {

@@ -14,14 +14,14 @@
 //! deliberately not gated, mirroring the `BENCH_par.json` rule.
 
 use std::hint::black_box;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use wmpt_models::table2_layers;
 use wmpt_obs::json::{num, obj, s, Value};
 use wmpt_tensor::ops::{gemm_f32_packed_rows, gemm_f32_ref, pack_b, MR, NR};
 use wmpt_tensor::DataGen;
+
+use crate::Output;
 
 /// Timed repetitions per shape and kernel; the best (minimum) is
 /// reported.
@@ -208,16 +208,7 @@ pub fn kernels_report() -> Value {
     kernels_report_with(REPS)
 }
 
-/// Writes an already-measured report as `BENCH_kernels.json` into `dir`
-/// and returns the path (so the written file and the rendered table come
-/// from the *same* measurement run).
-pub fn write_kernels_report(dir: &Path, report: &Value) -> io::Result<PathBuf> {
-    let path = dir.join("BENCH_kernels.json");
-    std::fs::write(&path, report.render() + "\n")?;
-    Ok(path)
-}
-
-/// Renders a written report as the experiment's table.
+/// Renders a report as the experiment's table.
 fn render(report: &Value) -> String {
     let mut out = String::new();
     out.push_str("GEMM roofline: Table-II shapes, blocked kernel vs naive reference\n");
@@ -253,14 +244,10 @@ fn render(report: &Value) -> String {
     out
 }
 
-/// Runs the sweep, writes `BENCH_kernels.json`, and returns the table.
-pub fn run() -> String {
-    let report = kernels_report();
-    match write_kernels_report(Path::new("."), &report) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_kernels.json: {e}"),
-    }
-    render(&report)
+/// Runs the sweep and returns the table with its `BENCH_kernels.json`
+/// report.
+pub fn run() -> Output {
+    Output::snapshot("BENCH_kernels.json", kernels_report(), render)
 }
 
 #[cfg(test)]

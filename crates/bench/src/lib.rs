@@ -30,6 +30,8 @@ pub mod serve_load;
 pub mod tables;
 pub mod timing;
 
+use wmpt_obs::json::Value;
+
 /// Formats a row of labelled values with fixed column width.
 pub fn row(label: &str, values: &[String]) -> String {
     let mut s = format!("{label:<24}");
@@ -78,25 +80,56 @@ pub fn all_tsv_tables() -> Vec<report::Table> {
     ]
 }
 
+/// What an experiment produces: the table it prints and, for the
+/// experiments that measure one, the `BENCH_*.json` report the table was
+/// rendered from. Running an experiment never touches the disk; only the
+/// `experiments` binary writes snapshots.
+#[derive(Debug)]
+pub struct Output {
+    /// The rendered table.
+    pub table: String,
+    /// `(file name, report)` of the measured snapshot, if any.
+    pub snapshot: Option<(&'static str, Value)>,
+}
+
+impl Output {
+    /// A snapshot experiment's output: `report` rendered as its table.
+    pub fn snapshot(file: &'static str, report: Value, render: fn(&Value) -> String) -> Self {
+        Output {
+            table: render(&report),
+            snapshot: Some((file, report)),
+        }
+    }
+}
+
+impl From<String> for Output {
+    fn from(table: String) -> Self {
+        Output {
+            table,
+            snapshot: None,
+        }
+    }
+}
+
 /// An experiment entry: name plus its runner.
-pub type Experiment = (&'static str, fn() -> String);
+pub type Experiment = (&'static str, fn() -> Output);
 
 /// A named experiment, dispatchable from the `experiments` binary.
 pub fn all_experiments() -> Vec<Experiment> {
     vec![
-        ("tables", tables::run as fn() -> String),
-        ("fig01", fig01::run),
-        ("fig06", fig06::run),
-        ("fig07", fig07::run),
-        ("fig12", fig12::run),
-        ("fig14", fig14::run),
-        ("fig15", fig15::run),
-        ("fig16", fig16::run),
-        ("fig17", fig17::run),
-        ("fig18", fig18::run),
-        ("scalability", scalability::run),
-        ("comm_breakdown", comm_breakdown::run),
-        ("resilience", resilience::run),
+        ("tables", || tables::run().into()),
+        ("fig01", || fig01::run().into()),
+        ("fig06", || fig06::run().into()),
+        ("fig07", || fig07::run().into()),
+        ("fig12", || fig12::run().into()),
+        ("fig14", || fig14::run().into()),
+        ("fig15", || fig15::run().into()),
+        ("fig16", || fig16::run().into()),
+        ("fig17", || fig17::run().into()),
+        ("fig18", || fig18::run().into()),
+        ("scalability", || scalability::run().into()),
+        ("comm_breakdown", || comm_breakdown::run().into()),
+        ("resilience", || resilience::run().into()),
         ("par_speedup", par_speedup::run),
         ("kernels", kernels::run),
         ("serve_load", serve_load::run),

@@ -9,9 +9,6 @@
 //! as a numeric delta here — and `experiments --gate` turns that delta
 //! into an exit code via the committed `baselines/`.
 
-use std::io;
-use std::path::{Path, PathBuf};
-
 use wmpt_analyze::Analysis;
 use wmpt_core::{simulate_layer_with_observed, LayerResult, SystemConfig, SystemModel};
 use wmpt_models::ConvLayerSpec;
@@ -89,13 +86,6 @@ pub fn obs_report() -> Value {
         ("phases", Value::Arr(phases)),
         ("metrics", obs.metrics.to_json()),
     ])
-}
-
-/// Writes `BENCH_obs.json` into `dir` and returns the path.
-pub fn write_obs_report(dir: &Path) -> io::Result<PathBuf> {
-    let path = dir.join("BENCH_obs.json");
-    std::fs::write(&path, obs_report().render() + "\n")?;
-    Ok(path)
 }
 
 #[cfg(test)]

@@ -8,14 +8,14 @@
 //! checksum of every output confirms the determinism contract: all jobs
 //! values must produce byte-identical f32 results.
 
-use std::io;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use wmpt_obs::json::{num, obj, s, Value};
 use wmpt_par::{available_jobs, ParPool};
 use wmpt_tensor::{DataGen, Shape4, Tensor4};
 use wmpt_winograd::{WinogradLayer, WinogradTransform};
+
+use crate::Output;
 
 /// Timed repetitions per jobs value; the best (minimum) is reported.
 const REPS: usize = 3;
@@ -113,16 +113,7 @@ pub fn par_report() -> Value {
     ])
 }
 
-/// Writes an already-measured report as `BENCH_par.json` into `dir` and
-/// returns the path (so the written file and the rendered table come
-/// from the *same* measurement run).
-pub fn write_par_report(dir: &Path, report: &Value) -> io::Result<PathBuf> {
-    let path = dir.join("BENCH_par.json");
-    std::fs::write(&path, report.render() + "\n")?;
-    Ok(path)
-}
-
-/// Renders a written report as the experiment's table.
+/// Renders a report as the experiment's table.
 fn render(report: &Value) -> String {
     let mut out = String::new();
     out.push_str("host-parallel speedup: fixed Winograd layer, fprop+bprop+updateGrad\n");
@@ -152,14 +143,10 @@ fn render(report: &Value) -> String {
     out
 }
 
-/// Runs the ladder, writes `BENCH_par.json`, and returns the table.
-pub fn run() -> String {
-    let report = par_report();
-    match write_par_report(Path::new("."), &report) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_par.json: {e}"),
-    }
-    render(&report)
+/// Runs the ladder and returns the table with its `BENCH_par.json`
+/// report.
+pub fn run() -> Output {
+    Output::snapshot("BENCH_par.json", par_report(), render)
 }
 
 #[cfg(test)]

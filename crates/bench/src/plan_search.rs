@@ -10,14 +10,13 @@
 //! Everything in the report is deterministic except `opt.search_ms`,
 //! which the gate's stable-key filter drops.
 
-use std::io;
-use std::path::{Path, PathBuf};
-
 use wmpt_core::{SystemConfig, SystemModel};
 use wmpt_noc::ClusterConfig;
 use wmpt_obs::json::{num, obj, s, Value};
 use wmpt_opt::{auto_search, fixed_plan_layers, validate_plan, EvalCache, PlannerConfig};
 use wmpt_serve::find_network;
+
+use crate::Output;
 
 /// The zoo networks swept, in report order.
 pub const ZOO: [&str; 5] = ["table2", "vgg16", "wrn", "resnet34", "fractalnet"];
@@ -111,14 +110,7 @@ pub fn plan_report() -> Value {
     ])
 }
 
-/// Writes `BENCH_plan.json` into `dir` and returns the path.
-pub fn write_plan_report(dir: &Path) -> io::Result<PathBuf> {
-    let path = dir.join("BENCH_plan.json");
-    std::fs::write(&path, plan_report().render() + "\n")?;
-    Ok(path)
-}
-
-/// Renders a written report as the experiment's table.
+/// Renders a report as the experiment's table.
 fn render(report: &Value) -> String {
     let mut out = String::new();
     out.push_str("auto-searched plans vs the paper's fixed configs (w_mp++)\n");
@@ -166,14 +158,10 @@ fn render(report: &Value) -> String {
     out
 }
 
-/// Runs the sweep, writes `BENCH_plan.json`, and returns the table.
-pub fn run() -> String {
-    let report = plan_report();
-    match write_plan_report(Path::new(".")) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_plan.json: {e}"),
-    }
-    render(&report)
+/// Runs the sweep and returns the table with its `BENCH_plan.json`
+/// report.
+pub fn run() -> Output {
+    Output::snapshot("BENCH_plan.json", plan_report(), render)
 }
 
 #[cfg(test)]

@@ -16,14 +16,14 @@
 //! track are deterministic, and every record's stages must tile its
 //! extent exactly — queue wait and execution time are fully attributed.
 
-use std::io;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use wmpt_obs::json::{num, obj, parse, s, Value};
 use wmpt_obs::{MetricKey, Tracer};
 use wmpt_par::ParPool;
 use wmpt_serve::{http_request, run_request, ServeConfig, Server, SimRequest};
+
+use crate::Output;
 
 /// Warm submission rounds over the whole workload after the cold round.
 pub const WARM_ROUNDS: usize = 2;
@@ -225,14 +225,7 @@ pub fn serve_report() -> Value {
     ])
 }
 
-/// Writes `BENCH_serve.json` into `dir` and returns the path.
-pub fn write_serve_report(dir: &Path) -> io::Result<PathBuf> {
-    let path = dir.join("BENCH_serve.json");
-    std::fs::write(&path, serve_report().render() + "\n")?;
-    Ok(path)
-}
-
-/// Renders a written report as the experiment's table.
+/// Renders a report as the experiment's table.
 fn render(report: &Value) -> String {
     let mut out = String::new();
     out.push_str("serve load: cold (miss+execute) vs warm (memoized) over HTTP\n");
@@ -292,15 +285,10 @@ fn render(report: &Value) -> String {
     out
 }
 
-/// Runs the load generator, writes `BENCH_serve.json`, and returns the
-/// table.
-pub fn run() -> String {
-    let report = serve_report();
-    match write_serve_report(Path::new(".")) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_serve.json: {e}"),
-    }
-    render(&report)
+/// Runs the load generator and returns the table with its
+/// `BENCH_serve.json` report.
+pub fn run() -> Output {
+    Output::snapshot("BENCH_serve.json", serve_report(), render)
 }
 
 #[cfg(test)]

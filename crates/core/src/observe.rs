@@ -19,8 +19,7 @@
 //! | `dram0`      | `dram`       | `stall` tail of each phase window: cycles the DRAM stream overhangs compute in the pipelined cost model (absent for compute-bound phases). |
 
 use wmpt_ndp::{
-    dram_stall_cycles, record_dram_profile, record_utilization, record_worker_cost, Dram,
-    DramConfig,
+    dram_stall_cycles, record_dram_profile, record_utilization, record_worker_cost, DramConfig,
 };
 use wmpt_ndp::{TaskGraph, TaskKind};
 use wmpt_noc::{
@@ -29,33 +28,40 @@ use wmpt_noc::{
 use wmpt_obs::{MetricKey, Observer, SpanSink, TrackId};
 
 use crate::config::SystemConfig;
-use crate::exec::{simulate_layer_with, simulate_layer_with_detail, LayerResult, SystemModel};
+use crate::exec::{simulate_layer_with_detail, ExecDetail, LayerResult, SystemModel};
 use wmpt_models::ConvLayerSpec;
 
 /// Observed [`crate::exec::simulate_layer`]: identical result, plus spans
 /// and metrics for the winning configuration only (candidate search runs
 /// unobserved, like the paper's offline dynamic-clustering decision).
+/// Each candidate is simulated once; the winner's breakdown is kept from
+/// the search rather than recomputed.
 pub fn simulate_layer_observed<S: SpanSink>(
     model: &SystemModel,
     layer: &ConvLayerSpec,
     sys: SystemConfig,
     obs: &mut Observer<S>,
 ) -> LayerResult {
-    let mut best: Option<(ClusterConfig, f64)> = None;
+    let mut best: Option<(ClusterConfig, LayerResult, ExecDetail)> = None;
     for cfg in sys.candidate_configs(model.workers) {
-        let r = simulate_layer_with(model, layer, sys, cfg);
-        if best.as_ref().is_none_or(|(_, c)| r.total_cycles() < *c) {
-            best = Some((cfg, r.total_cycles()));
+        let (r, det) = simulate_layer_with_detail(model, layer, sys, cfg);
+        // Strict `<`: the first of equal candidates wins, as in
+        // `simulate_layer`.
+        if best
+            .as_ref()
+            .is_none_or(|(_, b, _)| r.total_cycles() < b.total_cycles())
+        {
+            best = Some((cfg, r, det));
         }
     }
-    let (cfg, _) = best.expect("candidate_configs is never empty");
-    simulate_layer_with_observed(model, layer, sys, cfg, obs)
+    let (cfg, res, det) = best.expect("candidate_configs is never empty");
+    record_layer(model, cfg, res, &det, obs)
 }
 
-/// Observed [`simulate_layer_with`]: identical result, plus spans and
-/// metrics. Spans start at the tracer's current `layer`-category extent,
-/// so successive layers of a network lay out back to back on the
-/// timeline.
+/// Observed [`crate::exec::simulate_layer_with`]: identical result, plus
+/// spans and metrics. Spans start at the tracer's current
+/// `layer`-category extent, so successive layers of a network lay out
+/// back to back on the timeline.
 pub fn simulate_layer_with_observed<S: SpanSink>(
     model: &SystemModel,
     layer: &ConvLayerSpec,
@@ -64,6 +70,18 @@ pub fn simulate_layer_with_observed<S: SpanSink>(
     obs: &mut Observer<S>,
 ) -> LayerResult {
     let (res, det) = simulate_layer_with_detail(model, layer, sys, cfg);
+    record_layer(model, cfg, res, &det, obs)
+}
+
+/// Emits the spans and metrics of one simulated layer and returns its
+/// result unchanged.
+fn record_layer<S: SpanSink>(
+    model: &SystemModel,
+    cfg: ClusterConfig,
+    res: LayerResult,
+    det: &ExecDetail,
+    obs: &mut Observer<S>,
+) -> LayerResult {
     let base = obs.trace.category_cycles("layer");
     let fwd = res.forward.cycles.round() as u64;
     let total = res.total_cycles().round() as u64;
@@ -194,8 +212,7 @@ pub fn simulate_layer_with_observed<S: SpanSink>(
 
     // Row-buffer behaviour: stream a capped sample of the iteration's
     // per-worker DRAM traffic through the detailed FR-FCFS model.
-    let mut dram = Dram::new(DramConfig::hmc());
-    record_dram_profile(reg, &mut dram, combined.dram_bytes);
+    record_dram_profile(reg, DramConfig::hmc(), combined.dram_bytes);
 
     // Drive the per-phase resource pipelining through the event-driven
     // task scheduler (doubles as a kernel cross-check and feeds the

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use wmpt_sim::Time;
 
 /// HMC-style memory geometry and timing.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramConfig {
     /// Number of vaults (independent channels through TSVs).
     pub vaults: usize,

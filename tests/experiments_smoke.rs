@@ -32,7 +32,7 @@ fn all_experiments_run_and_mention_their_figures() {
             .iter()
             .find(|(n, _)| n == name)
             .unwrap_or_else(|| panic!("experiment {name} missing"));
-        let out = runner();
+        let out = runner().table;
         assert!(
             out.contains(marker),
             "{name}: output lacks '{marker}'\n{out}"
