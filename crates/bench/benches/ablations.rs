@@ -178,10 +178,12 @@ fn ablate_measured_savings() {
 /// makes whole-tile deadness rarer, but line granularity recovers much
 /// of it — why the paper predicts on F(2x2) tiles.
 fn ablate_prediction_tile_size() {
+    use wmpt_par::ParPool;
     use wmpt_tensor::{DataGen, Shape4};
     use wmpt_winograd::{
-        elementwise_gemm, relu, to_winograd_input, weights_to_winograd, WinogradTransform,
+        elementwise_gemm_par, relu, to_winograd_input_par, weights_to_winograd, WinogradTransform,
     };
+    let pool = ParPool::serial();
     let mut done_once = false;
     for (name, tf) in [
         ("F(2,3)", WinogradTransform::f2x2_3x3()),
@@ -191,7 +193,8 @@ fn ablate_prediction_tile_size() {
         let x = relu(&g.normal_tensor(Shape4::new(4, 8, 16, 16), -0.4, 1.0));
         let mut w = g.he_weights(Shape4::new(8, 8, 3, 3));
         w.map_inplace(|v| v - 0.02);
-        let y = elementwise_gemm(&to_winograd_input(&x, &tf), &weights_to_winograd(&w, &tf));
+        let wx = to_winograd_input_par(&pool, &x, &tf);
+        let y = elementwise_gemm_par(&pool, &wx, &weights_to_winograd(&w, &tf));
         let s = measure(&y, &tf, QuantizerConfig::new(64, 4), PredictMode::TwoD);
         println!(
             "{name}: predicted dead tiles {:.3} (actual {:.3}), dead lines {:.3}",

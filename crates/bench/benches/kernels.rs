@@ -10,10 +10,11 @@ use wmpt_noc::{
     bottleneck_phase, ring_collective_cycles, simulate_ring_reduce_broadcast, LinkKind, NocParams,
     PacketNetwork, Topology,
 };
+use wmpt_par::ParPool;
 use wmpt_predict::{ActivationPredictor, PredictMode, QuantizerConfig};
 use wmpt_tensor::{DataGen, Shape4};
 use wmpt_winograd::{
-    elementwise_gemm, to_winograd_input, weights_to_winograd, DirectConv, WinogradConv,
+    elementwise_gemm_par, to_winograd_input_par, weights_to_winograd, DirectConv, WinogradConv,
     WinogradTransform,
 };
 
@@ -63,10 +64,11 @@ fn bench_elementwise_gemm() {
     let mut gen = DataGen::new(2);
     let x = gen.normal_tensor(Shape4::new(4, 16, 16, 16), 0.0, 1.0);
     let w = gen.he_weights(Shape4::new(16, 16, 3, 3));
-    let wx = to_winograd_input(&x, &tf);
+    let pool = ParPool::serial();
+    let wx = to_winograd_input_par(&pool, &x, &tf);
     let ww = weights_to_winograd(&w, &tf);
     bench("elementwise_gemm_16x16ch_256tiles", || {
-        elementwise_gemm(black_box(&wx), black_box(&ww))
+        elementwise_gemm_par(&pool, black_box(&wx), black_box(&ww))
     });
 }
 

@@ -11,13 +11,15 @@
 //! actual (dotted-line) limits as levels grow.
 
 use wmpt_models::ConvLayerSpec;
+use wmpt_par::ParPool;
 use wmpt_predict::{
     measure, scatter_zero_fraction_1d, scatter_zero_fraction_2d, PredictMode, PredictionStats,
     QuantizerConfig,
 };
 use wmpt_tensor::{DataGen, Shape4};
 use wmpt_winograd::{
-    elementwise_gemm, relu, to_winograd_input, weights_to_winograd, WgTensor, WinogradTransform,
+    elementwise_gemm_par, relu, to_winograd_input_par, weights_to_winograd, WgTensor,
+    WinogradTransform,
 };
 
 use crate::{f, row};
@@ -40,9 +42,10 @@ pub fn synthetic_outputs(seed: u64) -> (WgTensor, wmpt_tensor::Tensor4, Winograd
                           // negative weight mean reproduces that bias.
     let mut w = g.he_weights(Shape4::new(layer.out_chans, layer.in_chans, 3, 3));
     w.map_inplace(|v| v - 0.02);
-    let wx = to_winograd_input(&x, &tf);
+    let pool = ParPool::serial();
+    let wx = to_winograd_input_par(&pool, &x, &tf);
     let ww = weights_to_winograd(&w, &tf);
-    let y = elementwise_gemm(&wx, &ww);
+    let y = elementwise_gemm_par(&pool, &wx, &ww);
     (y, x, tf)
 }
 

@@ -10,10 +10,11 @@
 //! accuracy trajectories while the model genuinely learns.
 
 use wmpt_core::winograd_join;
+use wmpt_par::ParPool;
 use wmpt_tensor::{DataGen, Shape4, Tensor4};
 use wmpt_winograd::{
-    elementwise_gemm, from_winograd_output, relu, relu_backward, to_winograd_input, WinogradLayer,
-    WinogradTransform,
+    elementwise_gemm_par, from_winograd_output_par, relu, relu_backward, to_winograd_input_par,
+    WinogradLayer, WinogradTransform,
 };
 
 /// Join style under test.
@@ -50,22 +51,23 @@ impl FractalCell {
 
     /// Forward pass producing the joined pre-activation feature map.
     pub fn forward(&self, x: &Tensor4) -> Tensor4 {
+        let pool = ParPool::serial();
         match self.style {
             JoinStyle::Spatial => {
-                let mut a = self.conv_a.fprop(x);
-                let b = self.conv_b.fprop(x);
+                let mut a = self.conv_a.fprop_par(&pool, x);
+                let b = self.conv_b.fprop_par(&pool, x);
                 a.add_assign(&b);
                 a.scale(0.5);
                 a
             }
             JoinStyle::Winograd => {
                 let tf = self.conv_a.transform();
-                let wx = to_winograd_input(x, tf);
-                let ya = elementwise_gemm(&wx, self.conv_a.weights());
-                let yb = elementwise_gemm(&wx, self.conv_b.weights());
+                let wx = to_winograd_input_par(&pool, x, tf);
+                let ya = elementwise_gemm_par(&pool, &wx, self.conv_a.weights());
+                let yb = elementwise_gemm_par(&pool, &wx, self.conv_b.weights());
                 let joined = winograd_join(&[&ya, &yb]);
                 let s = x.shape();
-                from_winograd_output(&joined, tf, Shape4::new(s.n, 2, s.h, s.w))
+                from_winograd_output_par(&pool, &joined, tf, Shape4::new(s.n, 2, s.h, s.w))
             }
         }
     }
@@ -121,8 +123,9 @@ impl FractalCell {
         // Join is a mean: each branch receives half the gradient.
         let mut dbranch = dpre;
         dbranch.scale(0.5);
-        let ga = self.conv_a.update_grad(x, &dbranch);
-        let gb = self.conv_b.update_grad(x, &dbranch);
+        let pool = ParPool::serial();
+        let ga = self.conv_a.update_grad_par(&pool, x, &dbranch);
+        let gb = self.conv_b.update_grad_par(&pool, x, &dbranch);
         self.conv_a.apply_grad(&ga, lr);
         self.conv_b.apply_grad(&gb, lr);
     }

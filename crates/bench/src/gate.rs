@@ -78,7 +78,7 @@ pub fn obs_gate_metrics(report: &Value) -> BTreeMap<String, f64> {
         .collect()
 }
 
-/// Flat, gateable view of the par report: [`PAR_STABLE_KEYS`] only.
+/// Flat, gateable view of the par report: `PAR_STABLE_KEYS` only.
 pub fn par_gate_metrics(report: &Value) -> BTreeMap<String, f64> {
     let flat = flatten_numbers(report);
     PAR_STABLE_KEYS
@@ -112,7 +112,7 @@ const SERVE_STABLE_KEYS: &[&str] = &[
     "warm.count",
 ];
 
-/// Flat, gateable view of the serve report: [`SERVE_STABLE_KEYS`] only.
+/// Flat, gateable view of the serve report: `SERVE_STABLE_KEYS` only.
 pub fn serve_gate_metrics(report: &Value) -> BTreeMap<String, f64> {
     let flat = flatten_numbers(report);
     SERVE_STABLE_KEYS
@@ -215,7 +215,7 @@ const STREAM_BUDGET: usize = 1024;
 /// JSONL sink and the single-pass analyzer, then diffs both against the
 /// in-memory path: the chrome exports must be byte-identical, the
 /// analysis reports equal, and the sink's peak buffer within
-/// [`STREAM_BUDGET`]. `Err` carries the first divergence.
+/// `STREAM_BUDGET`. `Err` carries the first divergence.
 pub fn streaming_differential() -> Result<(), String> {
     use wmpt_analyze::{analyze_jsonl, Analysis};
     use wmpt_obs::{SpanSink, StreamingTracer};

@@ -1,7 +1,7 @@
 //! GEMM-kernel roofline snapshot (`BENCH_kernels.json`).
 //!
-//! Times the blocked, panel-packed `gemm_f32` microkernel against the
-//! retained naive reference on the five Table-II element-wise GEMM
+//! Times the blocked, panel-packed GEMM microkernel (the body of
+//! `gemm_f32_par`) against the naive reference on the five Table-II element-wise GEMM
 //! shapes at `F(2×2, 3×3)` — per layer, `m = (H/2)·(W/2)` tiles,
 //! `k = I`, `n = J` — and reports GFLOP/s next to a measured compute
 //! peak (the same `MR × NR` register tile run on register-resident
@@ -157,7 +157,7 @@ fn measure(reps: usize, shape: GemmShape) -> Point {
 }
 
 /// Runs the shape sweep with `reps` timed repetitions and builds the
-/// report as a JSON value. [`run`] uses [`REPS`]; tests may pass fewer —
+/// report as a JSON value. [`run`] uses `REPS`; tests may pass fewer —
 /// the machine-independent keys do not depend on it (only the recorded
 /// `reps` field itself changes).
 pub fn kernels_report_with(reps: usize) -> Value {
@@ -202,7 +202,7 @@ pub fn kernels_report_with(reps: usize) -> Value {
     ])
 }
 
-/// Runs the sweep at the standard [`REPS`] (the configuration the gate
+/// Runs the sweep at the standard `REPS` (the configuration the gate
 /// baseline is blessed from).
 pub fn kernels_report() -> Value {
     kernels_report_with(REPS)

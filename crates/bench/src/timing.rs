@@ -2,7 +2,7 @@
 //!
 //! The workspace builds hermetically, so Criterion is substituted with
 //! this module (see `DESIGN.md`): each bench target under `benches/` is a
-//! plain `harness = false` binary calling [`bench`]. No statistics beyond
+//! plain `harness = false` binary calling [`bench()`]. No statistics beyond
 //! a trimmed mean — good enough to compare kernels and catch order-of-
 //! magnitude regressions, not for microarchitectural claims.
 

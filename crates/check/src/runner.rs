@@ -4,9 +4,9 @@
 //! check("my_property", |c| { let n = c.size(1, 99); assert!(n < 100) });
 //! ```
 //!
-//! On failure the runner shrinks the recorded choice sequence (see
-//! [`crate::shrink`]) and panics with a report naming both the seed and
-//! the minimal choices, e.g.
+//! On failure the runner shrinks the recorded choice sequence (see the
+//! crate's `shrink` module) and panics with a report naming both the
+//! seed and the minimal choices, e.g.
 //!
 //! ```text
 //! wmpt-check: property `my_property` failed (case 17 of 64)

@@ -65,8 +65,7 @@ pub use progress::Heartbeat;
 pub use sweep::{batch_sweep, worker_sweep, BatchPoint, WorkerPoint};
 pub use taskgraph::{compile_forward, CompiledForward};
 pub use trainer::{
-    degraded_grid, elem_owner, fprop_distributed, fprop_distributed_par, gather_with_prediction,
-    reduced_gradient_distributed, reduced_gradient_distributed_par, slice_batch,
-    train_step_distributed, train_step_distributed_momentum, train_step_distributed_par,
-    winograd_join,
+    degraded_grid, elem_owner, fprop_distributed_par, gather_with_prediction,
+    reduced_gradient_distributed_par, slice_batch, train_step_distributed_momentum,
+    train_step_distributed_par, winograd_join,
 };

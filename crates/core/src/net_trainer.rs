@@ -13,8 +13,8 @@ use wmpt_par::ParPool;
 use wmpt_predict::{ActivationPredictor, PredictMode, QuantizerConfig};
 use wmpt_tensor::{DataGen, Shape4, Tensor4};
 use wmpt_winograd::{
-    elementwise_gemm, relu, relu_backward, to_winograd_input, Pool2x2, PoolKind, WinogradLayer,
-    WinogradTransform,
+    elementwise_gemm_par, relu, relu_backward, to_winograd_input_par, Pool2x2, PoolKind,
+    WinogradLayer, WinogradTransform,
 };
 
 use crate::trainer::{fprop_distributed_par, gather_with_prediction, train_step_distributed_par};
@@ -106,16 +106,11 @@ impl WinogradNet {
         Self { stages, readout }
     }
 
-    /// Forward pass; `grid = None` runs centralized, `Some(cfg)` runs
-    /// every conv with the MPT partitioning.
-    pub fn forward(&self, x: &Tensor4, grid: Option<ClusterConfig>) -> Activations {
-        self.forward_with(x, grid, &ParPool::serial())
-    }
-
-    /// [`Self::forward`] executed over a host thread pool: centralized
-    /// convs use the layer's parallel phases, distributed convs map the
-    /// `N_c` logical clusters onto threads. Bit-identical to
-    /// [`Self::forward`] for any job count.
+    /// Forward pass over a host thread pool; `grid = None` runs
+    /// centralized, `Some(cfg)` runs every conv with the MPT partitioning.
+    /// Centralized convs fan their phases out across `pool`, distributed
+    /// convs map the `N_c` logical clusters onto threads; the bits are the
+    /// same for any job count.
     pub fn forward_with(
         &self,
         x: &Tensor4,
@@ -173,24 +168,9 @@ impl WinogradNet {
 
     /// One SGD step on MSE(score, target); returns the batch loss.
     /// `grid = None` trains centralized, `Some(cfg)` runs MPT-distributed
-    /// forward and weight updates for every conv layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `targets.len()` differs from the batch size.
-    pub fn train_step(
-        &mut self,
-        x: &Tensor4,
-        targets: &[f32],
-        lr: f32,
-        grid: Option<ClusterConfig>,
-    ) -> f64 {
-        self.train_step_with(x, targets, lr, grid, &ParPool::serial())
-    }
-
-    /// [`Self::train_step`] executed over a host thread pool (forward,
-    /// input-gradient and weight-gradient phases all fan out).
-    /// Bit-identical to [`Self::train_step`] for any job count.
+    /// forward and weight updates for every conv layer. The forward,
+    /// input-gradient and weight-gradient phases all fan out across
+    /// `pool`; the bits are the same for any job count.
     ///
     /// # Panics
     ///
@@ -282,12 +262,13 @@ impl WinogradNet {
     /// gathering saved — and is exactly equal to the plain forward pass,
     /// which the tests assert.
     pub fn scores_with_prediction(&self, x: &Tensor4, levels: u32) -> (Vec<f32>, u64) {
+        let serial = ParPool::serial();
         let mut cur = x.clone();
         let mut saved = 0u64;
         for st in &self.stages {
             let tf = st.conv.transform().clone();
-            let wx = to_winograd_input(&cur, &tf);
-            let wy = elementwise_gemm(&wx, st.conv.weights());
+            let wx = to_winograd_input_par(&serial, &cur, &tf);
+            let wy = elementwise_gemm_par(&serial, &wx, st.conv.weights());
             let s = cur.shape();
             let out_shape = Shape4::new(s.n, st.conv.weights().out_chans, s.h, s.w);
             let sigma = wmpt_predict::sigma_of(&wy.data);
@@ -354,7 +335,7 @@ mod tests {
     fn forward_shapes_flow_through_pooling() {
         let net = WinogradNet::new(1, 2, &[4, 6], true);
         let (x, _) = dataset(2, 4);
-        let acts = net.forward(&x, None);
+        let acts = net.forward_with(&x, None, &ParPool::serial());
         // 8x8 -> conv -> pool 4x4 -> conv -> pool 2x2.
         assert_eq!(acts.features.shape(), Shape4::new(4, 6, 2, 2));
         assert_eq!(acts.scores.len(), 4);
@@ -364,10 +345,11 @@ mod tests {
     fn training_reduces_loss() {
         let mut net = WinogradNet::new(3, 2, &[4], true);
         let (x, t) = dataset(4, 8);
-        let first = net.train_step(&x, &t, 0.2, None);
+        let pool = ParPool::serial();
+        let first = net.train_step_with(&x, &t, 0.2, None, &pool);
         let mut last = first;
         for _ in 0..10 {
-            last = net.train_step(&x, &t, 0.2, None);
+            last = net.train_step_with(&x, &t, 0.2, None, &pool);
         }
         assert!(last < first * 0.9, "loss {first} -> {last}");
     }
@@ -378,9 +360,10 @@ mod tests {
         let mut central = WinogradNet::new(6, 2, &[4, 4], false);
         let mut dist = central.clone();
         let grid = ClusterConfig::new(4, 2);
+        let pool = ParPool::serial();
         for _ in 0..4 {
-            let lc = central.train_step(&x, &t, 0.05, None);
-            let ld = dist.train_step(&x, &t, 0.05, Some(grid));
+            let lc = central.train_step_with(&x, &t, 0.05, None, &pool);
+            let ld = dist.train_step_with(&x, &t, 0.05, Some(grid), &pool);
             wmpt_check::assert_approx_eq!(lc, ld, wmpt_check::Tol::CONV_F32, "loss");
         }
         let d = central.max_weight_diff(&dist);
@@ -390,9 +373,10 @@ mod tests {
     #[test]
     fn distributed_grid_shapes_all_work() {
         let (x, t) = dataset(7, 8);
+        let pool = ParPool::serial();
         let reference = {
             let mut n = WinogradNet::new(8, 2, &[4], true);
-            n.train_step(&x, &t, 0.05, None);
+            n.train_step_with(&x, &t, 0.05, None, &pool);
             n
         };
         for grid in [
@@ -401,7 +385,7 @@ mod tests {
             ClusterConfig::new(1, 8),
         ] {
             let mut n = WinogradNet::new(8, 2, &[4], true);
-            n.train_step(&x, &t, 0.05, Some(grid));
+            n.train_step_with(&x, &t, 0.05, Some(grid), &pool);
             let d = n.max_weight_diff(&reference);
             assert!(d < 1e-3, "{grid}: diff {d}");
         }
@@ -412,7 +396,7 @@ mod tests {
         let net = WinogradNet::new(11, 2, &[4, 4], true);
         let (x, _) = dataset(12, 8);
         // Plain forward: scores after ReLU chain.
-        let plain = net.forward(&x, None).scores;
+        let plain = net.forward_with(&x, None, &ParPool::serial()).scores;
         let (gated, saved) = net.scores_with_prediction(&x, 64);
         for (a, b) in plain.iter().zip(&gated) {
             assert_eq!(a, b, "prediction changed an output score");
@@ -425,6 +409,6 @@ mod tests {
     fn target_length_validated() {
         let mut net = WinogradNet::new(9, 2, &[4], false);
         let (x, _) = dataset(10, 4);
-        let _ = net.train_step(&x, &[1.0], 0.1, None);
+        let _ = net.train_step_with(&x, &[1.0], 0.1, None, &ParPool::serial());
     }
 }

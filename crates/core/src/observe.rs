@@ -3,7 +3,7 @@
 //! iteration suitable for Chrome-trace export.
 //!
 //! Timing is bit-identical to the un-observed entry points — observation
-//! only *reads* the [`crate::exec::ExecDetail`] breakdown the execution
+//! only *reads* the `ExecDetail` breakdown the execution
 //! already computes — so `simulate_layer(..)` and
 //! `simulate_layer_observed(..)` never disagree.
 //!

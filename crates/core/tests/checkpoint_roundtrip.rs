@@ -5,6 +5,7 @@
 use wmpt_core::{checkpoint_net, restore_net, WinogradNet};
 use wmpt_noc::ClusterConfig;
 use wmpt_obs::json;
+use wmpt_par::ParPool;
 use wmpt_tensor::{DataGen, Shape4, Tensor4};
 
 fn dataset(seed: u64, n: usize) -> (Tensor4, Vec<f32>) {
@@ -39,7 +40,7 @@ fn trained_state_round_trips_losslessly() {
     let (x, t) = dataset(21, 8);
     let mut net = WinogradNet::new(33, 2, &[4, 6], true);
     for _ in 0..3 {
-        net.train_step(&x, &t, 0.1, None);
+        net.train_step_with(&x, &t, 0.1, None, &ParPool::serial());
     }
     let text = checkpoint_net(3, &net).render();
     let (iter, back) = restore_net(&json::parse(&text).expect("parse")).expect("restore");
@@ -56,12 +57,13 @@ fn resume_mid_epoch_matches_uninterrupted_run() {
     let grid = ClusterConfig::new(4, 2);
     let total = 8usize;
     let stop = 3usize; // "crash" after 3 of 8 iterations
+    let pool = ParPool::serial();
 
     // Uninterrupted reference run, recording per-step losses.
     let mut reference = WinogradNet::new(44, 2, &[4], true);
     let mut ref_losses = Vec::new();
     for _ in 0..total {
-        ref_losses.push(reference.train_step(&x, &t, 0.1, Some(grid)));
+        ref_losses.push(reference.train_step_with(&x, &t, 0.1, Some(grid), &pool));
     }
 
     // Interrupted run: checkpoint at `stop`, discard the trainer, resume
@@ -69,13 +71,13 @@ fn resume_mid_epoch_matches_uninterrupted_run() {
     let mut first_half = WinogradNet::new(44, 2, &[4], true);
     let mut resumed_losses = Vec::new();
     for _ in 0..stop {
-        resumed_losses.push(first_half.train_step(&x, &t, 0.1, Some(grid)));
+        resumed_losses.push(first_half.train_step_with(&x, &t, 0.1, Some(grid), &pool));
     }
     let saved = checkpoint_net(stop as u64, &first_half).render();
     drop(first_half);
     let (iter, mut resumed) = restore_net(&json::parse(&saved).expect("parse")).expect("restore");
     for _ in iter as usize..total {
-        resumed_losses.push(resumed.train_step(&x, &t, 0.1, Some(grid)));
+        resumed_losses.push(resumed.train_step_with(&x, &t, 0.1, Some(grid), &pool));
     }
 
     // Step-for-step equality: identical f64 losses (not approximately —

@@ -28,6 +28,7 @@ use crate::plan::{FaultPlan, GridShape};
 use wmpt_core::{checkpoint_net, degraded_grid, restore_net, WinogradNet};
 use wmpt_noc::{ClusterConfig, DegradedMapping, NocParams};
 use wmpt_obs::{json, MetricKey, Observer};
+use wmpt_par::ParPool;
 use wmpt_tensor::Tensor4;
 
 /// Knobs of a resilient training run.
@@ -175,7 +176,7 @@ pub fn train_resilient(
 
     for it in 0..cfg.iters {
         let t0 = clock;
-        losses[it] = net.train_step(x, targets, cfg.lr, Some(cur_grid));
+        losses[it] = net.train_step_with(x, targets, cfg.lr, Some(cur_grid), &ParPool::serial());
         clock += iter_cycles(&state, extra_hops);
         obs.trace.span(train_track, "train", "iter", t0, clock);
 
@@ -337,7 +338,7 @@ fn rollback_and_replay(
     *net = restored;
     let mut spent = cfg.restore_cycles;
     for loss in losses.iter_mut().take(it + 1).skip(ckpt_iter) {
-        *loss = net.train_step(x, targets, cfg.lr, Some(grid));
+        *loss = net.train_step_with(x, targets, cfg.lr, Some(grid), &ParPool::serial());
         spent += iter_cycles(state, extra_hops);
         *replayed += 1;
     }

@@ -4,7 +4,7 @@
 //!   feature-map and Winograd-tile accounting.
 //! * [`table2`] — the five representative layers of the paper's Table II
 //!   (reconstructed; see DESIGN.md substitution 4), batch 256.
-//! * [`wrn_40_10`], [`resnet34`], [`fractalnet`] — the three CNNs of
+//! * [`wrn_40_10`], [`resnet34`], [`fractalnet()`] — the three CNNs of
 //!   Table I with parameter counts validated against the paper.
 //! * [`workload`] — direct vs Winograd computation/memory-access ratios
 //!   (Fig 1).

@@ -20,9 +20,12 @@
 //!    atomic cursor (load balancing), but the reduction sequence is a pure
 //!    function of the input.
 //!
-//! A corollary used throughout the workspace: a parallel entry point built
-//! from these primitives equals its serial counterpart bit for bit, so
-//! `jobs = 1, 2, 7, …` all render identical checkpoints.
+//! The rule built on it throughout the workspace: every host kernel has
+//! **one** implementation, and it takes a `&ParPool`. Its bits depend on
+//! the input alone, so `jobs = 1, 2, 7, …` all render identical
+//! checkpoints; a caller that wants one thread passes
+//! [`ParPool::serial`], which runs every primitive inline. There is no
+//! second, serial body to keep in sync.
 //!
 //! No dependencies, no unsafe, no global state: workers are
 //! [`std::thread::scope`] threads that borrow the caller's data, and a

@@ -101,8 +101,9 @@ pub fn measure(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmpt_par::ParPool;
     use wmpt_tensor::{DataGen, Shape4};
-    use wmpt_winograd::{output_grad_to_winograd, WinogradTransform};
+    use wmpt_winograd::{output_grad_to_winograd_par, WinogradTransform};
 
     /// Builds Winograd-domain output tiles whose spatial neurons have a
     /// controlled negative bias, so a known fraction of tiles is dead.
@@ -113,7 +114,7 @@ mod tests {
         // Winograd domain with the adjoint (a linear bijection-ish map that
         // preserves "which tiles are dead" through actual()).
         let y = g.normal_tensor(Shape4::new(4, 8, 8, 8), bias, 1.0);
-        output_grad_to_winograd(&y, &tf)
+        output_grad_to_winograd_par(&ParPool::serial(), &y, &tf)
     }
 
     #[test]

@@ -204,3 +204,15 @@ fn auto_plan_and_ring_noc_jobs_serve_end_to_end() {
     assert_eq!(Some(served_metrics.as_str()), direct.metrics.as_deref());
     server.shutdown();
 }
+
+#[test]
+fn deeply_nested_body_is_rejected_and_the_server_stays_up() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.addr().to_string();
+    let body = "[".repeat(1 << 20);
+    let resp = http_request(&addr, "POST", "/api/v1/jobs", body.as_bytes()).expect("submit");
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    let health = http_request(&addr, "GET", "/api/v1/healthz", b"").expect("healthz");
+    assert_eq!(health.status, 200);
+    server.shutdown();
+}

@@ -1,10 +1,11 @@
-//! Shared dense kernels: the workspace GEMM and element-wise maps, each
-//! with a serial and a [`ParPool`]-parallel entry point.
+//! Shared dense kernels: the workspace GEMM and element-wise maps. Each
+//! has exactly one implementation, and it takes a [`ParPool`]; callers
+//! that want one thread pass [`ParPool::serial`].
 //!
 //! # Kernel structure
 //!
-//! [`gemm_f32`] is a cache-blocked, panel-packed microkernel in the BLIS
-//! mold: the iteration space is tiled into `MC × KC × NC` blocks, the
+//! [`gemm_f32_par`] runs a cache-blocked, panel-packed microkernel in the
+//! BLIS mold: the iteration space is tiled into `MC × KC × NC` blocks, the
 //! `A` operand is packed into contiguous [`MR`]-row panels, the `B`
 //! operand into contiguous [`NR`]-column panels ([`PackedB`]), and an
 //! inner `MR × NR` register tile accumulates in f64 with enough
@@ -14,29 +15,28 @@
 //!
 //! # Determinism contract
 //!
-//! The parallel variants follow the `wmpt-par` rule: work splits into
-//! chunks whose boundaries depend only on the problem shape (fixed
-//! `const` chunk sizes below), and every output element is computed by
-//! exactly the same arithmetic as the serial code — bit-identical results
-//! for any job count. The blocked kernel preserves a stronger invariant:
-//! each output element is reduced by **one** f64 accumulator in strictly
-//! ascending `l` (inner-dimension) order, exactly as the retained naive
-//! reference [`gemm_f32_ref`]. `KC` blocking only pauses that chain — the
-//! accumulator strip is stored and reloaded as f64 between `KC` blocks,
-//! which is exact — and `M`/`N` zero-padding lanes are never written
-//! back, so blocked ≡ reference ≡ parallel, bit for bit, on every shape.
-//! Nothing numeric in the workspace changes when the schedule does.
+//! Work splits into chunks whose boundaries depend only on the problem
+//! shape (fixed `const` chunk sizes below), never on the job count, so
+//! the bits of every result are the same for any pool. The blocked kernel
+//! preserves a stronger invariant: each output element is reduced by
+//! **one** f64 accumulator in strictly ascending `l` (inner-dimension)
+//! order, exactly as the naive reference [`gemm_f32_ref`]. `KC` blocking
+//! only pauses that chain — the accumulator strip is stored and reloaded
+//! as f64 between `KC` blocks, which is exact — and `M`/`N` zero-padding
+//! lanes are never written back, so blocked ≡ reference on every shape
+//! and job count, bit for bit. Nothing numeric in the workspace changes
+//! when the schedule does.
 
 use std::cell::RefCell;
 
 use wmpt_par::ParPool;
 
-/// Output rows per parallel GEMM chunk. A fixed constant so that chunk
-/// boundaries depend only on the matrix shape, never on the job count.
-/// Matches [`MC`] so each band is one cache block of the serial schedule.
+/// Output rows per GEMM chunk. A fixed constant so that chunk boundaries
+/// depend only on the matrix shape, never on the job count. Matches
+/// [`MC`] so each band is one cache block of the blocked kernel.
 pub const GEMM_ROW_CHUNK: usize = 64;
 
-/// Elements per parallel element-wise-map chunk (same fixed-boundary rule).
+/// Elements per element-wise-map chunk (same fixed-boundary rule).
 pub const MAP_CHUNK: usize = 4096;
 
 /// Register-tile rows of the inner microkernel.
@@ -65,9 +65,9 @@ const BLOCKED_MIN_MACS: usize = 4096;
 const _: () = assert!(MC.is_multiple_of(MR), "MC must be a multiple of MR");
 const _: () = assert!(NC.is_multiple_of(NR), "NC must be a multiple of NR");
 
-/// Naive triple-loop f32 GEMM with f64 accumulation — the reference the
-/// blocked kernel is held bit-identical to, retained for property tests
-/// and as the small-problem fallback.
+/// Naive triple-loop f32 GEMM with f64 accumulation — the frozen oracle
+/// the blocked kernel is held bit-identical to in the tests. Its row loop
+/// is also [`gemm_f32_par`]'s kernel below the size cutoff.
 ///
 /// `a` is `ar × ac`; when `ta` it is used as `ac × ar` (transposed read).
 /// `b` has `bc` columns (rows inferred from `k`); when `tb`, `b` is read
@@ -100,7 +100,7 @@ pub fn gemm_f32_ref(
 
 /// Computes rows `row0 .. row0 + out.len()/bc` of the product into `out`
 /// with the naive per-element loop. Shared by the reference entry point
-/// and the tiny-problem parallel path so both run identical arithmetic.
+/// and the small-problem bands of [`gemm_f32_par`].
 #[allow(clippy::too_many_arguments)]
 fn gemm_rows_ref(
     a: &[f32],
@@ -141,8 +141,7 @@ fn gemm_rows_ref(
 /// lanes feed multiplies whose results are never written back, so they
 /// cannot perturb any output bit. Packing once per GEMM turns the
 /// strided `b[l*n + j]` (or `b[j*k + l]`) walks of the naive kernel into
-/// unit-stride streams, and lets the parallel path share one packed copy
-/// across all row bands.
+/// unit-stride streams, and lets all row bands share one packed copy.
 pub struct PackedB {
     /// Inner dimension (rows of the logical `B`).
     pub k: usize,
@@ -180,7 +179,7 @@ pub fn pack_b(b: &[f32], k: usize, n: usize, tb: bool) -> PackedB {
 }
 
 /// Per-thread packing/accumulator scratch, reused across GEMM calls so
-/// the parallel row bands do not allocate per chunk.
+/// the row bands do not allocate per chunk.
 struct Scratch {
     apack: Vec<f32>,
     acc: Vec<f64>,
@@ -288,9 +287,8 @@ fn micro_edge(
 }
 
 /// Blocked GEMM over output rows `row0 .. row0 + out.len()/n` against a
-/// pre-packed `B`. This is the band kernel the parallel path dispatches
-/// per chunk (sharing one [`PackedB`]) and the serial path calls once
-/// with `row0 = 0`.
+/// pre-packed `B`: the band kernel [`gemm_f32_par`] and the batched
+/// element GEMMs dispatch per row chunk, all sharing one [`PackedB`].
 ///
 /// Bit-identical to [`gemm_f32_ref`] on the same rows: every output
 /// element is reduced by one f64 accumulator in ascending `l` order (the
@@ -359,10 +357,13 @@ pub fn gemm_f32_packed_rows(
 }
 
 /// f32 GEMM with f64 accumulation — the one matrix multiply every numeric
-/// path in the workspace funnels through. Dispatches to the blocked
-/// panel-packed kernel above the [`BLOCKED_MIN_MACS`] cutoff and to the
-/// naive reference below it; both produce identical bits (see module
-/// docs), so the cutoff is a pure performance knob.
+/// path in the workspace funnels through. Output rows are computed in
+/// fixed [`GEMM_ROW_CHUNK`]-row bands distributed across `pool`. Above the
+/// `BLOCKED_MIN_MACS` cutoff every band runs the blocked panel-packed
+/// kernel against one shared packed copy of `B`; below it, the naive
+/// reference loop. Both produce identical bits (see module docs), so the
+/// cutoff is a pure performance knob and the result is the same for any
+/// `jobs` value.
 ///
 /// `a` is `ar × ac`; when `ta` it is used as `ac × ar` (transposed read).
 /// `b` has `bc` columns (rows inferred from `k`); when `tb`, `b` is read
@@ -373,42 +374,6 @@ pub fn gemm_f32_packed_rows(
 ///
 /// Panics if `out.len() != m * bc` (a real `assert!` — release builds
 /// must not scribble past a mis-shaped output).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_f32(
-    a: &[f32],
-    ar: usize,
-    ac: usize,
-    b: &[f32],
-    bc: usize,
-    out: &mut [f32],
-    ta: bool,
-    tb: bool,
-) {
-    let (m, k) = if ta { (ac, ar) } else { (ar, ac) };
-    assert_eq!(
-        out.len(),
-        m * bc,
-        "gemm_f32: out length {} does not match {m}x{bc} product",
-        out.len()
-    );
-    if m * k * bc < BLOCKED_MIN_MACS {
-        gemm_rows_ref(a, ar, ac, b, bc, out, ta, tb, 0);
-        return;
-    }
-    let bp = pack_b(b, k, bc, tb);
-    gemm_f32_packed_rows(a, ar, ac, ta, &bp, out, 0);
-}
-
-/// Parallel [`gemm_f32`]: output rows are computed in fixed
-/// [`GEMM_ROW_CHUNK`]-row bands distributed across the pool, all bands
-/// sharing one packed copy of `B`. Each output element runs the same
-/// f64-accumulated ascending-`l` reduction as the serial kernel, so the
-/// result is bit-identical for any `jobs` value.
-///
-/// # Panics
-///
-/// Panics if `out.len()` does not match the product shape (real
-/// `assert!`, release builds included).
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_f32_par(
     pool: &ParPool,
@@ -428,10 +393,6 @@ pub fn gemm_f32_par(
         "gemm_f32_par: out length {} does not match {m}x{bc} product",
         out.len()
     );
-    if pool.jobs() <= 1 || m <= GEMM_ROW_CHUNK {
-        gemm_f32(a, ar, ac, b, bc, out, ta, tb);
-        return;
-    }
     if m * k * bc < BLOCKED_MIN_MACS {
         pool.for_each_chunk_mut(out, GEMM_ROW_CHUNK * bc, |ci, band| {
             gemm_rows_ref(a, ar, ac, b, bc, band, ta, tb, ci * GEMM_ROW_CHUNK);
@@ -446,7 +407,7 @@ pub fn gemm_f32_par(
 
 /// Applies `f` to every element of `data` in place, in fixed
 /// [`MAP_CHUNK`]-element chunks across the pool. Element-wise maps touch
-/// each slot independently, so parallel equals serial bit for bit.
+/// each slot independently, so the result is the same for any job count.
 pub fn par_map_slice<F>(pool: &ParPool, data: &mut [f32], f: F)
 where
     F: Fn(f32) -> f32 + Sync,
@@ -475,25 +436,26 @@ mod tests {
     #[test]
     fn gemm_par_is_bit_identical_for_any_jobs() {
         // Odd sizes so the last row band is partial, all four transpose
-        // combinations so every indexing path is covered. Large enough
-        // (m > GEMM_ROW_CHUNK, macs > cutoff) to exercise the blocked
-        // multi-band path, not just the serial fallback.
-        let (m, k, n) = (131, 13, 11);
-        let a = random(m * k, 1);
-        let bv = random(k * n, 3);
-        for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
-            let (ar, ac) = if ta { (k, m) } else { (m, k) };
-            let mut serial = vec![0.0f32; m * n];
-            gemm_f32(&a, ar, ac, &bv, n, &mut serial, ta, tb);
-            for jobs in [1, 2, 7] {
-                let pool = ParPool::new(jobs);
-                let mut par = vec![0.0f32; m * n];
-                gemm_f32_par(&pool, &a, ar, ac, &bv, n, &mut par, ta, tb);
-                assert_eq!(
-                    bits(&serial),
-                    bits(&par),
-                    "ta={ta} tb={tb} jobs={jobs} diverged"
-                );
+        // combinations so every indexing path is covered. One shape is
+        // large enough (m > GEMM_ROW_CHUNK, macs > cutoff) for the blocked
+        // multi-band path, one small enough for the reference bands.
+        for (m, k, n) in [(131, 13, 11), (70, 3, 5)] {
+            let a = random(m * k, 1);
+            let bv = random(k * n, 3);
+            for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+                let (ar, ac) = if ta { (k, m) } else { (m, k) };
+                let mut reference = vec![0.0f32; m * n];
+                gemm_f32_ref(&a, ar, ac, &bv, n, &mut reference, ta, tb);
+                for jobs in [1, 2, 7] {
+                    let pool = ParPool::new(jobs);
+                    let mut par = vec![0.0f32; m * n];
+                    gemm_f32_par(&pool, &a, ar, ac, &bv, n, &mut par, ta, tb);
+                    assert_eq!(
+                        bits(&reference),
+                        bits(&par),
+                        "{m}x{k}x{n} ta={ta} tb={tb} jobs={jobs} diverged"
+                    );
+                }
             }
         }
     }
@@ -535,22 +497,23 @@ mod tests {
         // [1 2; 3 4] * [5 6; 7 8] = [19 22; 43 50]
         let a = [1.0, 2.0, 3.0, 4.0];
         let b = [5.0, 6.0, 7.0, 8.0];
+        let pool = ParPool::serial();
         let mut out = [0.0f32; 4];
-        gemm_f32(&a, 2, 2, &b, 2, &mut out, false, false);
+        gemm_f32_par(&pool, &a, 2, 2, &b, 2, &mut out, false, false);
         assert_eq!(out, [19.0, 22.0, 43.0, 50.0]);
         // Aᵀ * B with A stored as 2×2: same matrix transposed.
         let mut out_t = [0.0f32; 4];
-        gemm_f32(&a, 2, 2, &b, 2, &mut out_t, true, false);
+        gemm_f32_par(&pool, &a, 2, 2, &b, 2, &mut out_t, true, false);
         assert_eq!(out_t, [26.0, 30.0, 38.0, 44.0]);
     }
 
     #[test]
-    #[should_panic(expected = "gemm_f32: out length")]
+    #[should_panic(expected = "gemm_f32_par: out length")]
     fn gemm_rejects_mis_shaped_output() {
         let a = [1.0f32; 6];
         let b = [1.0f32; 6];
         let mut out = [0.0f32; 5]; // should be 2x3 = 6
-        gemm_f32(&a, 2, 3, &b, 3, &mut out, false, false);
+        gemm_f32_par(&ParPool::serial(), &a, 2, 3, &b, 3, &mut out, false, false);
     }
 
     #[test]

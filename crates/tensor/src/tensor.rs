@@ -95,8 +95,8 @@ impl Tensor4 {
         }
     }
 
-    /// Parallel [`Self::map_inplace`] over a [`wmpt_par::ParPool`];
-    /// bit-identical to the serial version for any job count (see
+    /// [`Self::map_inplace`] for a `Sync` map, over a
+    /// [`wmpt_par::ParPool`]; the same bits for any job count (see
     /// [`crate::ops::par_map_slice`]).
     pub fn par_map_inplace<F>(&mut self, pool: &wmpt_par::ParPool, f: F)
     where

@@ -17,6 +17,11 @@
 //! * [`WinogradLayer`] — weights resident and updated in the Winograd
 //!   domain (Fig 2(b)), the layer type MPT trains.
 //!
+//! The transforms, the element-wise GEMMs and the layer phases each have
+//! one implementation, which takes a `wmpt_par::ParPool` and returns the
+//! same bits for any job count; pass `ParPool::serial()` to run on the
+//! caller's thread.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -46,16 +51,14 @@ pub use conv::{relu, relu_backward, DirectConv};
 pub use conv1d::{direct_conv1d, winograd_conv1d};
 pub use im2col::{conv_gemm, im2col};
 pub use layer::{
-    elementwise_gemm, elementwise_gemm_bprop, elementwise_gemm_bprop_par, elementwise_gemm_par,
-    elementwise_gemm_wgrad, elementwise_gemm_wgrad_par, WinogradConv, WinogradLayer,
+    elementwise_gemm_bprop_par, elementwise_gemm_par, elementwise_gemm_wgrad_par, WinogradConv,
+    WinogradLayer,
 };
 pub use optimizer::MomentumSgd;
 pub use pool::{Pool2x2, PoolKind};
 pub use stability::{amplification_factor, empirical_error, stability_sweep, StabilityPoint};
 pub use tiling::{
-    from_winograd_output, from_winograd_output_par, input_grad_to_spatial,
-    input_grad_to_spatial_par, output_grad_to_winograd, output_grad_to_winograd_par,
-    to_spatial_tiles, to_winograd_input, to_winograd_input_par, weights_to_winograd, Tiling,
-    WgTensor, WgWeights,
+    from_winograd_output_par, input_grad_to_spatial_par, output_grad_to_winograd_par,
+    to_spatial_tiles, to_winograd_input_par, weights_to_winograd, Tiling, WgTensor, WgWeights,
 };
 pub use transform::{TransformBuildError, WinogradTransform};

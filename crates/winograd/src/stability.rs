@@ -1,6 +1,6 @@
 //! Numerical-stability analysis of Winograd transforms (paper §II-B:
 //! "as weight/tile size grow, numerical instability can grow and impact
-//! accuracy"; ref [31] improves the transform matrices).
+//! accuracy"; ref. \[31\] improves the transform matrices).
 //!
 //! Two measures:
 //!
@@ -11,7 +11,7 @@
 //!
 //! Both grow steeply with `m` at fixed `r`, reproducing the reason the
 //! paper stays at `F(2×2)`/`F(4×4)` tiles — and the reason MPT's
-//! extension to larger tiles is gated on better transforms (ref [31]).
+//! extension to larger tiles is gated on better transforms (ref. \[31\]).
 
 use wmpt_tensor::{DataGen, Matrix};
 

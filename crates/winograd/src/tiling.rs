@@ -218,20 +218,44 @@ impl WgWeights {
     }
 }
 
-/// Extracts and transforms every tile of image `b` into `out`, placing
-/// tile `(ty, tx)` at `tile_base + ty * tiles_w + tx`. Shared by the
-/// serial and parallel input transforms so both run identical arithmetic.
+/// Builds an element-major tensor of `images × tl.tiles_per_image()`
+/// tiles image by image across the pool. Image `b`'s tiles of element
+/// `e` form one contiguous `tiles_per_image × chans` run, so every image
+/// owns `T²` disjoint runs and `fill(b, runs)` writes them in place: the
+/// value of local tile `tile`, channel `c`, element `e` goes to
+/// `runs[e][tile * chans + c]`. Which thread fills an image changes no
+/// bit.
+fn fill_per_image<F>(pool: &ParPool, tl: &Tiling, images: usize, chans: usize, fill: F) -> WgTensor
+where
+    F: Fn(usize, &mut [&mut [f32]]) + Sync,
+{
+    let tpi = tl.tiles_per_image();
+    let mut out = WgTensor::zeros(tl.t * tl.t, images * tpi, chans);
+    let mut runs: Vec<Vec<&mut [f32]>> = (0..images)
+        .map(|_| Vec::with_capacity(tl.t * tl.t))
+        .collect();
+    // Runs come in (element, image) order.
+    for (i, run) in out.data.chunks_mut((tpi * chans).max(1)).enumerate() {
+        runs[i % images].push(run);
+    }
+    pool.for_each_chunk_mut(&mut runs, 1, |b, img| fill(b, &mut img[0]));
+    out
+}
+
+/// Extracts and transforms every tile of image `b` into its element runs
+/// (see [`fill_per_image`]) — the per-image work unit of
+/// [`to_winograd_input_par`].
 fn image_to_winograd_into(
     x: &Tensor4,
     b: usize,
     tf: &WinogradTransform,
     tl: &Tiling,
-    out: &mut WgTensor,
-    tile_base: usize,
+    runs: &mut [&mut [f32]],
 ) {
     let t = tl.t;
+    let chans = x.shape().c;
     let mut tile_buf = vec![0.0f32; t * t];
-    for c in 0..x.shape().c {
+    for c in 0..chans {
         for ty in 0..tl.tiles_h {
             for tx in 0..tl.tiles_w {
                 let (oy, ox) = tl.tile_origin(ty, tx);
@@ -240,60 +264,26 @@ fn image_to_winograd_into(
                         tile_buf[u * t + v] = x.get_padded(b, c, oy + u as isize, ox + v as isize);
                     }
                 }
-                let tx_dom = tf.input_2d(&tile_buf);
-                out.scatter_tile(tile_base + ty * tl.tiles_w + tx, c, &tx_dom);
+                let at = (ty * tl.tiles_w + tx) * chans + c;
+                for (run, v) in runs.iter_mut().zip(tf.input_2d(&tile_buf)) {
+                    run[at] = v;
+                }
             }
         }
     }
 }
 
-/// Copies per-image element-major tensors (each `tpi` tiles) into their
-/// batch positions of `out` — image `b`'s tiles land at
-/// `tile index b * tpi ..` of every element. A pure relayout, so the
-/// merged tensor is bit-identical to one produced serially.
-fn merge_per_image_wg(per_image: &[WgTensor], out: &mut WgTensor, tpi: usize) {
-    let chans = out.chans;
-    let run = tpi * chans;
-    for (b, img) in per_image.iter().enumerate() {
-        for e in 0..out.elems {
-            let dst = (e * out.tiles + b * tpi) * chans;
-            out.data[dst..dst + run].copy_from_slice(&img.data[e * run..(e + 1) * run]);
-        }
-    }
-}
-
 /// Transforms a spatial feature map into the Winograd domain
-/// (tile extraction + 2-D input transform, `Bᵀ x B` per tile).
-pub fn to_winograd_input(x: &Tensor4, tf: &WinogradTransform) -> WgTensor {
-    let s = x.shape();
-    let tl = Tiling::new(tf, s.h, s.w);
-    let tpi = tl.tiles_per_image();
-    let mut out = WgTensor::zeros(tl.t * tl.t, s.n * tpi, s.c);
-    for b in 0..s.n {
-        image_to_winograd_into(x, b, tf, &tl, &mut out, b * tpi);
-    }
-    out
-}
-
-/// Parallel [`to_winograd_input`]: images are extracted and transformed
-/// independently across the pool, then relaid out into the batch-wide
-/// element-major tensor in image order. Bit-identical to the serial
-/// version for any job count.
+/// (tile extraction + 2-D input transform, `Bᵀ x B` per tile). Images are
+/// extracted and transformed independently across the pool, each writing
+/// its own tiles of the batch-wide element-major tensor; the bits are the
+/// same for any job count.
 pub fn to_winograd_input_par(pool: &ParPool, x: &Tensor4, tf: &WinogradTransform) -> WgTensor {
     let s = x.shape();
-    if pool.jobs() <= 1 || s.n <= 1 {
-        return to_winograd_input(x, tf);
-    }
     let tl = Tiling::new(tf, s.h, s.w);
-    let tpi = tl.tiles_per_image();
-    let per_image = pool.map_indexed(s.n, |b| {
-        let mut img = WgTensor::zeros(tl.t * tl.t, tpi, s.c);
-        image_to_winograd_into(x, b, tf, &tl, &mut img, 0);
-        img
-    });
-    let mut out = WgTensor::zeros(tl.t * tl.t, s.n * tpi, s.c);
-    merge_per_image_wg(&per_image, &mut out, tpi);
-    out
+    fill_per_image(pool, &tl, s.n, s.c, |b, runs| {
+        image_to_winograd_into(x, b, tf, &tl, runs)
+    })
 }
 
 /// Extracts *untransformed* spatial tiles in the same element-major layout
@@ -353,30 +343,9 @@ pub fn weights_to_winograd(w: &Tensor4, tf: &WinogradTransform) -> WgWeights {
     out
 }
 
-/// Inverse-transforms a Winograd-domain output (`tiles × J` per element)
-/// back to a spatial feature map of shape `out_shape`
-/// (`Aᵀ Y A` per tile + tile assembly; edge tiles are cropped).
-///
-/// # Panics
-///
-/// Panics if the tile geometry of `y` does not match `out_shape` under `tf`.
-pub fn from_winograd_output(y: &WgTensor, tf: &WinogradTransform, out_shape: Shape4) -> Tensor4 {
-    let tl = Tiling::new(tf, out_shape.h, out_shape.w);
-    let tpi = tl.tiles_per_image();
-    assert_eq!(y.tiles, out_shape.n * tpi, "tile count mismatch");
-    assert_eq!(y.chans, out_shape.c, "channel count mismatch");
-    assert_eq!(y.elems, tl.t * tl.t, "element count mismatch");
-    let mut out = Tensor4::zeros(out_shape);
-    let stride = out_shape.c * out_shape.h * out_shape.w;
-    for (b, img) in out.as_mut_slice().chunks_mut(stride).enumerate() {
-        image_from_winograd_into(y, tf, &tl, b, out_shape, img);
-    }
-    out
-}
-
 /// Inverse-transforms every tile of image `b` of `y` into the image's
-/// contiguous NCHW slice `img` (length `c * h * w`). Shared by the serial
-/// and parallel inverse transforms.
+/// contiguous NCHW slice `img` (length `c * h * w`) — the per-image work
+/// unit of [`from_winograd_output_par`].
 fn image_from_winograd_into(
     y: &WgTensor,
     tf: &WinogradTransform,
@@ -412,9 +381,11 @@ fn image_from_winograd_into(
     }
 }
 
-/// Parallel [`from_winograd_output`]: each image's inverse transform and
-/// tile assembly writes a disjoint contiguous NCHW slice, fanned out
-/// across the pool. Bit-identical to the serial version for any job count.
+/// Inverse-transforms a Winograd-domain output (`tiles × J` per element)
+/// back to a spatial feature map of shape `out_shape` (`Aᵀ Y A` per tile +
+/// tile assembly; edge tiles are cropped). Each image writes a disjoint
+/// contiguous NCHW slice, fanned out across the pool; the bits are the
+/// same for any job count.
 ///
 /// # Panics
 ///
@@ -425,9 +396,6 @@ pub fn from_winograd_output_par(
     tf: &WinogradTransform,
     out_shape: Shape4,
 ) -> Tensor4 {
-    if pool.jobs() <= 1 || out_shape.n <= 1 {
-        return from_winograd_output(y, tf, out_shape);
-    }
     let tl = Tiling::new(tf, out_shape.h, out_shape.w);
     let tpi = tl.tiles_per_image();
     assert_eq!(y.tiles, out_shape.n * tpi, "tile count mismatch");
@@ -441,30 +409,15 @@ pub fn from_winograd_output_par(
     out
 }
 
-/// Pushes a spatial output gradient into the Winograd domain
-/// (`A ∂y Aᵀ` per tile — the adjoint of [`from_winograd_output`]).
-pub fn output_grad_to_winograd(dy: &Tensor4, tf: &WinogradTransform) -> WgTensor {
-    let s = dy.shape();
-    let tl = Tiling::new(tf, s.h, s.w);
-    let tpi = tl.tiles_per_image();
-    let mut out = WgTensor::zeros(tl.t * tl.t, s.n * tpi, s.c);
-    for b in 0..s.n {
-        image_grad_to_winograd_into(dy, b, tf, &tl, &mut out, b * tpi);
-    }
-    out
-}
-
-/// Pushes the output gradient of image `b` into `out` (adjoint of the
-/// inverse transform), placing tile `(ty, tx)` at
-/// `tile_base + ty * tiles_w + tx`. Shared by the serial and parallel
-/// adjoint transforms.
+/// Pushes the output gradient of image `b` into its element runs (see
+/// [`fill_per_image`]; adjoint of the inverse transform) — the per-image
+/// work unit of [`output_grad_to_winograd_par`].
 fn image_grad_to_winograd_into(
     dy: &Tensor4,
     b: usize,
     tf: &WinogradTransform,
     tl: &Tiling,
-    out: &mut WgTensor,
-    tile_base: usize,
+    runs: &mut [&mut [f32]],
 ) {
     let s = dy.shape();
     let m = tl.m;
@@ -486,56 +439,35 @@ fn image_grad_to_winograd_into(
                         buf[u * m + v] = dy[(b, j, oy, ox)];
                     }
                 }
-                let wg = tf.inverse_2d_grad(&buf);
-                out.scatter_tile(tile_base + ty * tl.tiles_w + tx, j, &wg);
+                let at = (ty * tl.tiles_w + tx) * s.c + j;
+                for (run, v) in runs.iter_mut().zip(tf.inverse_2d_grad(&buf)) {
+                    run[at] = v;
+                }
             }
         }
     }
 }
 
-/// Parallel [`output_grad_to_winograd`] (per-image fan-out, merged in
-/// image order; bit-identical to serial for any job count).
+/// Pushes a spatial output gradient into the Winograd domain (`A ∂y Aᵀ`
+/// per tile — the adjoint of [`from_winograd_output_par`]). Images fan
+/// out across the pool, each writing its own tiles; the bits are the
+/// same for any job count.
 pub fn output_grad_to_winograd_par(
     pool: &ParPool,
     dy: &Tensor4,
     tf: &WinogradTransform,
 ) -> WgTensor {
     let s = dy.shape();
-    if pool.jobs() <= 1 || s.n <= 1 {
-        return output_grad_to_winograd(dy, tf);
-    }
     let tl = Tiling::new(tf, s.h, s.w);
-    let tpi = tl.tiles_per_image();
-    let per_image = pool.map_indexed(s.n, |b| {
-        let mut img = WgTensor::zeros(tl.t * tl.t, tpi, s.c);
-        image_grad_to_winograd_into(dy, b, tf, &tl, &mut img, 0);
-        img
-    });
-    let mut out = WgTensor::zeros(tl.t * tl.t, s.n * tpi, s.c);
-    merge_per_image_wg(&per_image, &mut out, tpi);
-    out
-}
-
-/// Pushes a Winograd-domain input gradient back to the spatial domain
-/// (`B ∂X Bᵀ` per tile + overlapped accumulation — the adjoint of
-/// [`to_winograd_input`]).
-pub fn input_grad_to_spatial(dx: &WgTensor, tf: &WinogradTransform, in_shape: Shape4) -> Tensor4 {
-    let tl = Tiling::new(tf, in_shape.h, in_shape.w);
-    let tpi = tl.tiles_per_image();
-    assert_eq!(dx.tiles, in_shape.n * tpi, "tile count mismatch");
-    assert_eq!(dx.chans, in_shape.c, "channel count mismatch");
-    let mut out = Tensor4::zeros(in_shape);
-    let stride = in_shape.c * in_shape.h * in_shape.w;
-    for (b, img) in out.as_mut_slice().chunks_mut(stride).enumerate() {
-        image_input_grad_into(dx, tf, &tl, b, in_shape, img);
-    }
-    out
+    fill_per_image(pool, &tl, s.n, s.c, |b, runs| {
+        image_grad_to_winograd_into(dy, b, tf, &tl, runs)
+    })
 }
 
 /// Accumulates image `b`'s overlapped tile gradients into the image's
 /// contiguous NCHW slice `img`. Tiles only ever overlap within one image,
-/// so images are independent. The accumulation order over `(ty, tx)` is
-/// the same for serial and parallel callers.
+/// so images are independent, and the accumulation order over `(ty, tx)`
+/// is fixed within the image.
 fn image_input_grad_into(
     dx: &WgTensor,
     tf: &WinogradTransform,
@@ -572,10 +504,12 @@ fn image_input_grad_into(
     }
 }
 
-/// Parallel [`input_grad_to_spatial`]: each image's overlapped
-/// accumulation stays on one thread (preserving the serial addition
-/// order), images fan out across the pool into disjoint NCHW slices.
-/// Bit-identical to the serial version for any job count.
+/// Pushes a Winograd-domain input gradient back to the spatial domain
+/// (`B ∂X Bᵀ` per tile + overlapped accumulation — the adjoint of
+/// [`to_winograd_input_par`]). Each image's overlapped accumulation stays
+/// on one thread, in a fixed addition order; images fan out across the
+/// pool into disjoint NCHW slices, so the bits are the same for any job
+/// count.
 ///
 /// # Panics
 ///
@@ -586,9 +520,6 @@ pub fn input_grad_to_spatial_par(
     tf: &WinogradTransform,
     in_shape: Shape4,
 ) -> Tensor4 {
-    if pool.jobs() <= 1 || in_shape.n <= 1 {
-        return input_grad_to_spatial(dx, tf, in_shape);
-    }
     let tl = Tiling::new(tf, in_shape.h, in_shape.w);
     let tpi = tl.tiles_per_image();
     assert_eq!(dx.tiles, in_shape.n * tpi, "tile count mismatch");
@@ -605,6 +536,10 @@ pub fn input_grad_to_spatial_par(
 mod tests {
     use super::*;
     use wmpt_tensor::DataGen;
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
 
     #[test]
     fn tiling_counts_round_up() {
@@ -639,7 +574,8 @@ mod tests {
         for c in 0..3 {
             w[(c, c, 1, 1)] = 1.0;
         }
-        let wx = to_winograd_input(&x, &tf);
+        let pool = ParPool::serial();
+        let wx = to_winograd_input_par(&pool, &x, &tf);
         let ww = weights_to_winograd(&w, &tf);
         // Element-wise GEMM: y_e = x_e * w_e
         let mut y = WgTensor::zeros(wx.elems, wx.tiles, 3);
@@ -655,7 +591,7 @@ mod tests {
                 }
             }
         }
-        let back = from_winograd_output(&y, &tf, shape);
+        let back = from_winograd_output_par(&pool, &y, &tf, shape);
         assert!(
             back.max_abs_diff(&x) < 1e-4,
             "diff {}",
@@ -665,7 +601,8 @@ mod tests {
 
     #[test]
     fn output_grad_adjoint_property() {
-        // <from_winograd_output(Y), dy> == <Y, output_grad_to_winograd(dy)>
+        // <from_winograd_output_par(Y), dy> == <Y, output_grad_to_winograd_par(dy)>
+        let pool = ParPool::serial();
         let tf = WinogradTransform::f2x2_3x3();
         let mut gen = DataGen::new(5);
         let shape = Shape4::new(1, 2, 5, 5); // non-divisible: exercises cropping
@@ -676,8 +613,8 @@ mod tests {
             *v = gen.normal(0.0, 1.0) as f32;
         }
         let dy = gen.normal_tensor(shape, 0.0, 1.0);
-        let fwd = from_winograd_output(&y, &tf, shape);
-        let bwd = output_grad_to_winograd(&dy, &tf);
+        let fwd = from_winograd_output_par(&pool, &y, &tf, shape);
+        let bwd = output_grad_to_winograd_par(&pool, &dy, &tf);
         let lhs: f64 = fwd
             .as_slice()
             .iter()
@@ -695,7 +632,8 @@ mod tests {
 
     #[test]
     fn input_grad_adjoint_property() {
-        // <to_winograd_input(x), dX> == <x, input_grad_to_spatial(dX)>
+        // <to_winograd_input_par(x), dX> == <x, input_grad_to_spatial_par(dX)>
+        let pool = ParPool::serial();
         let tf = WinogradTransform::f4x4_3x3();
         let mut gen = DataGen::new(6);
         let shape = Shape4::new(1, 2, 7, 7);
@@ -706,8 +644,8 @@ mod tests {
         for v in &mut dxw.data {
             *v = gen.normal(0.0, 1.0) as f32;
         }
-        let fwd = to_winograd_input(&x, &tf);
-        let bwd = input_grad_to_spatial(&dxw, &tf, shape);
+        let fwd = to_winograd_input_par(&pool, &x, &tf);
+        let bwd = input_grad_to_spatial_par(&pool, &dxw, &tf, shape);
         let lhs: f64 = fwd
             .data
             .iter()
@@ -721,6 +659,45 @@ mod tests {
             .map(|(a, b)| (*a as f64) * (*b as f64))
             .sum();
         wmpt_check::assert_approx_eq!(lhs, rhs, wmpt_check::Tol::CONV_WIDE_F32);
+    }
+
+    #[test]
+    fn transforms_are_bit_identical_for_any_jobs() {
+        // All four transforms at jobs ∈ {1, 2, 7} against the one-thread
+        // pool; odd sizes crop the edge tiles, batch 3 gives every job
+        // count a different image split.
+        let tf = WinogradTransform::f2x2_3x3();
+        let mut gen = DataGen::new(17);
+        let shape = Shape4::new(3, 2, 7, 5);
+        let x = gen.normal_tensor(shape, 0.0, 1.0);
+        let serial = ParPool::serial();
+        let wx0 = to_winograd_input_par(&serial, &x, &tf);
+        let y0 = from_winograd_output_par(&serial, &wx0, &tf, shape);
+        let wdy0 = output_grad_to_winograd_par(&serial, &x, &tf);
+        let dx0 = input_grad_to_spatial_par(&serial, &wx0, &tf, shape);
+        for jobs in [1usize, 2, 7] {
+            let pool = ParPool::new(jobs);
+            let wx = to_winograd_input_par(&pool, &x, &tf);
+            assert_eq!(bits(&wx0.data), bits(&wx.data), "input tf, jobs={jobs}");
+            let y = from_winograd_output_par(&pool, &wx0, &tf, shape);
+            assert_eq!(
+                bits(y0.as_slice()),
+                bits(y.as_slice()),
+                "inverse tf, jobs={jobs}"
+            );
+            let wdy = output_grad_to_winograd_par(&pool, &x, &tf);
+            assert_eq!(
+                bits(&wdy0.data),
+                bits(&wdy.data),
+                "output-grad tf, jobs={jobs}"
+            );
+            let dx = input_grad_to_spatial_par(&pool, &wx0, &tf, shape);
+            assert_eq!(
+                bits(dx0.as_slice()),
+                bits(dx.as_slice()),
+                "input-grad tf, jobs={jobs}"
+            );
+        }
     }
 
     #[test]

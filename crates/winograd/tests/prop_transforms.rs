@@ -9,10 +9,11 @@
 //! failure report).
 
 use wmpt_check::{check, Tol};
+use wmpt_par::ParPool;
 use wmpt_tensor::{Shape4, Tensor4};
 use wmpt_winograd::{
-    from_winograd_output, to_winograd_input, weights_to_winograd, DirectConv, WinogradConv,
-    WinogradTransform,
+    elementwise_gemm_par, from_winograd_output_par, to_winograd_input_par, weights_to_winograd,
+    DirectConv, WinogradConv, WinogradTransform,
 };
 
 /// Cook–Toom construction satisfies the Winograd identity for any small
@@ -67,10 +68,11 @@ fn tiling_round_trip() {
         for ch in 0..shape.c {
             ident[(ch, ch, 1, 1)] = 1.0;
         }
-        let wx = to_winograd_input(&x, &tf);
+        let pool = ParPool::serial();
+        let wx = to_winograd_input_par(&pool, &x, &tf);
         let ww = weights_to_winograd(&ident, &tf);
-        let wy = wmpt_winograd::elementwise_gemm(&wx, &ww);
-        let back = from_winograd_output(&wy, &tf, shape);
+        let wy = elementwise_gemm_par(&pool, &wx, &ww);
+        let back = from_winograd_output_par(&pool, &wy, &tf, shape);
         wmpt_check::assert_slices_approx_eq!(
             back.as_slice(),
             x.as_slice(),

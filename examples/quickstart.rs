@@ -9,6 +9,7 @@ use winograd_mpt::core::{simulate_layer, SystemConfig, SystemModel};
 use winograd_mpt::models::table2_layers;
 use winograd_mpt::tensor::{DataGen, Shape4};
 use winograd_mpt::winograd::{DirectConv, WinogradConv, WinogradLayer, WinogradTransform};
+use wmpt_par::ParPool;
 
 fn main() {
     // 1. A Winograd transform and its correctness against direct conv.
@@ -34,7 +35,7 @@ fn main() {
     // updated there (what MPT trains).
     let mut layer = WinogradLayer::from_spatial(tf, &w);
     let dy = gen.normal_tensor(Shape4::new(2, 8, 16, 16), 0.0, 1.0);
-    let grad = layer.update_grad(&x, &dy);
+    let grad = layer.update_grad_par(&ParPool::serial(), &x, &dy);
     layer.apply_grad(&grad, 0.01);
     println!(
         "winograd-domain SGD step applied to {} weight elements ({} tile elements x {}x{} channels)",

@@ -3,17 +3,18 @@
 //! pipeline (models → exec → energy) working together.
 
 use winograd_mpt::core::{
-    fprop_distributed, gather_with_prediction, simulate_layer, simulate_network,
-    train_step_distributed, SystemConfig, SystemModel,
+    fprop_distributed_par, gather_with_prediction, simulate_layer, simulate_network,
+    train_step_distributed_par, SystemConfig, SystemModel,
 };
 use winograd_mpt::models::{table2_layers, wrn_40_10};
 use winograd_mpt::noc::ClusterConfig;
 use winograd_mpt::predict::{sigma_of, ActivationPredictor, PredictMode, QuantizerConfig};
 use winograd_mpt::tensor::{DataGen, Shape4};
 use winograd_mpt::winograd::{
-    elementwise_gemm, from_winograd_output, relu, to_winograd_input, weights_to_winograd,
-    DirectConv, WinogradLayer, WinogradTransform,
+    elementwise_gemm_par, from_winograd_output_par, relu, to_winograd_input_par,
+    weights_to_winograd, DirectConv, WinogradLayer, WinogradTransform,
 };
+use wmpt_par::ParPool;
 
 /// The full numerical story in one test: a Winograd layer distributed
 /// MPT-style trains exactly like a centralized direct-convolution-checked
@@ -25,11 +26,12 @@ fn mpt_numerics_end_to_end() {
     let w = gen.he_weights(Shape4::new(6, 3, 3, 3));
     let dy = gen.normal_tensor(Shape4::new(4, 6, 8, 8), 0.0, 1.0);
     let tf = WinogradTransform::f2x2_3x3();
+    let pool = ParPool::serial();
 
     // 1. Winograd forward == direct forward.
     let direct = DirectConv::new(3).fprop(&x, &w);
     let layer = WinogradLayer::from_spatial(tf.clone(), &w);
-    assert!(layer.fprop(&x).max_abs_diff(&direct) < 1e-4);
+    assert!(layer.fprop_par(&pool, &x).max_abs_diff(&direct) < 1e-4);
 
     // 2. Distributed == centralized, for every paper grid shape that
     // divides this batch.
@@ -38,14 +40,14 @@ fn mpt_numerics_end_to_end() {
         ClusterConfig::new(4, 4),
         ClusterConfig::new(1, 4),
     ] {
-        let dist = fprop_distributed(&layer, grid, &x);
+        let dist = fprop_distributed_par(&pool, &layer, grid, &x);
         assert!(dist.max_abs_diff(&direct) < 1e-4, "grid {grid}");
 
         let mut central = layer.clone();
-        let g = central.update_grad(&x, &dy);
+        let g = central.update_grad_par(&pool, &x, &dy);
         central.apply_grad(&g, 0.01);
         let mut distributed = layer.clone();
-        train_step_distributed(&mut distributed, grid, &x, &dy, 0.01);
+        train_step_distributed_par(&pool, &mut distributed, grid, &x, &dy, 0.01);
         let diff = distributed
             .weights()
             .data
@@ -57,14 +59,14 @@ fn mpt_numerics_end_to_end() {
     }
 
     // 3. Prediction-gated gathering is lossless.
-    let wx = to_winograd_input(&relu(&x), &tf);
+    let wx = to_winograd_input_par(&pool, &relu(&x), &tf);
     let ww = weights_to_winograd(&w, &tf);
-    let y = elementwise_gemm(&wx, &ww);
+    let y = elementwise_gemm_par(&pool, &wx, &ww);
     let shape = Shape4::new(4, 6, 8, 8);
     let predictor =
         ActivationPredictor::new(tf.clone(), QuantizerConfig::new(64, 4), sigma_of(&y.data));
     let (gated, _) = gather_with_prediction(&y, &predictor, PredictMode::TwoD, shape);
-    let full = relu(&from_winograd_output(&y, &tf, shape));
+    let full = relu(&from_winograd_output_par(&pool, &y, &tf, shape));
     assert_eq!(gated.max_abs_diff(&full), 0.0);
 }
 
