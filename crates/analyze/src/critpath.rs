@@ -1,4 +1,4 @@
-//! Critical-path extraction over a span trace.
+//! Critical-path attribution over a span trace.
 //!
 //! The observed simulators tile every iteration's `[0, total_cycles)`
 //! window with `layer`-category phase spans and lay subsystem activity
@@ -9,14 +9,16 @@
 //! wherever activities overlap — a collective serializes the whole grid,
 //! a tile transfer serializes a cluster, a DRAM stall serializes one
 //! worker's pipeline, and NDP compute is the default owner of the
-//! window. The result is a gapless segment chain whose total equals the
-//! simulated cycle count exactly and whose per-category attribution sums
-//! to 100%.
+//! window. Among covering spans of the same category, the last-recorded
+//! one claims the cycle. In-window cycles no work span covers are charged
+//! to [`Category::DramStall`] (named `(untraced)`), so they cannot
+//! inflate compute share. The result is a gapless segment chain whose
+//! total equals the simulated cycle count exactly and whose per-category
+//! attribution sums to 100%. [`crate::Analyzer`] computes it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use wmpt_obs::Tracer;
 use wmpt_sim::Time;
 
 /// Subsystem a critical-path cycle is attributed to, ordered by how much
@@ -67,212 +69,67 @@ impl Category {
     }
 }
 
-/// One segment of the critical path: `[start, end)` attributed to a
-/// category, labelled with the span that claimed it (or `(untraced)` for
-/// in-window cycles no work span covers).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Segment {
-    /// Segment start cycle (inclusive).
-    pub start: Time,
-    /// Segment end cycle (exclusive).
-    pub end: Time,
-    /// Subsystem charged for these cycles.
-    pub category: Category,
-    /// Name of the claiming span.
-    pub name: String,
-}
-
-impl Segment {
-    /// Segment length in cycles.
-    pub fn cycles(&self) -> Time {
-        self.end - self.start
-    }
-}
-
-/// The extracted critical path: a gapless chain of categorized segments
-/// covering the iteration domain.
+/// The critical path: a gapless chain of categorized segments covering
+/// the iteration domain, kept as its per-category totals and length.
 #[derive(Debug, Clone, Default)]
 pub struct CriticalPath {
-    /// Segments in time order; consecutive segments abut exactly.
-    pub segments: Vec<Segment>,
-    /// Total cycles covered — the sum of all segment lengths, equal to
-    /// the `layer`-window extent of the trace.
+    /// Cycles charged to each category. Every category is present (zeros
+    /// included) and the values sum to [`CriticalPath::total`] exactly.
+    pub attribution: BTreeMap<Category, Time>,
+    /// Total cycles covered — the `layer`-window extent of the trace.
     pub total: Time,
-}
-
-/// Merges `spans`' intervals into a sorted, disjoint interval set.
-pub(crate) fn interval_union(mut iv: Vec<(Time, Time)>) -> Vec<(Time, Time)> {
-    iv.retain(|(s, e)| e > s);
-    iv.sort_unstable();
-    let mut out: Vec<(Time, Time)> = Vec::new();
-    for (s, e) in iv {
-        match out.last_mut() {
-            Some((_, le)) if s <= *le => *le = (*le).max(e),
-            _ => out.push((s, e)),
-        }
-    }
-    out
-}
-
-/// The analysis domain of a trace: the union of its `layer` phase
-/// windows, falling back to the extent of all spans for traces that were
-/// not produced by the observed simulators.
-pub fn domain(trace: &Tracer) -> Vec<(Time, Time)> {
-    let layer: Vec<(Time, Time)> = trace
-        .spans()
-        .iter()
-        .filter(|s| s.cat == "layer")
-        .map(|s| (s.start, s.end))
-        .collect();
-    if !layer.is_empty() {
-        return interval_union(layer);
-    }
-    interval_union(trace.spans().iter().map(|s| (s.start, s.end)).collect())
-}
-
-/// Total length of a disjoint interval set.
-pub fn domain_cycles(domain: &[(Time, Time)]) -> Time {
-    domain.iter().map(|(s, e)| e - s).sum()
+    /// Number of segments: maximal runs of cycles claimed by the same
+    /// category and span name.
+    pub segment_count: usize,
 }
 
 impl CriticalPath {
-    /// Extracts the critical path from a trace (see the module docs for
-    /// the attribution rule). Returns an empty path for an empty trace.
-    pub fn extract(trace: &Tracer) -> CriticalPath {
-        let domain = domain(trace);
-        // Work spans clipped to the domain, in recording order.
-        let mut work: Vec<(Time, Time, Category, &str)> = Vec::new();
-        for sp in trace.spans() {
-            let Some(cat) = Category::from_span_cat(&sp.cat) else {
-                continue;
-            };
-            for &(ds, de) in &domain {
-                let (s, e) = (sp.start.max(ds), sp.end.min(de));
-                if e > s {
-                    work.push((s, e, cat, &sp.name));
-                }
-            }
-        }
-        // Elementary intervals: every boundary of the domain and of the
-        // clipped work spans.
-        let mut cuts: Vec<Time> = Vec::new();
-        for &(s, e) in &domain {
-            cuts.push(s);
-            cuts.push(e);
-        }
-        for &(s, e, _, _) in &work {
-            cuts.push(s);
-            cuts.push(e);
-        }
-        cuts.sort_unstable();
-        cuts.dedup();
-
-        let mut segments: Vec<Segment> = Vec::new();
-        let mut push = |start: Time, end: Time, category: Category, name: &str| {
-            if let Some(last) = segments.last_mut() {
-                if last.end == start && last.category == category && last.name == name {
-                    last.end = end;
-                    return;
-                }
-            }
-            segments.push(Segment {
-                start,
-                end,
-                category,
-                name: name.to_string(),
-            });
-        };
-        for pair in cuts.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            if !domain.iter().any(|&(ds, de)| ds <= a && b <= de) {
-                continue;
-            }
-            // Highest-priority span covering [a, b); earliest recording
-            // wins ties, so extraction is deterministic.
-            let best = work
-                .iter()
-                .filter(|&&(s, e, _, _)| s <= a && b <= e)
-                .max_by_key(|&&(_, _, cat, _)| cat);
-            match best {
-                Some(&(_, _, cat, name)) => push(a, b, cat, name),
-                // In-window cycles with no recorded work: count them as
-                // pipeline stall so they cannot inflate compute share.
-                None => push(a, b, Category::DramStall, "(untraced)"),
-            }
-        }
-        CriticalPath {
-            segments,
-            total: domain_cycles(&domain),
-        }
-    }
-
-    /// Cycles charged to each category. Every category is present (zeros
-    /// included) and the values sum to [`CriticalPath::total`] exactly.
-    pub fn attribution(&self) -> BTreeMap<Category, Time> {
-        let mut out: BTreeMap<Category, Time> = Category::ALL.iter().map(|&c| (c, 0)).collect();
-        for seg in &self.segments {
-            *out.get_mut(&seg.category).expect("all categories seeded") += seg.cycles();
+    /// Flat metric view for baseline gating: `critpath.total_cycles`,
+    /// `critpath.cycles.<category>` and `critpath.share.<category>`.
+    pub fn metrics(&self) -> BTreeMap<String, f64> {
+        let mut out = BTreeMap::new();
+        out.insert("critpath.total_cycles".to_string(), self.total as f64);
+        let denom = self.total.max(1) as f64;
+        for (cat, cycles) in &self.attribution {
+            out.insert(format!("critpath.cycles.{}", cat.name()), *cycles as f64);
+            out.insert(
+                format!("critpath.share.{}", cat.name()),
+                *cycles as f64 / denom,
+            );
         }
         out
     }
 
-    /// Flat metric view for baseline gating: `critpath.total_cycles`,
-    /// `critpath.cycles.<category>` and `critpath.share.<category>`.
-    pub fn metrics(&self) -> BTreeMap<String, f64> {
-        attribution_metrics(&self.attribution(), self.total)
-    }
-
     /// Deterministic text table of the per-category attribution.
     pub fn render_table(&self) -> String {
-        render_attribution_table(&self.attribution(), self.total, self.segments.len())
+        let denom = self.total.max(1) as f64;
+        let mut out = String::new();
+        let _ = writeln!(out, "critical path: {} cycles", self.total);
+        let mut cats: Vec<_> = self.attribution.iter().map(|(c, t)| (*c, *t)).collect();
+        cats.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        for (cat, cycles) in cats {
+            let _ = writeln!(
+                out,
+                "  {:<12} {:>14} cycles  {:>5.1}%",
+                cat.name(),
+                cycles,
+                cycles as f64 / denom * 100.0
+            );
+        }
+        let _ = writeln!(out, "  segments: {}", self.segment_count);
+        out
     }
-}
-
-/// The `critpath.*` flat metric view over an attribution map — shared by
-/// [`CriticalPath::metrics`] and the streaming analyzer so both paths
-/// produce bit-identical values.
-pub fn attribution_metrics(attr: &BTreeMap<Category, Time>, total: Time) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    out.insert("critpath.total_cycles".to_string(), total as f64);
-    let denom = total.max(1) as f64;
-    for (cat, cycles) in attr {
-        out.insert(format!("critpath.cycles.{}", cat.name()), *cycles as f64);
-        out.insert(
-            format!("critpath.share.{}", cat.name()),
-            *cycles as f64 / denom,
-        );
-    }
-    out
-}
-
-/// The critical-path text table over an attribution map — shared by
-/// [`CriticalPath::render_table`] and the streaming analyzer.
-pub fn render_attribution_table(
-    attr: &BTreeMap<Category, Time>,
-    total: Time,
-    segment_count: usize,
-) -> String {
-    let denom = total.max(1) as f64;
-    let mut out = String::new();
-    let _ = writeln!(out, "critical path: {total} cycles");
-    let mut cats: Vec<_> = attr.iter().map(|(c, t)| (*c, *t)).collect();
-    cats.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    for (cat, cycles) in cats {
-        let _ = writeln!(
-            out,
-            "  {:<12} {:>14} cycles  {:>5.1}%",
-            cat.name(),
-            cycles,
-            cycles as f64 / denom * 100.0
-        );
-    }
-    let _ = writeln!(out, "  segments: {segment_count}");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Analysis;
+    use wmpt_obs::Tracer;
+
+    fn path(t: &Tracer) -> CriticalPath {
+        Analysis::of_trace(t).critical_path
+    }
 
     fn trace() -> Tracer {
         // One 100-cycle layer window: ndp tiles it, a noc transfer covers
@@ -293,27 +150,32 @@ mod tests {
 
     #[test]
     fn attribution_prefers_the_most_blocking_subsystem() {
-        let cp = CriticalPath::extract(&trace());
+        let cp = path(&trace());
         assert_eq!(cp.total, 100);
-        let attr = cp.attribution();
+        let attr = &cp.attribution;
         assert_eq!(attr[&Category::TileComm], 30);
         assert_eq!(attr[&Category::Collective], 20);
         assert_eq!(attr[&Category::DramStall], 20);
         assert_eq!(attr[&Category::Ndp], 30);
         assert_eq!(attr.values().sum::<Time>(), cp.total);
+        // Adjacent same-attribution slices merged: ndp, noc, coll, ndp, dram.
+        assert_eq!(cp.segment_count, 5);
     }
 
     #[test]
-    fn segments_are_gapless_and_merged() {
-        let cp = CriticalPath::extract(&trace());
-        let mut at = 0;
-        for seg in &cp.segments {
-            assert_eq!(seg.start, at, "gap before {seg:?}");
-            at = seg.end;
-        }
-        assert_eq!(at, 100);
-        // Adjacent same-attribution slices merged: ndp, noc, coll, ndp, dram.
-        assert_eq!(cp.segments.len(), 5);
+    fn last_recorded_span_wins_ties() {
+        // Last-wins: "b" claims [0, 50), the second "a" claims [50, 100)
+        // — two segments. Earliest-wins would give one "a" segment.
+        let mut t = Tracer::new();
+        let iter = t.track("iter");
+        t.span(iter, "layer", "forward", 0, 100);
+        let w = t.track("worker0");
+        t.span(w, "ndp", "a", 0, 100);
+        t.span(w, "ndp", "b", 0, 100);
+        t.span(w, "ndp", "a", 50, 100);
+        let cp = path(&t);
+        assert_eq!(cp.segment_count, 2);
+        assert_eq!(cp.attribution[&Category::Ndp], 100);
     }
 
     #[test]
@@ -323,9 +185,9 @@ mod tests {
         t.span(iter, "layer", "forward", 0, 50);
         let n = t.track("noc");
         t.span(n, "noc", "tile_gather", 30, 90); // overflows the window
-        let cp = CriticalPath::extract(&t);
+        let cp = path(&t);
         assert_eq!(cp.total, 50);
-        assert_eq!(cp.attribution()[&Category::TileComm], 20);
+        assert_eq!(cp.attribution[&Category::TileComm], 20);
     }
 
     #[test]
@@ -335,9 +197,9 @@ mod tests {
         t.span(iter, "layer", "forward", 0, 40);
         let w = t.track("worker0");
         t.span(w, "ndp", "gemm_f", 0, 25);
-        let cp = CriticalPath::extract(&t);
-        assert_eq!(cp.attribution()[&Category::DramStall], 15);
-        assert_eq!(cp.segments.last().expect("segments").name, "(untraced)");
+        let cp = path(&t);
+        assert_eq!(cp.attribution[&Category::DramStall], 15);
+        assert_eq!(cp.segment_count, 2);
     }
 
     #[test]
@@ -349,23 +211,22 @@ mod tests {
         t.span(w, "ndp", "gemm_f", 0, 40);
         let n = t.track("noc");
         t.span(n, "idle", "noc_idle", 0, 40);
-        let cp = CriticalPath::extract(&t);
-        assert_eq!(cp.attribution()[&Category::Ndp], 40);
-        assert_eq!(cp.attribution()[&Category::TileComm], 0);
+        let cp = path(&t);
+        assert_eq!(cp.attribution[&Category::Ndp], 40);
+        assert_eq!(cp.attribution[&Category::TileComm], 0);
     }
 
     #[test]
     fn empty_trace_yields_empty_path() {
-        let cp = CriticalPath::extract(&Tracer::new());
+        let cp = path(&Tracer::new());
         assert_eq!(cp.total, 0);
-        assert!(cp.segments.is_empty());
+        assert_eq!(cp.segment_count, 0);
         assert!(cp.metrics()["critpath.total_cycles"] == 0.0);
     }
 
     #[test]
     fn metrics_shares_sum_to_one() {
-        let cp = CriticalPath::extract(&trace());
-        let m = cp.metrics();
+        let m = path(&trace()).metrics();
         let share: f64 = Category::ALL
             .iter()
             .map(|c| m[&format!("critpath.share.{}", c.name())])

@@ -5,16 +5,18 @@
 //! metric counters, Chrome-trace files. This crate turns those artifacts
 //! into the paper's claims and guards them:
 //!
-//! * [`critpath`] — critical-path extraction: charge every cycle of the
-//!   iteration window to the most blocking subsystem
+//! * [`critpath`] — critical-path attribution: charge every cycle of
+//!   the iteration window to the most blocking subsystem
 //!   (`ndp`/`dram_stall`/`tile_comm`/`collective`); the chain's total
 //!   equals the simulated cycle count exactly and attribution sums to
 //!   100%.
 //! * [`report`] — per-track busy/idle utilization, grid utilization,
 //!   top-k bottleneck spans, deterministic text tables.
-//! * [`stream`] — single-pass variants of both, consuming a JSONL event
-//!   stream with O(open-window) memory and producing reports identical
-//!   to the batch path.
+//! * [`stream`] — the [`Analyzer`] that computes both in one pass over
+//!   a trace-event stream, finalizing a chunk at each epoch boundary
+//!   with O(open-window) memory. [`analyze_jsonl`] feeds it a JSONL
+//!   file; [`Analysis::of_trace`] feeds it an in-memory [`Tracer`] as
+//!   one chunk.
 //! * [`svg`] — a self-contained SVG timeline of the trace (no deps, no
 //!   scripts), for CI artifacts and eyeballing.
 //! * [`flame`] — collapsed-stack flamegraph export
@@ -25,15 +27,14 @@
 //!   a pass/warn/fail comparison API; `experiments --gate` exits
 //!   non-zero on regression.
 //!
-//! [`Analysis::of_trace`] bundles the first two over a live [`Tracer`]
-//! or one re-parsed from a Chrome-trace file via
-//! `Tracer::from_chrome_trace`.
+//! [`Analysis::of_trace`] analyzes a live [`Tracer`] or one re-parsed
+//! from a Chrome-trace file via `Tracer::from_chrome_trace`.
 //!
 //! # Example
 //!
 //! ```
-//! use wmpt_analyze::{Analysis, Category};
-//! use wmpt_obs::Tracer;
+//! use wmpt_analyze::{Analysis, Analyzer, Category, TOP_K};
+//! use wmpt_obs::{TraceEvent, Tracer};
 //!
 //! let mut t = Tracer::new();
 //! let iter = t.track("iter");
@@ -43,8 +44,25 @@
 //!
 //! let a = Analysis::of_trace(&t);
 //! assert_eq!(a.critical_path.total, 100);
-//! assert_eq!(a.critical_path.attribution()[&Category::TileComm], 30);
+//! assert_eq!(a.critical_path.attribution[&Category::TileComm], 30);
 //! assert!(a.metrics().contains_key("critpath.share.tile_comm"));
+//!
+//! // The same trace as an event stream, e.g. read back from JSONL.
+//! let mut an = Analyzer::new(TOP_K);
+//! for (tid, name) in t.tracks().iter().enumerate() {
+//!     an.event(&TraceEvent::Track { tid, name: name.clone() })?;
+//! }
+//! for sp in t.spans() {
+//!     an.event(&TraceEvent::Span {
+//!         tid: sp.track.index(),
+//!         cat: sp.cat.clone(),
+//!         name: sp.name.clone(),
+//!         start: sp.start,
+//!         end: sp.end,
+//!     })?;
+//! }
+//! assert_eq!(an.finish().render(), a.render());
+//! # Ok::<(), String>(())
 //! ```
 
 pub mod baseline;
@@ -55,10 +73,10 @@ pub mod stream;
 pub mod svg;
 
 pub use baseline::{flatten_numbers, Band, Baseline, CompareReport, CompareRow, Status};
-pub use critpath::{Category, CriticalPath, Segment};
+pub use critpath::{Category, CriticalPath};
 pub use flame::{collapsed_stacks, flame_svg};
 pub use report::{Bottleneck, TrackUtilization, UtilizationReport};
-pub use stream::{analyze_jsonl, StreamAnalysis, StreamAnalyzer};
+pub use stream::{analyze_jsonl, Analyzer};
 pub use svg::timeline_svg;
 
 use std::collections::BTreeMap;
@@ -68,7 +86,8 @@ use wmpt_obs::Tracer;
 /// How many bottleneck spans [`Analysis::of_trace`] keeps.
 pub const TOP_K: usize = 10;
 
-/// A complete trace analysis: critical path plus utilization report.
+/// A complete trace analysis: critical path plus utilization report,
+/// as [`Analyzer::finish`] returns it.
 #[derive(Debug, Clone)]
 pub struct Analysis {
     /// Critical path with category attribution.
@@ -78,12 +97,17 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Analyzes a trace (top-[`TOP_K`] bottlenecks).
+    /// Analyzes an in-memory trace (top-[`TOP_K`] bottlenecks): every
+    /// span goes into one [`Analyzer`] chunk, so any span order works.
     pub fn of_trace(trace: &Tracer) -> Analysis {
-        Analysis {
-            critical_path: CriticalPath::extract(trace),
-            utilization: UtilizationReport::build(trace, TOP_K),
+        let mut an = Analyzer::new(TOP_K);
+        for name in trace.tracks() {
+            an.register_track(name);
         }
+        for sp in trace.spans() {
+            an.admit(sp.track.index(), &sp.cat, &sp.name, sp.start, sp.end);
+        }
+        an.finish()
     }
 
     /// The combined flat metric view (`critpath.*` + `util.*`), the key

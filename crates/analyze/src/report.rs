@@ -4,15 +4,13 @@
 //! cycle to one blocking subsystem, the utilization report looks at each
 //! track independently — how busy was every worker / the NoC / the
 //! collective engine over the iteration domain, and which individual
-//! spans dominate. All output is deterministic (stable ordering, fixed
-//! number formatting), so reports diff cleanly across runs.
+//! spans dominate. [`crate::Analyzer`] fills it in. All output is
+//! deterministic (stable ordering, fixed number formatting), so reports
+//! diff cleanly across runs.
 
 use std::fmt::Write as _;
 
-use wmpt_obs::Tracer;
 use wmpt_sim::Time;
-
-use crate::critpath::{domain, domain_cycles};
 
 /// Busy/idle accounting for one track.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,90 +56,6 @@ pub struct UtilizationReport {
 }
 
 impl UtilizationReport {
-    /// Builds the report, keeping the `top_k` heaviest spans.
-    pub fn build(trace: &Tracer, top_k: usize) -> UtilizationReport {
-        let dom = domain(trace);
-        let dom_cycles = domain_cycles(&dom);
-        let mut tracks: Vec<TrackUtilization> = Vec::new();
-        for name in trace.tracks() {
-            // Busy = union of this track's work spans clipped to the domain.
-            let mut iv: Vec<(Time, Time)> = Vec::new();
-            let mut any_work = false;
-            for sp in trace.spans() {
-                if trace.track_name(sp.track) != name.as_str() || sp.cat == "idle" {
-                    continue;
-                }
-                if sp.cat == "layer" {
-                    continue;
-                }
-                any_work = true;
-                for &(ds, de) in &dom {
-                    let (s, e) = (sp.start.max(ds), sp.end.min(de));
-                    if e > s {
-                        iv.push((s, e));
-                    }
-                }
-            }
-            if !any_work {
-                continue;
-            }
-            iv.sort_unstable();
-            let mut busy = 0;
-            let mut reach = 0;
-            for (s, e) in iv {
-                let s = s.max(reach);
-                if e > s {
-                    busy += e - s;
-                    reach = e;
-                }
-            }
-            let idle = dom_cycles.saturating_sub(busy);
-            tracks.push(TrackUtilization {
-                track: name.clone(),
-                busy,
-                idle,
-                utilization: if dom_cycles > 0 {
-                    busy as f64 / dom_cycles as f64
-                } else {
-                    0.0
-                },
-            });
-        }
-        let grid_utilization = if tracks.is_empty() {
-            0.0
-        } else {
-            tracks.iter().map(|t| t.utilization).sum::<f64>() / tracks.len() as f64
-        };
-
-        let mut bottlenecks: Vec<Bottleneck> = trace
-            .spans()
-            .iter()
-            .filter(|sp| sp.cat != "layer" && sp.cat != "idle" && sp.cycles() > 0)
-            .map(|sp| Bottleneck {
-                track: trace.track_name(sp.track).to_string(),
-                cat: sp.cat.clone(),
-                name: sp.name.clone(),
-                start: sp.start,
-                cycles: sp.cycles(),
-            })
-            .collect();
-        bottlenecks.sort_by(|a, b| {
-            b.cycles
-                .cmp(&a.cycles)
-                .then(a.start.cmp(&b.start))
-                .then(a.track.cmp(&b.track))
-                .then(a.name.cmp(&b.name))
-        });
-        bottlenecks.truncate(top_k);
-
-        UtilizationReport {
-            tracks,
-            bottlenecks,
-            domain: dom_cycles,
-            grid_utilization,
-        }
-    }
-
     /// Flat metric view for baseline gating: `util.grid` plus
     /// `util.<track>` per reported track.
     pub fn metrics(&self) -> std::collections::BTreeMap<String, f64> {
@@ -191,7 +105,8 @@ impl UtilizationReport {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::Analysis;
+    use wmpt_obs::Tracer;
 
     fn trace() -> Tracer {
         let mut t = Tracer::new();
@@ -207,7 +122,7 @@ mod tests {
 
     #[test]
     fn busy_idle_and_utilization_reconcile() {
-        let r = UtilizationReport::build(&trace(), 10);
+        let r = Analysis::of_trace(&trace()).utilization;
         assert_eq!(r.domain, 100);
         let w = r.tracks.iter().find(|t| t.track == "worker0").expect("w0");
         assert_eq!((w.busy, w.idle), (80, 20));
@@ -227,22 +142,14 @@ mod tests {
         let w = t.track("worker0");
         t.span(w, "ndp", "a", 0, 60);
         t.span(w, "ndp", "b", 40, 80);
-        let r = UtilizationReport::build(&t, 10);
+        let r = Analysis::of_trace(&t).utilization;
         assert_eq!(r.tracks[0].busy, 80);
     }
 
     #[test]
-    fn bottlenecks_are_sorted_and_capped() {
-        let r = UtilizationReport::build(&trace(), 1);
-        assert_eq!(r.bottlenecks.len(), 1);
-        assert_eq!(r.bottlenecks[0].name, "gemm_f");
-        assert_eq!(r.bottlenecks[0].cycles, 80);
-    }
-
-    #[test]
     fn rendering_is_stable() {
-        let a = UtilizationReport::build(&trace(), 10).render_table();
-        let b = UtilizationReport::build(&trace(), 10).render_table();
+        let a = Analysis::of_trace(&trace()).utilization.render_table();
+        let b = Analysis::of_trace(&trace()).utilization.render_table();
         assert_eq!(a, b);
         assert!(a.contains("worker0"));
         assert!(a.contains("top 2 spans:"));

@@ -1,11 +1,12 @@
-//! Single-pass streaming analytics over a trace-event stream.
+//! The trace analyzer: critical-path attribution, per-track busy time
+//! and top-k bottlenecks in one pass.
 //!
-//! The batch path ([`crate::Analysis::of_trace`]) needs the whole trace
-//! in memory. [`StreamAnalyzer`] consumes [`TraceEvent`]s one at a time
-//! — e.g. straight off a `StreamingTracer` JSONL file — and produces a
-//! [`StreamAnalysis`] whose metrics and rendered report are *identical*
-//! to the batch path's, while holding only the spans of the current
-//! epoch (O(open-window), not O(all-spans)).
+//! [`Analyzer`] consumes [`TraceEvent`]s one at a time — e.g. straight
+//! off a `StreamingTracer` JSONL file — while holding only the spans of
+//! the current epoch (O(open-window), not O(all-spans)). Batch analysis
+//! ([`crate::Analysis::of_trace`]) is the same analyzer fed every
+//! in-memory span and finished as a single chunk, so it needs no epoch
+//! order.
 //!
 //! # Epochs
 //!
@@ -18,29 +19,28 @@
 //! finalizes a chunk (critical-path attribution, per-track busy time)
 //! and drops spans that end at or before it. The invariant is checked,
 //! not assumed: an event starting before the finalized frontier makes
-//! [`StreamAnalyzer::event`] return an error, and callers (the `analyze`
-//! CLI) fall back to batch analysis. Traces with no `layer` spans at all
-//! buffer until [`StreamAnalyzer::finish`] and use the batch fallback
-//! domain (the extent of all spans), again matching batch output.
+//! [`Analyzer::event`] return an error, and callers (the `analyze` CLI)
+//! fall back to batch analysis. Traces with no `layer` spans at all
+//! buffer until [`Analyzer::finish`] and use the extent of all spans as
+//! their domain.
 //!
-//! Chunked extraction equals batch extraction by construction: the
-//! elementary-interval attribution is time-local (an interval's owner
+//! Any chunking gives the same result as one chunk: a cycle's owner
 //! depends only on the spans covering it, all of which have arrived
-//! before its chunk is finalized), busy time is an interval-union length
-//! (additive over any partition of the timeline), and segments merge
-//! across chunk boundaries through a carried open segment exactly the
-//! way the batch `push` closure merges adjacent slices.
+//! before its chunk is finalized; busy time is an interval-union length,
+//! additive over any partition of the timeline; and a segment still
+//! growing at a chunk boundary is carried into the next chunk.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
 
 use wmpt_obs::{jsonl_events, TraceEvent};
 use wmpt_sim::Time;
 
-use crate::critpath::{attribution_metrics, interval_union, render_attribution_table, Category};
+use crate::critpath::{Category, CriticalPath};
 use crate::report::{Bottleneck, TrackUtilization, UtilizationReport};
+use crate::Analysis;
 
 /// A buffered span of the current epoch.
 #[derive(Debug, Clone)]
@@ -52,8 +52,37 @@ struct PendSpan {
     end: Time,
 }
 
+/// Merges intervals into a sorted, disjoint interval set.
+fn interval_union(mut iv: Vec<(Time, Time)>) -> Vec<(Time, Time)> {
+    iv.retain(|(s, e)| e > s);
+    iv.sort_unstable();
+    let mut out: Vec<(Time, Time)> = Vec::new();
+    for (s, e) in iv {
+        match out.last_mut() {
+            Some((_, le)) if s <= *le => *le = (*le).max(e),
+            _ => out.push((s, e)),
+        }
+    }
+    out
+}
+
+/// Length of the intersection of two sorted, disjoint interval sets.
+fn overlap(a: &[(Time, Time)], b: &[(Time, Time)]) -> Time {
+    let (mut i, mut j, mut sum) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (s, e) = (a[i].0.max(b[j].0), a[i].1.min(b[j].1));
+        sum += e.saturating_sub(s);
+        if a[i].1 < b[j].1 {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+    sum
+}
+
 /// Ordering of the bottleneck list: heaviest first, then earliest start,
-/// then track and name — the exact comparator the batch report sorts by.
+/// then track and name.
 fn bottleneck_order(a: &Bottleneck, b: &Bottleneck) -> Ordering {
     b.cycles
         .cmp(&a.cycles)
@@ -62,10 +91,10 @@ fn bottleneck_order(a: &Bottleneck, b: &Bottleneck) -> Ordering {
         .then(a.name.cmp(&b.name))
 }
 
-/// Incremental single-pass analyzer; feed [`TraceEvent`]s in recorded
-/// order, then [`StreamAnalyzer::finish`].
+/// Incremental trace analyzer; feed [`TraceEvent`]s in recorded order,
+/// then [`Analyzer::finish`].
 #[derive(Debug, Clone, Default)]
-pub struct StreamAnalyzer {
+pub struct Analyzer {
     top_k: usize,
     tracks: Vec<String>,
     any_work: Vec<bool>,
@@ -74,31 +103,27 @@ pub struct StreamAnalyzer {
     /// Everything before this cycle is finalized.
     processed: Time,
     saw_layer: bool,
-    prev_was_layer: bool,
-    seen_span: bool,
-    attribution: BTreeMap<Category, Time>,
-    total: Time,
-    segment_count: usize,
+    /// The last span admitted was not a `layer` window, so the next
+    /// `layer` window opens an epoch.
+    prev_non_layer: bool,
+    path: CriticalPath,
     /// `(end, category, name)` of the segment still growing at the
     /// finalized frontier.
     open_seg: Option<(Time, Category, String)>,
     bottlenecks: Vec<Bottleneck>,
-    peak_pending_spans: usize,
 }
 
-impl StreamAnalyzer {
+impl Analyzer {
     /// An analyzer keeping the `top_k` heaviest spans.
-    pub fn new(top_k: usize) -> StreamAnalyzer {
-        StreamAnalyzer {
+    pub fn new(top_k: usize) -> Analyzer {
+        Analyzer {
             top_k,
-            attribution: Category::ALL.iter().map(|&c| (c, 0)).collect(),
+            path: CriticalPath {
+                attribution: Category::ALL.iter().map(|&c| (c, 0)).collect(),
+                ..Default::default()
+            },
             ..Default::default()
         }
-    }
-
-    /// Spans currently buffered — the analyzer's working-set size.
-    pub fn pending_spans(&self) -> usize {
-        self.pending.len()
     }
 
     /// Consumes one event. Errors on a non-dense track registration, a
@@ -107,27 +132,20 @@ impl StreamAnalyzer {
     /// batch path for those).
     pub fn event(&mut self, ev: &TraceEvent) -> Result<(), String> {
         match ev {
-            TraceEvent::Track { tid, name } => {
-                match tid.cmp(&self.tracks.len()) {
-                    Ordering::Less => {
-                        if self.tracks[*tid] != *name {
-                            return Err(format!("tid {tid} registered twice"));
-                        }
-                    }
-                    Ordering::Equal => {
-                        self.tracks.push(name.clone());
-                        self.any_work.push(false);
-                        self.busy.push(0);
-                    }
-                    Ordering::Greater => {
-                        return Err(format!(
-                            "non-dense track registration: tid {tid} after {} tracks",
-                            self.tracks.len()
-                        ));
-                    }
+            TraceEvent::Track { tid, name } => match tid.cmp(&self.tracks.len()) {
+                Ordering::Less if self.tracks[*tid] != *name => {
+                    Err(format!("tid {tid} registered twice"))
                 }
-                Ok(())
-            }
+                Ordering::Less => Ok(()),
+                Ordering::Equal => {
+                    self.register_track(name);
+                    Ok(())
+                }
+                Ordering::Greater => Err(format!(
+                    "non-dense track registration: tid {tid} after {} tracks",
+                    self.tracks.len()
+                )),
+            },
             TraceEvent::Span {
                 tid,
                 cat,
@@ -146,69 +164,78 @@ impl StreamAnalyzer {
                     ));
                 }
                 let is_layer = cat == "layer";
-                if is_layer && self.seen_span && !self.prev_was_layer {
-                    self.finalize_to(*start);
-                }
                 if is_layer {
+                    // Set before the boundary: the chunk it finalizes
+                    // belongs to a trace with windows, so its domain is
+                    // its windows only, as in one chunk.
                     self.saw_layer = true;
-                } else if cat != "idle" {
-                    self.any_work[*tid] = true;
-                    if end > start {
-                        self.push_bottleneck(Bottleneck {
-                            track: self.tracks[*tid].clone(),
-                            cat: cat.clone(),
-                            name: name.clone(),
-                            start: *start,
-                            cycles: end - start,
-                        });
+                    if self.prev_non_layer {
+                        self.finalize_to(*start);
                     }
                 }
-                self.pending.push(PendSpan {
-                    tid: *tid,
-                    cat: cat.clone(),
-                    name: name.clone(),
-                    start: *start,
-                    end: *end,
-                });
-                self.peak_pending_spans = self.peak_pending_spans.max(self.pending.len());
-                self.seen_span = true;
-                self.prev_was_layer = is_layer;
+                self.prev_non_layer = !is_layer;
+                self.admit(*tid, cat, name, *start, *end);
                 Ok(())
             }
         }
     }
 
-    fn push_bottleneck(&mut self, b: Bottleneck) {
-        if self.top_k == 0 {
-            return;
-        }
-        if self.bottlenecks.len() == self.top_k {
-            if let Some(last) = self.bottlenecks.last() {
-                // Not better than the current boundary: the batch sort
-                // (stable, earlier recording first on full ties) would
-                // have truncated it too.
-                if bottleneck_order(last, &b) != Ordering::Greater {
-                    return;
-                }
+    /// Registers the next track (`tid == tracks.len()`).
+    pub(crate) fn register_track(&mut self, name: &str) {
+        self.tracks.push(name.to_string());
+        self.any_work.push(false);
+        self.busy.push(0);
+    }
+
+    /// Buffers a span on a registered track for the next chunk.
+    pub(crate) fn admit(&mut self, tid: usize, cat: &str, name: &str, start: Time, end: Time) {
+        if cat == "layer" {
+            self.saw_layer = true;
+        } else if cat != "idle" {
+            self.any_work[tid] = true;
+            if end > start {
+                self.push_bottleneck(Bottleneck {
+                    track: self.tracks[tid].clone(),
+                    cat: cat.to_string(),
+                    name: name.to_string(),
+                    start,
+                    cycles: end - start,
+                });
             }
         }
+        self.pending.push(PendSpan {
+            tid,
+            cat: cat.to_string(),
+            name: name.to_string(),
+            start,
+            end,
+        });
+    }
+
+    /// Inserts into the sorted top-k list; on a full tie the span
+    /// admitted earlier stays ahead.
+    fn push_bottleneck(&mut self, b: Bottleneck) {
         let at = self
             .bottlenecks
             .partition_point(|x| bottleneck_order(x, &b) != Ordering::Greater);
-        self.bottlenecks.insert(at, b);
-        self.bottlenecks.truncate(self.top_k);
+        if at < self.top_k {
+            self.bottlenecks.insert(at, b);
+            self.bottlenecks.truncate(self.top_k);
+        }
     }
 
     /// Finalizes `[processed, upto)` against the pending spans and drops
-    /// spans that cannot cover anything at or after `upto`.
+    /// spans that cannot cover anything at or after `upto`. The chunk's
+    /// domain is the union of its `layer` windows, or of all its spans
+    /// when the trace has no `layer` window.
     fn finalize_to(&mut self, upto: Time) {
         if upto <= self.processed {
             return;
         }
-        let domain: Vec<(Time, Time)> = interval_union(
+        let domain = interval_union(
             self.pending
                 .iter()
-                .filter(|s| s.cat == "layer")
+                .filter(|s| !self.saw_layer || s.cat == "layer")
                 .map(|s| (s.start.max(self.processed), s.end.min(upto)))
                 .collect(),
         );
@@ -217,83 +244,82 @@ impl StreamAnalyzer {
         self.pending.retain(|s| s.end > upto);
     }
 
-    /// Attributes one chunk: `domain` is the (already clipped, disjoint,
-    /// sorted) analysis domain of the chunk.
+    /// Attributes one chunk over its sorted, disjoint `domain`.
     fn process_chunk(&mut self, domain: &[(Time, Time)]) {
-        if domain.is_empty() {
+        let (Some(&(lo, _)), Some(&(_, hi))) = (domain.first(), domain.last()) else {
             return;
-        }
-        self.total += domain.iter().map(|(s, e)| e - s).sum::<Time>();
+        };
+        self.path.total += domain.iter().map(|(s, e)| e - s).sum::<Time>();
 
         // Per-track busy: union length of work intervals ∩ domain.
-        // Chunks partition the timeline, so per-chunk unions add up to
-        // exactly the batch union.
         let mut per_track: BTreeMap<usize, Vec<(Time, Time)>> = BTreeMap::new();
         for sp in &self.pending {
-            if sp.cat == "idle" || sp.cat == "layer" {
-                continue;
-            }
-            for &(ds, de) in domain {
-                let (s, e) = (sp.start.max(ds), sp.end.min(de));
-                if e > s {
-                    per_track.entry(sp.tid).or_default().push((s, e));
-                }
+            if sp.cat != "idle" && sp.cat != "layer" {
+                per_track
+                    .entry(sp.tid)
+                    .or_default()
+                    .push((sp.start, sp.end));
             }
         }
         for (tid, iv) in per_track {
-            self.busy[tid] += super::critpath::domain_cycles(&interval_union(iv));
+            self.busy[tid] += overlap(&interval_union(iv), domain);
         }
 
-        // Critical path over the chunk: clipped work spans in recording
-        // order, elementary intervals, most-blocking span wins (last
-        // maximal on ties, as in the batch `max_by_key`).
-        let mut work: Vec<(Time, Time, Category, &str)> = Vec::new();
-        for sp in &self.pending {
+        // Critical path: sweep the elementary intervals between
+        // consecutive span/domain boundaries, keeping the covering work
+        // spans ordered by (category, admission index). The last entry
+        // owns the interval: the highest category wins, and among equals
+        // the last-admitted span.
+        let pending = std::mem::take(&mut self.pending);
+        let mut starts: Vec<(Time, (Category, usize))> = Vec::new();
+        let mut ends: Vec<(Time, (Category, usize))> = Vec::new();
+        let mut cuts: Vec<Time> = domain.iter().flat_map(|&(s, e)| [s, e]).collect();
+        for (i, sp) in pending.iter().enumerate() {
             let Some(cat) = Category::from_span_cat(&sp.cat) else {
                 continue;
             };
-            for &(ds, de) in domain {
-                let (s, e) = (sp.start.max(ds), sp.end.min(de));
-                if e > s {
-                    work.push((s, e, cat, &sp.name));
-                }
+            let (s, e) = (sp.start.max(lo), sp.end.min(hi));
+            if e > s {
+                starts.push((s, (cat, i)));
+                ends.push((e, (cat, i)));
+                cuts.extend([s, e]);
             }
         }
-        let mut cuts: Vec<Time> = Vec::new();
-        for &(s, e) in domain {
-            cuts.push(s);
-            cuts.push(e);
-        }
-        for &(s, e, _, _) in &work {
-            cuts.push(s);
-            cuts.push(e);
-        }
+        starts.sort_unstable();
+        ends.sort_unstable();
         cuts.sort_unstable();
         cuts.dedup();
-        let mut claims: Vec<(Time, Time, Category, String)> = Vec::new();
+        let mut covering: BTreeSet<(Category, usize)> = BTreeSet::new();
+        let (mut si, mut ei, mut di) = (0, 0, 0);
         for pair in cuts.windows(2) {
             let (a, b) = (pair[0], pair[1]);
-            if !domain.iter().any(|&(ds, de)| ds <= a && b <= de) {
+            while let Some(&(_, key)) = starts.get(si).filter(|(s, _)| *s <= a) {
+                covering.insert(key);
+                si += 1;
+            }
+            while let Some(&(_, key)) = ends.get(ei).filter(|(e, _)| *e <= a) {
+                covering.remove(&key);
+                ei += 1;
+            }
+            while domain[di].1 <= a {
+                di += 1;
+            }
+            if a < domain[di].0 {
                 continue;
             }
-            let best = work
-                .iter()
-                .filter(|&&(s, e, _, _)| s <= a && b <= e)
-                .max_by_key(|&&(_, _, cat, _)| cat);
-            match best {
-                Some(&(_, _, cat, name)) => claims.push((a, b, cat, name.to_string())),
-                None => claims.push((a, b, Category::DramStall, "(untraced)".to_string())),
+            match covering.last() {
+                Some(&(cat, i)) => self.push_segment(a, b, cat, &pending[i].name),
+                None => self.push_segment(a, b, Category::DramStall, "(untraced)"),
             }
         }
-        for (a, b, cat, name) in claims {
-            self.push_segment(a, b, cat, &name);
-        }
+        self.pending = pending;
     }
 
-    /// Extends or commits segments exactly like the batch `push` closure,
-    /// with the open segment carried across chunk boundaries.
+    /// Charges `[start, end)` to `cat`, extending the open segment when
+    /// it abuts with the same category and name.
     fn push_segment(&mut self, start: Time, end: Time, cat: Category, name: &str) {
         *self
+            .path
             .attribution
             .get_mut(&cat)
             .expect("all categories seeded") += end - start;
@@ -302,30 +328,20 @@ impl StreamAnalyzer {
                 *open_end = end;
                 return;
             }
-            self.segment_count += 1;
+            self.path.segment_count += 1;
         }
         self.open_seg = Some((end, cat, name.to_string()));
     }
 
     /// Finalizes the remaining pending spans and builds the reports.
-    pub fn finish(mut self) -> StreamAnalysis {
+    pub fn finish(mut self) -> Analysis {
         let extent = self.pending.iter().map(|s| s.end).max().unwrap_or(0);
-        if self.saw_layer {
-            self.finalize_to(extent.max(self.processed));
-        } else if !self.pending.is_empty() {
-            // Batch fallback for traces without layer windows: the
-            // domain is the extent of all spans. Nothing was finalized
-            // earlier (boundaries only occur on layer spans), so this is
-            // the whole trace in one chunk.
-            let domain = interval_union(self.pending.iter().map(|s| (s.start, s.end)).collect());
-            self.process_chunk(&domain);
-            self.processed = extent;
-            self.pending.clear();
-        }
+        self.finalize_to(extent);
         if self.open_seg.take().is_some() {
-            self.segment_count += 1;
+            self.path.segment_count += 1;
         }
 
+        let total = self.path.total;
         let mut tracks: Vec<TrackUtilization> = Vec::new();
         for (tid, name) in self.tracks.iter().enumerate() {
             if !self.any_work[tid] {
@@ -335,9 +351,9 @@ impl StreamAnalyzer {
             tracks.push(TrackUtilization {
                 track: name.clone(),
                 busy,
-                idle: self.total.saturating_sub(busy),
-                utilization: if self.total > 0 {
-                    busy as f64 / self.total as f64
+                idle: total.saturating_sub(busy),
+                utilization: if total > 0 {
+                    busy as f64 / total as f64
                 } else {
                     0.0
                 },
@@ -348,63 +364,23 @@ impl StreamAnalyzer {
         } else {
             tracks.iter().map(|t| t.utilization).sum::<f64>() / tracks.len() as f64
         };
-        StreamAnalysis {
-            attribution: self.attribution,
-            total: self.total,
-            segment_count: self.segment_count,
+        Analysis {
+            critical_path: self.path,
             utilization: UtilizationReport {
                 tracks,
                 bottlenecks: self.bottlenecks,
-                domain: self.total,
+                domain: total,
                 grid_utilization,
             },
-            peak_pending_spans: self.peak_pending_spans,
         }
     }
 }
 
-/// The streaming analysis result: everything [`crate::Analysis`] reports,
-/// without the per-segment list (only its count survives, which is all
-/// the reports use).
-#[derive(Debug, Clone)]
-pub struct StreamAnalysis {
-    /// Critical-path cycles per category (all categories present).
-    pub attribution: BTreeMap<Category, Time>,
-    /// Total critical-path / domain cycles.
-    pub total: Time,
-    /// Number of merged critical-path segments.
-    pub segment_count: usize,
-    /// Per-track utilization and top-k bottlenecks.
-    pub utilization: UtilizationReport,
-    /// Peak buffered spans — the analyzer's memory high-water mark.
-    pub peak_pending_spans: usize,
-}
-
-impl StreamAnalysis {
-    /// The combined flat metric view; equals
-    /// [`crate::Analysis::metrics`] for the same trace.
-    pub fn metrics(&self) -> BTreeMap<String, f64> {
-        let mut out = attribution_metrics(&self.attribution, self.total);
-        out.extend(self.utilization.metrics());
-        out
-    }
-
-    /// The full deterministic text report; equals
-    /// [`crate::Analysis::render`] for the same trace.
-    pub fn render(&self) -> String {
-        format!(
-            "{}\n{}",
-            render_attribution_table(&self.attribution, self.total, self.segment_count),
-            self.utilization.render_table()
-        )
-    }
-}
-
-/// Streams a JSONL trace file through a [`StreamAnalyzer`]
+/// Streams a JSONL trace file through an [`Analyzer`]
 /// (top-[`crate::TOP_K`] bottlenecks). Epoch-order violations surface as
 /// `InvalidData` errors; callers can fall back to batch analysis.
-pub fn analyze_jsonl(path: &Path) -> io::Result<StreamAnalysis> {
-    let mut an = StreamAnalyzer::new(crate::TOP_K);
+pub fn analyze_jsonl(path: &Path) -> io::Result<Analysis> {
+    let mut an = Analyzer::new(crate::TOP_K);
     for ev in jsonl_events(path)? {
         an.event(&ev?)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
@@ -415,13 +391,13 @@ pub fn analyze_jsonl(path: &Path) -> io::Result<StreamAnalysis> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Analysis;
     use wmpt_obs::Tracer;
 
-    /// Replays an in-memory tracer through the streaming analyzer, in
-    /// the order the events would appear on a JSONL stream.
-    fn stream_of(trace: &Tracer) -> StreamAnalysis {
-        let mut an = StreamAnalyzer::new(crate::TOP_K);
+    /// Replays an in-memory tracer through [`Analyzer::event`], in the
+    /// order the events would appear on a JSONL stream. Returns the
+    /// analysis and the peak number of buffered spans.
+    fn stream_of(trace: &Tracer, top_k: usize) -> (Analysis, usize) {
+        let mut an = Analyzer::new(top_k);
         for (tid, name) in trace.tracks().iter().enumerate() {
             an.event(&TraceEvent::Track {
                 tid,
@@ -429,6 +405,7 @@ mod tests {
             })
             .expect("track");
         }
+        let mut peak = 0;
         for sp in trace.spans() {
             an.event(&TraceEvent::Span {
                 tid: sp.track.index(),
@@ -438,17 +415,23 @@ mod tests {
                 end: sp.end,
             })
             .expect("span");
+            peak = peak.max(an.pending.len());
         }
-        an.finish()
+        (an.finish(), peak)
     }
 
-    fn assert_matches_batch(trace: &Tracer) -> StreamAnalysis {
-        let batch = Analysis::of_trace(trace);
-        let stream = stream_of(trace);
-        assert_eq!(stream.metrics(), batch.metrics(), "metrics diverge");
-        assert_eq!(stream.render(), batch.render(), "report diverges");
-        assert_eq!(stream.segment_count, batch.critical_path.segments.len());
-        stream
+    /// Epoch chunks against one chunk: same metrics, report and segment
+    /// count.
+    fn assert_chunks_match_one_chunk(trace: &Tracer) -> usize {
+        let one = Analysis::of_trace(trace);
+        let (chunked, peak) = stream_of(trace, crate::TOP_K);
+        assert_eq!(chunked.metrics(), one.metrics(), "metrics diverge");
+        assert_eq!(chunked.render(), one.render(), "report diverges");
+        assert_eq!(
+            chunked.critical_path.segment_count,
+            one.critical_path.segment_count
+        );
+        peak
     }
 
     fn epoch_trace() -> Tracer {
@@ -472,34 +455,45 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_batch_on_epoch_trace() {
-        let s = assert_matches_batch(&epoch_trace());
+    fn epoch_chunks_match_one_chunk() {
+        let peak = assert_chunks_match_one_chunk(&epoch_trace());
         // The whole point: the second epoch finalized the first, so the
         // analyzer never held all 9 spans at once.
-        assert!(
-            s.peak_pending_spans < 9,
-            "no chunking happened: peak {}",
-            s.peak_pending_spans
-        );
-        assert!(s.total > 0);
+        assert!(peak < 9, "no chunking happened: peak {peak}");
     }
 
     #[test]
-    fn streaming_matches_batch_without_layer_spans() {
+    fn chunks_match_one_chunk_without_layer_spans() {
         let mut t = Tracer::new();
         let w = t.track("worker0");
         t.span(w, "ndp", "gemm", 10, 60);
         t.span(w, "noc", "scatter", 30, 90);
-        assert_matches_batch(&t);
+        assert_chunks_match_one_chunk(&t);
     }
 
     #[test]
-    fn streaming_matches_batch_on_empty_trace() {
-        assert_matches_batch(&Tracer::new());
+    fn chunks_match_one_chunk_with_work_before_the_first_window() {
+        // The first window's boundary finalizes [0, 10), which holds no
+        // window: the pre-window span lies outside the domain.
+        let mut t = Tracer::new();
+        let iter = t.track("iter");
+        let w = t.track("worker0");
+        t.span(w, "ndp", "pre", 0, 10);
+        t.span(iter, "layer", "fwd", 10, 20);
+        t.span(w, "ndp", "g", 10, 20);
+        assert_chunks_match_one_chunk(&t);
+        let (a, _) = stream_of(&t, crate::TOP_K);
+        assert_eq!(a.critical_path.total, 10);
+        assert_eq!(a.critical_path.segment_count, 1);
     }
 
     #[test]
-    fn streaming_matches_batch_with_untraced_gaps_and_idle() {
+    fn chunks_match_one_chunk_on_empty_trace() {
+        assert_chunks_match_one_chunk(&Tracer::new());
+    }
+
+    #[test]
+    fn chunks_match_one_chunk_with_untraced_gaps_and_idle() {
         let mut t = Tracer::new();
         let iter = t.track("iter");
         let w = t.track("worker0");
@@ -509,25 +503,39 @@ mod tests {
         t.span(n, "idle", "noc_idle", 0, 50);
         t.span(iter, "layer", "fwd", 50, 120);
         t.span(w, "ndp", "gemm", 50, 120);
-        assert_matches_batch(&t);
+        assert_chunks_match_one_chunk(&t);
     }
 
     #[test]
-    fn bounded_top_k_matches_batch_truncation_on_ties() {
+    fn bottlenecks_are_sorted_and_capped() {
         let mut t = Tracer::new();
         let iter = t.track("iter");
         let w = t.track("worker0");
+        let n = t.track("noc");
         t.span(iter, "layer", "fwd", 0, 1000);
-        // Many equal-length spans: the boundary of the top-k is a tie.
-        for i in 0..30u64 {
+        t.span(n, "idle", "noc_idle", 0, 1000); // idle is never a bottleneck
+        t.span(n, "noc", "scatter", 500, 520);
+        // Many equal-length spans: the boundary of the top-k is a tie,
+        // broken by earliest start.
+        for i in (0..30u64).rev() {
             t.span(w, "ndp", &format!("s{i}"), i * 10, i * 10 + 7);
         }
-        assert_matches_batch(&t);
+        let names = |top_k: usize| -> Vec<String> {
+            let (a, _) = stream_of(&t, top_k);
+            a.utilization
+                .bottlenecks
+                .into_iter()
+                .map(|b| b.name)
+                .collect()
+        };
+        assert_eq!(names(1), ["scatter"]);
+        assert_eq!(names(4), ["scatter", "s0", "s1", "s2"]);
+        assert!(names(0).is_empty());
     }
 
     #[test]
     fn rejects_non_epoch_ordered_traces() {
-        let mut an = StreamAnalyzer::new(4);
+        let mut an = Analyzer::new(4);
         an.event(&TraceEvent::Track {
             tid: 0,
             name: "iter".into(),
@@ -573,7 +581,7 @@ mod tests {
 
     #[test]
     fn rejects_malformed_registrations() {
-        let mut an = StreamAnalyzer::new(4);
+        let mut an = Analyzer::new(4);
         assert!(an
             .event(&TraceEvent::Span {
                 tid: 3,
@@ -589,5 +597,38 @@ mod tests {
                 name: "gap".into(),
             })
             .is_err());
+        an.event(&TraceEvent::Track {
+            tid: 0,
+            name: "iter".into(),
+        })
+        .unwrap();
+        assert!(an
+            .event(&TraceEvent::Track {
+                tid: 0,
+                name: "other".into(),
+            })
+            .is_err());
+    }
+
+    #[test]
+    fn large_layerless_trace_is_one_chunk() {
+        // 100 000 spans with no layer window: the domain is the union of
+        // all spans, analyzed in one chunk. Spans overlap in pairs; the
+        // gap after every pair leaves the domain.
+        let mut t = Tracer::new();
+        let w = t.track("worker0");
+        let n = t.track("noc");
+        for i in 0..50_000u64 {
+            let base = i * 100;
+            t.span(w, "ndp", "gemm", base, base + 60);
+            t.span(n, "noc", "scatter", base + 40, base + 80);
+        }
+        let a = Analysis::of_trace(&t);
+        let cp = &a.critical_path;
+        assert_eq!(cp.total, 50_000 * 80);
+        assert_eq!(cp.attribution.values().sum::<Time>(), cp.total);
+        assert_eq!(cp.attribution[&Category::Ndp], 50_000 * 40);
+        assert_eq!(cp.attribution[&Category::TileComm], 50_000 * 40);
+        assert_eq!(cp.segment_count, 100_000);
     }
 }

@@ -4,7 +4,7 @@
 //! after a full Chrome-trace export → parse round trip, which is the
 //! `mpt_sim analyze --trace-in` path.
 
-use wmpt_analyze::{Analysis, Category, CriticalPath};
+use wmpt_analyze::{Analysis, Category};
 use wmpt_core::config::SystemConfig;
 use wmpt_core::exec::SystemModel;
 use wmpt_core::observe::{simulate_layer_with_observed, simulate_network_observed};
@@ -25,9 +25,9 @@ fn critical_path_total_equals_simulated_cycles() {
         ClusterConfig::new(4, 4),
         &mut obs,
     );
-    let cp = CriticalPath::extract(&obs.trace);
+    let cp = Analysis::of_trace(&obs.trace).critical_path;
     assert_eq!(cp.total, res.total_cycles().round() as u64);
-    let attr = cp.attribution();
+    let attr = &cp.attribution;
     assert_eq!(attr.values().sum::<Time>(), cp.total);
     // Something other than pure compute shows up on the path.
     assert!(attr[&Category::TileComm] > 0 || attr[&Category::Collective] > 0);
@@ -57,8 +57,8 @@ fn analysis_survives_chrome_trace_round_trip() {
     let reparsed = Analysis::of_trace(&back);
     assert_eq!(direct.critical_path.total, reparsed.critical_path.total);
     assert_eq!(
-        direct.critical_path.attribution(),
-        reparsed.critical_path.attribution()
+        direct.critical_path.attribution,
+        reparsed.critical_path.attribution
     );
     assert_eq!(direct.render(), reparsed.render());
 }
@@ -69,11 +69,11 @@ fn network_trace_attributes_across_layers() {
     let net = wmpt_models::resnet34();
     let mut obs = Observer::new();
     let r = simulate_network_observed(&m, &net, SystemConfig::WMpPD, &mut obs);
-    let cp = CriticalPath::extract(&obs.trace);
+    let cp = Analysis::of_trace(&obs.trace).critical_path;
     // Layer windows tile back to back, so the path covers the whole run.
     let expect: f64 = r.layers.iter().map(|l| l.total_cycles().round()).sum();
     assert_eq!(cp.total as f64, expect);
-    let attr = cp.attribution();
+    let attr = &cp.attribution;
     assert_eq!(attr.values().sum::<Time>(), cp.total);
     assert!(attr[&Category::Ndp] > 0);
 }

@@ -9,7 +9,7 @@ use std::process::{Command, Output};
 
 use wmpt_analyze::{flatten_numbers, Analysis, Baseline};
 use wmpt_bench::gate::perturb_baseline;
-use wmpt_obs::{json, Tracer};
+use wmpt_obs::{json, SpanSink, StreamingTracer, Tracer};
 
 fn mpt_sim(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mpt_sim"))
@@ -191,6 +191,42 @@ fn analyze_streams_jsonl_and_matches_the_chrome_report() {
     assert!(fs::read_to_string(dir.join("t.svg"))
         .expect("svg written")
         .starts_with("<svg"));
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn analyze_falls_back_to_batch_for_a_non_epoch_ordered_jsonl() {
+    let dir = scratch("analyze_late_span");
+    let mut sink = StreamingTracer::create(&dir.join("late.jsonl"), 0).expect("create jsonl");
+    let iter = sink.track("iter");
+    let w = sink.track("worker0");
+    let n = sink.track("noc");
+    sink.span(iter, "layer", "forward", 0, 100);
+    sink.span(w, "ndp", "gemm_f", 0, 80);
+    // This window finalizes the epoch boundary at cycle 100 ...
+    sink.span(iter, "layer", "forward", 100, 200);
+    sink.span(w, "ndp", "gemm_f", 100, 190);
+    // ... which this transfer starts before.
+    sink.span(n, "noc", "tile_gather", 90, 150);
+    sink.finalize_chrome(&dir.join("late.json"))
+        .expect("finalize");
+
+    let jsonl = mpt_sim(&dir, &["analyze", "--trace-in", "late.jsonl"]);
+    let err = String::from_utf8_lossy(&jsonl.stderr);
+    assert!(jsonl.status.success(), "jsonl analyze failed:\n{err}");
+    assert!(
+        err.contains("re-reading in batch mode"),
+        "no fallback note:\n{err}"
+    );
+    let chrome = mpt_sim(&dir, &["analyze", "--trace-in", "late.json"]);
+    assert!(chrome.status.success());
+    let text = stdout(&jsonl);
+    assert!(text.contains("critical path: 200 cycles"), "{text}");
+    assert_eq!(
+        text,
+        stdout(&chrome),
+        "fallback report diverges from chrome"
+    );
     fs::remove_dir_all(&dir).ok();
 }
 
