@@ -13,11 +13,12 @@ use wmpt_par::ParPool;
 use wmpt_predict::{ActivationPredictor, PredictMode, QuantizerConfig};
 use wmpt_tensor::{DataGen, Shape4, Tensor4};
 use wmpt_winograd::{
-    elementwise_gemm_par, relu, relu_backward, to_winograd_input_par, Pool2x2, PoolKind,
-    WinogradLayer, WinogradTransform,
+    elementwise_gemm_par, elementwise_gemm_wgrad_par, output_grad_to_winograd_par, relu,
+    relu_backward, to_winograd_input_par, Pool2x2, PoolKind, WgTensor, WinogradLayer,
+    WinogradTransform,
 };
 
-use crate::trainer::{fprop_distributed_par, gather_with_prediction, train_step_distributed_par};
+use crate::trainer::gather_with_prediction;
 
 /// One conv stage of the network.
 #[derive(Debug, Clone)]
@@ -39,8 +40,9 @@ pub struct WinogradNet {
 /// Cached activations of one forward pass (needed for backward).
 #[derive(Debug)]
 pub struct Activations {
-    /// Input to each stage.
-    inputs: Vec<Tensor4>,
+    /// Winograd-domain input of each stage: the forward's transform,
+    /// reused by the weight-gradient phase.
+    wg_inputs: Vec<WgTensor>,
     /// Pre-ReLU conv outputs of each stage.
     pre_relu: Vec<Tensor4>,
     /// Post-ReLU (pre-pool) outputs of each stage.
@@ -106,27 +108,20 @@ impl WinogradNet {
         Self { stages, readout }
     }
 
-    /// Forward pass over a host thread pool; `grid = None` runs
-    /// centralized, `Some(cfg)` runs every conv with the MPT partitioning.
-    /// Centralized convs fan their phases out across `pool`, distributed
-    /// convs map the `N_c` logical clusters onto threads; the bits are the
-    /// same for any job count.
-    pub fn forward_with(
-        &self,
-        x: &Tensor4,
-        grid: Option<ClusterConfig>,
-        pool: &ParPool,
-    ) -> Activations {
-        let mut inputs = Vec::with_capacity(self.stages.len());
+    /// Forward pass over a host thread pool, each conv's phases fanned out
+    /// across `pool`; the bits are the same for any job count. MPT runs
+    /// the same forward: worker `(g, c)`'s share of a conv is one block
+    /// (its cluster's tiles × its group's elements) of the batched element
+    /// GEMM, so the partitioning changes no bit.
+    pub fn forward_with(&self, x: &Tensor4, pool: &ParPool) -> Activations {
+        let mut wg_inputs = Vec::with_capacity(self.stages.len());
         let mut pre_relu = Vec::with_capacity(self.stages.len());
         let mut post_relu = Vec::with_capacity(self.stages.len());
         let mut cur = x.clone();
         for st in &self.stages {
-            inputs.push(cur.clone());
-            let pre = match grid {
-                Some(cfg) => fprop_distributed_par(pool, &st.conv, cfg, &cur),
-                None => st.conv.fprop_par(pool, &cur),
-            };
+            let wx = to_winograd_input_par(pool, &cur, st.conv.transform());
+            let pre = st.conv.fprop_wg_par(pool, &wx, cur.shape());
+            wg_inputs.push(wx);
             let post = relu(&pre);
             pre_relu.push(pre);
             post_relu.push(post.clone());
@@ -137,7 +132,7 @@ impl WinogradNet {
         }
         let scores = self.score(&cur);
         Activations {
-            inputs,
+            wg_inputs,
             pre_relu,
             post_relu,
             features: cur,
@@ -167,14 +162,22 @@ impl WinogradNet {
     }
 
     /// One SGD step on MSE(score, target); returns the batch loss.
-    /// `grid = None` trains centralized, `Some(cfg)` runs MPT-distributed
-    /// forward and weight updates for every conv layer. The forward,
-    /// input-gradient and weight-gradient phases all fan out across
-    /// `pool`; the bits are the same for any job count.
+    /// `grid = None` trains centralized, `Some(cfg)` reduces every conv's
+    /// weight gradient MPT-style: per element, the sum of the `N_c`
+    /// clusters' partial gradients in ascending cluster order (see
+    /// [`crate::reduced_gradient_distributed_par`]). The forward and
+    /// input-gradient phases are the same for both, and `N_g` changes
+    /// no bit. Each conv's input and output gradient are transformed once
+    /// per step: the forward's transform feeds the weight gradient, and
+    /// one transform of the output gradient feeds both the input and the
+    /// weight gradient. The forward, input-gradient and weight-gradient
+    /// phases all fan out across `pool`; the bits are the same for any
+    /// job count.
     ///
     /// # Panics
     ///
-    /// Panics if `targets.len()` differs from the batch size.
+    /// Panics if `targets.len()` differs from the batch size, or if the
+    /// batch does not divide across the grid's `N_c` clusters.
     pub fn train_step_with(
         &mut self,
         x: &Tensor4,
@@ -183,7 +186,14 @@ impl WinogradNet {
         grid: Option<ClusterConfig>,
         pool: &ParPool,
     ) -> f64 {
-        let acts = self.forward_with(x, grid, pool);
+        let n_c = grid.map_or(1, |cfg| cfg.n_c);
+        let batch = x.shape().n;
+        assert_eq!(
+            batch % n_c,
+            0,
+            "batch {batch} must divide across {n_c} clusters"
+        );
+        let acts = self.forward_with(x, pool);
         let s = acts.features.shape();
         assert_eq!(targets.len(), s.n, "target count must match batch");
         let per = (s.h * s.w) as f32;
@@ -233,22 +243,14 @@ impl WinogradNet {
                 None => dcur,
             };
             let d_pre = relu_backward(&acts.pre_relu[k], &d_post);
-            // Input gradient for the next (earlier) stage.
-            if k > 0 {
-                dcur = st.conv.bprop_par(pool, &d_pre);
-            } else {
-                dcur = Tensor4::zeros(acts.inputs[0].shape());
-            }
-            // Weight update, centralized or distributed.
-            match grid {
-                Some(cfg) => {
-                    train_step_distributed_par(pool, &mut st.conv, cfg, &acts.inputs[k], &d_pre, lr)
-                }
-                None => {
-                    let g = st.conv.update_grad_par(pool, &acts.inputs[k], &d_pre);
-                    st.conv.apply_grad(&g, lr);
-                }
-            }
+            let wdy = output_grad_to_winograd_par(pool, &d_pre, st.conv.transform());
+            // Input gradient for the next (earlier) stage, through the
+            // weights before this step's update.
+            let dx = (k > 0).then(|| st.conv.bprop_wg_par(pool, &wdy, d_pre.shape()));
+            let g = elementwise_gemm_wgrad_par(pool, &acts.wg_inputs[k], &wdy, n_c);
+            st.conv.apply_grad(&g, lr);
+            let Some(dx) = dx else { break };
+            dcur = dx;
         }
         for (w, g) in self.readout.iter_mut().zip(&d_readout) {
             *w -= lr * g;
@@ -335,7 +337,7 @@ mod tests {
     fn forward_shapes_flow_through_pooling() {
         let net = WinogradNet::new(1, 2, &[4, 6], true);
         let (x, _) = dataset(2, 4);
-        let acts = net.forward_with(&x, None, &ParPool::serial());
+        let acts = net.forward_with(&x, &ParPool::serial());
         // 8x8 -> conv -> pool 4x4 -> conv -> pool 2x2.
         assert_eq!(acts.features.shape(), Shape4::new(4, 6, 2, 2));
         assert_eq!(acts.scores.len(), 4);
@@ -366,8 +368,12 @@ mod tests {
             let ld = dist.train_step_with(&x, &t, 0.05, Some(grid), &pool);
             wmpt_check::assert_approx_eq!(lc, ld, wmpt_check::Tol::CONV_F32, "loss");
         }
-        let d = central.max_weight_diff(&dist);
-        assert!(d < 1e-3, "weights diverged by {d}");
+        wmpt_check::assert_approx_eq!(
+            central.max_weight_diff(&dist),
+            0.0f32,
+            wmpt_check::Tol::CLUSTER_SUM_F32,
+            "weights diverged"
+        );
     }
 
     #[test]
@@ -386,8 +392,12 @@ mod tests {
         ] {
             let mut n = WinogradNet::new(8, 2, &[4], true);
             n.train_step_with(&x, &t, 0.05, Some(grid), &pool);
-            let d = n.max_weight_diff(&reference);
-            assert!(d < 1e-3, "{grid}: diff {d}");
+            wmpt_check::assert_approx_eq!(
+                n.max_weight_diff(&reference),
+                0.0f32,
+                wmpt_check::Tol::CLUSTER_SUM_F32,
+                "{grid}"
+            );
         }
     }
 
@@ -396,7 +406,7 @@ mod tests {
         let net = WinogradNet::new(11, 2, &[4, 4], true);
         let (x, _) = dataset(12, 8);
         // Plain forward: scores after ReLU chain.
-        let plain = net.forward_with(&x, None, &ParPool::serial()).scores;
+        let plain = net.forward_with(&x, &ParPool::serial()).scores;
         let (gated, saved) = net.scores_with_prediction(&x, 64);
         for (a, b) in plain.iter().zip(&gated) {
             assert_eq!(a, b, "prediction changed an output score");

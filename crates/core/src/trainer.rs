@@ -13,11 +13,10 @@
 use wmpt_noc::ClusterConfig;
 use wmpt_par::ParPool;
 use wmpt_predict::{ActivationPredictor, PredictMode};
-use wmpt_tensor::ops::gemm_f32_par;
 use wmpt_tensor::{Shape4, Tensor4};
 use wmpt_winograd::{
-    from_winograd_output_par, output_grad_to_winograd_par, relu, to_winograd_input_par, WgTensor,
-    WgWeights, WinogradLayer,
+    elementwise_gemm_wgrad_par, from_winograd_output_par, output_grad_to_winograd_par, relu,
+    to_winograd_input_par, WgTensor, WgWeights, WinogradLayer,
 };
 
 /// Returns the group that owns tile element `e` under `n_g` groups
@@ -29,170 +28,20 @@ pub fn elem_owner(e: usize, t2: usize, n_g: usize) -> usize {
     (e / per).min(n_g - 1)
 }
 
-/// Extracts a contiguous batch slice `[start, start+len)`.
-///
-/// # Panics
-///
-/// Panics if the range exceeds the batch.
-pub fn slice_batch(x: &Tensor4, start: usize, len: usize) -> Tensor4 {
-    let s = x.shape();
-    assert!(start + len <= s.n, "batch slice out of range");
-    let mut out = Tensor4::zeros(Shape4::new(len, s.c, s.h, s.w));
-    for b in 0..len {
-        for c in 0..s.c {
-            for h in 0..s.h {
-                for w in 0..s.w {
-                    out[(b, c, h, w)] = x[(start + b, c, h, w)];
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Computes cluster `c`'s share of the distributed forward pass (its
-/// `chunk` images, all `N_g` group workers) into the cluster's contiguous
-/// NCHW output region. One cluster is independent of every other — the
-/// unit of fan-out of [`fprop_distributed_par`]. A cluster's workers run
-/// on the thread that claimed it.
-fn fprop_cluster_into(
-    layer: &WinogradLayer,
-    cfg: ClusterConfig,
-    x: &Tensor4,
-    c: usize,
-    chunk: usize,
-    region: &mut [f32],
-) {
-    let serial = ParPool::serial();
-    let tf = layer.transform();
-    let s = x.shape();
-    let w = layer.weights();
-    let t2 = tf.t() * tf.t();
-    let xc = slice_batch(x, c * chunk, chunk);
-    // Tile scattering: every worker of cluster c receives its group's
-    // elements of the transformed input.
-    let wx = to_winograd_input_par(&serial, &xc, tf);
-    let mut wy = WgTensor::zeros(t2, wx.tiles, w.out_chans);
-    for g in 0..cfg.n_g {
-        // Worker (g, c): for each element group g owns, one batched GEMM
-        // over the cluster's whole tile set (`Y_e = X_e · W_e`). The
-        // blocked kernel reduces each output in the same ascending-`i`
-        // f64 order as the scalar loop it replaced — bit-identical.
-        for e in (0..t2).filter(|e| elem_owner(*e, t2, cfg.n_g) == g) {
-            gemm_f32_par(
-                &serial,
-                wx.elem_matrix(e),
-                wx.tiles,
-                wx.chans,
-                w.elem_matrix(e),
-                w.out_chans,
-                wy.elem_matrix_mut(e),
-                false,
-                false,
-            );
-        }
-    }
-    // Tile gathering + inverse transform at each tile's home worker.
-    let yc = from_winograd_output_par(&serial, &wy, tf, Shape4::new(chunk, w.out_chans, s.h, s.w));
-    region.copy_from_slice(yc.as_slice());
-}
-
-/// Distributed forward propagation under a worker grid: the batch splits
-/// across `N_c` clusters and tile elements across `N_g` groups; worker
-/// `(g, c)` computes only the element-GEMMs its group owns, on its
-/// cluster's tiles, using only its group's weight shard.
-///
-/// Numerically identical to the centralized `layer.fprop_par(pool, x)` —
-/// the property that makes MPT exact rather than approximate. The `N_c`
-/// logical clusters map onto host threads (each cluster's batch chunk is
-/// an independent work unit writing a disjoint contiguous output region),
-/// so the bits are the same for any job count.
-///
-/// # Panics
-///
-/// Panics if the batch is not divisible by `N_c`.
-pub fn fprop_distributed_par(
-    pool: &ParPool,
-    layer: &WinogradLayer,
-    cfg: ClusterConfig,
-    x: &Tensor4,
-) -> Tensor4 {
-    let s = x.shape();
-    assert_eq!(
-        s.n % cfg.n_c,
-        0,
-        "batch {} must divide across {} clusters",
-        s.n,
-        cfg.n_c
-    );
-    let chunk = s.n / cfg.n_c;
-    let out_shape = Shape4::new(s.n, layer.weights().out_chans, s.h, s.w);
-    let mut out = Tensor4::zeros(out_shape);
-    let stride = chunk * out_shape.c * s.h * s.w;
-    pool.for_each_chunk_mut(out.as_mut_slice(), stride, |c, region| {
-        fprop_cluster_into(layer, cfg, x, c, chunk, region);
-    });
-    out
-}
-
-/// Accumulates worker `(g, c)`'s partial Winograd-domain weight gradient
-/// (its batch chunk, its group's elements) into `out`. The independent
-/// work unit of the `updateGrad` phase, run on the thread that claimed it.
-#[allow(clippy::too_many_arguments)]
-fn worker_partial_grad_into(
-    layer: &WinogradLayer,
-    cfg: ClusterConfig,
-    x: &Tensor4,
-    dy: &Tensor4,
-    g: usize,
-    c: usize,
-    chunk: usize,
-    out: &mut WgWeights,
-) {
-    let serial = ParPool::serial();
-    let tf = layer.transform();
-    let t2 = tf.t() * tf.t();
-    let (i_ch, j_ch) = (layer.weights().in_chans, layer.weights().out_chans);
-    let xc = slice_batch(x, c * chunk, chunk);
-    let dyc = slice_batch(dy, c * chunk, chunk);
-    let wx = to_winograd_input_par(&serial, &xc, tf);
-    let wdy = output_grad_to_winograd_par(&serial, &dyc, tf);
-    // Per owned element, one batched GEMM over the chunk's whole tile set
-    // (`∇W_e = X_eᵀ · ∂Y_e`) into a scratch matrix, then accumulate. The
-    // kernel reduces each entry in the same ascending-`tile` f64 order as
-    // the scalar loop it replaced, and `acc as f32` then `+=` matches the
-    // old accumulate exactly — bit-identical.
-    let mut dwm = vec![0.0f32; i_ch * j_ch];
-    for e in (0..t2).filter(|e| elem_owner(*e, t2, cfg.n_g) == g) {
-        gemm_f32_par(
-            &serial,
-            wx.elem_matrix(e),
-            wx.tiles,
-            wx.chans,
-            wdy.elem_matrix(e),
-            j_ch,
-            &mut dwm,
-            true,
-            false,
-        );
-        let base = out.index(e, 0, 0);
-        for (o, v) in out.data[base..base + i_ch * j_ch].iter_mut().zip(&dwm) {
-            *o += v;
-        }
-    }
-}
-
 /// The group-ring-reduced Winograd-domain weight gradient, computed with
 /// the MPT partitioning: worker `(g, c)` contributes its batch chunk's
 /// partial gradient for its group's elements; sums run within groups
 /// only.
 ///
-/// All `N_g × N_c` logical workers fan out across the pool, each producing
-/// its partial gradient; the partials merge in worker order `(g, c)` —
-/// the order each group's ring reduction visits its `N_c` clusters — so
-/// the result is the same for any job count. (A worker's unowned entries
-/// stay `+0.0`, and adding `+0.0` never changes the bits of a running sum
-/// that started at `+0.0`.)
+/// `x` and `dy` are transformed once, on the whole batch. Cluster `c`'s
+/// tiles are one contiguous row range of every element matrix, so each
+/// worker reads its share of the shared Winograd-domain operands in
+/// place. [`elementwise_gemm_wgrad_par`] then fans out over the `T²`
+/// elements; each element's `N_c` cluster GEMMs are summed in ascending
+/// `c`, the order in which the owning group's ring reduction visits its
+/// clusters. An element belongs to exactly one group, so no sum ever
+/// crosses a group, and the result is the same for any `N_g` and any
+/// job count.
 ///
 /// # Panics
 ///
@@ -204,30 +53,17 @@ pub fn reduced_gradient_distributed_par(
     x: &Tensor4,
     dy: &Tensor4,
 ) -> WgWeights {
-    let s = x.shape();
+    let n = x.shape().n;
     assert_eq!(
-        s.n % cfg.n_c,
+        n % cfg.n_c,
         0,
-        "batch {} must divide across {} clusters",
-        s.n,
+        "batch {n} must divide across {} clusters",
         cfg.n_c
     );
-    let chunk = s.n / cfg.n_c;
-    let t2 = layer.transform().t() * layer.transform().t();
-    let (i_ch, j_ch) = (layer.weights().in_chans, layer.weights().out_chans);
-    let partials = pool.map_indexed(cfg.n_g * cfg.n_c, |wk| {
-        let (g, c) = (wk / cfg.n_c, wk % cfg.n_c);
-        let mut p = WgWeights::zeros(t2, i_ch, j_ch);
-        worker_partial_grad_into(layer, cfg, x, dy, g, c, chunk, &mut p);
-        p
-    });
-    let mut total = WgWeights::zeros(t2, i_ch, j_ch);
-    for p in &partials {
-        for (t, v) in total.data.iter_mut().zip(&p.data) {
-            *t += v;
-        }
-    }
-    total
+    let tf = layer.transform();
+    let wx = to_winograd_input_par(pool, x, tf);
+    let wdy = output_grad_to_winograd_par(pool, dy, tf);
+    elementwise_gemm_wgrad_par(pool, &wx, &wdy, cfg.n_c)
 }
 
 /// Distributed `updateGrad` + SGD step: worker `(g, c)` produces the
@@ -236,8 +72,12 @@ pub fn reduced_gradient_distributed_par(
 /// the `N_c` clusters) — never across groups — and applied (gradient via
 /// [`reduced_gradient_distributed_par`]; the same bits for any job count).
 ///
-/// Numerically identical to centralized
-/// `layer.update_grad_par(pool, x, dy); layer.apply_grad(...)`.
+/// Bit-exact across `N_g`: how the elements split into groups changes no
+/// bit, and at `N_c = 1` the step equals the centralized
+/// `layer.update_grad_par(pool, x, dy); layer.apply_grad(...)` bit for
+/// bit. Across `N_c` it is not: each element's gradient becomes a sum of
+/// `N_c` per-cluster f32 results instead of one f64 sum rounded once,
+/// so results agree to f32 rounding only.
 ///
 /// # Panics
 ///
@@ -252,32 +92,6 @@ pub fn train_step_distributed_par(
 ) {
     let total = reduced_gradient_distributed_par(pool, layer, cfg, x, dy);
     layer.apply_grad(&total, lr);
-}
-
-/// Distributed momentum-SGD step: the optimizer state is partitioned
-/// exactly like the weights (each group keeps velocity for its own
-/// elements, §III-B), so momentum adds **no communication**; the result
-/// matches a centralized momentum step.
-///
-/// # Panics
-///
-/// Panics if the batch is not divisible by `N_c`.
-pub fn train_step_distributed_momentum(
-    layer: &mut WinogradLayer,
-    cfg: ClusterConfig,
-    opt: &mut wmpt_winograd::MomentumSgd,
-    x: &Tensor4,
-    dy: &Tensor4,
-) {
-    let grad = reduced_gradient_distributed_par(&ParPool::serial(), layer, cfg, x, dy);
-    let t2 = layer.transform().t() * layer.transform().t();
-    // Each group applies the update to its own elements only; jointly
-    // they cover all of them.
-    for g in 0..cfg.n_g {
-        opt.step_elements(layer.weights_mut(), &grad, |e| {
-            elem_owner(e, t2, cfg.n_g) == g
-        });
-    }
 }
 
 /// The modified join of Fig 14: the (linear) mean of FractalNet branches
@@ -387,8 +201,13 @@ pub fn degraded_grid(alive: usize, t2: usize, batch: usize) -> Option<ClusterCon
 mod tests {
     use super::*;
     use wmpt_predict::QuantizerConfig;
+    use wmpt_tensor::ops::gemm_f32_par;
     use wmpt_tensor::DataGen;
-    use wmpt_winograd::WinogradTransform;
+    use wmpt_winograd::{elementwise_gemm_par, WinogradTransform};
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
 
     #[test]
     fn degraded_grid_respects_batch_divisibility() {
@@ -430,22 +249,63 @@ mod tests {
     }
 
     #[test]
-    fn distributed_fprop_matches_centralized() {
+    fn forward_partition_blocks_match_worker_gemms() {
+        // MPT's forward is the centralized `fprop_par`: worker (g, c)'s
+        // share of it (its cluster's tile rows x its group's elements) is
+        // one block of the batched forward GEMM over the shared
+        // transformed input, and equals the worker's own GEMM bit for bit.
         let (layer, x, _) = setup(1, 8);
-        let pool = ParPool::serial();
-        let reference = layer.fprop_par(&pool, &x);
-        for cfg in [
-            ClusterConfig::new(1, 8),
-            ClusterConfig::new(4, 2),
-            ClusterConfig::new(16, 1),
-            ClusterConfig::new(8, 4),
-        ] {
-            if x.shape().n % cfg.n_c != 0 {
-                continue;
+        let serial = ParPool::serial();
+        let tf = layer.transform();
+        let w = layer.weights();
+        let s = x.shape();
+        let wx = to_winograd_input_par(&serial, &x, tf);
+        let (t2, i_ch, j_ch) = (wx.elems, s.c, w.out_chans);
+        for jobs in [1usize, 2, 7] {
+            let wy = elementwise_gemm_par(&ParPool::new(jobs), &wx, w);
+            for cfg in [
+                ClusterConfig::new(16, 1),
+                ClusterConfig::new(4, 2),
+                ClusterConfig::new(1, 8),
+                ClusterConfig::new(8, 4),
+            ] {
+                let chunk = s.n / cfg.n_c;
+                let rows = wx.tiles / cfg.n_c;
+                let img = i_ch * s.h * s.w;
+                for c in 0..cfg.n_c {
+                    // The worker's own transform of its images is its row
+                    // range of the shared one.
+                    let xc = Tensor4::from_vec(
+                        Shape4::new(chunk, i_ch, s.h, s.w),
+                        x.as_slice()[c * chunk * img..(c + 1) * chunk * img].to_vec(),
+                    );
+                    let wxc = to_winograd_input_par(&serial, &xc, tf);
+                    for g in 0..cfg.n_g {
+                        for e in (0..t2).filter(|e| elem_owner(*e, t2, cfg.n_g) == g) {
+                            let xin = &wx.elem_matrix(e)[c * rows * i_ch..(c + 1) * rows * i_ch];
+                            assert_eq!(bits(wxc.elem_matrix(e)), bits(xin), "{cfg} input c={c}");
+                            let mut own = vec![0.0f32; rows * j_ch];
+                            gemm_f32_par(
+                                &serial,
+                                xin,
+                                rows,
+                                i_ch,
+                                w.elem_matrix(e),
+                                j_ch,
+                                &mut own,
+                                false,
+                                false,
+                            );
+                            let block = &wy.elem_matrix(e)[c * rows * j_ch..(c + 1) * rows * j_ch];
+                            assert_eq!(
+                                bits(&own),
+                                bits(block),
+                                "{cfg} worker ({g}, {c}) element {e} jobs={jobs}"
+                            );
+                        }
+                    }
+                }
             }
-            let dist = fprop_distributed_par(&pool, &layer, cfg, &x);
-            let diff = dist.max_abs_diff(&reference);
-            assert!(diff < 1e-4, "{cfg}: diff {diff}");
         }
     }
 
@@ -456,22 +316,30 @@ mod tests {
         let mut central = layer.clone();
         let grad = central.update_grad_par(&pool, &x, &dy);
         central.apply_grad(&grad, 0.01);
-
-        for cfg in [
-            ClusterConfig::new(4, 2),
-            ClusterConfig::new(16, 1),
-            ClusterConfig::new(1, 4),
-        ] {
+        let step = |cfg| {
             let mut dist = layer.clone();
             train_step_distributed_par(&pool, &mut dist, cfg, &x, &dy, 0.01);
-            let diff: f32 = dist
-                .weights()
-                .data
-                .iter()
-                .zip(&central.weights().data)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f32::max);
-            assert!(diff < 1e-3, "{cfg}: weight diff {diff}");
+            dist.weights().data.clone()
+        };
+
+        // One cluster: the centralized step, bit for bit.
+        assert_eq!(
+            bits(&step(ClusterConfig::new(16, 1))),
+            bits(&central.weights().data)
+        );
+        // Bit-exact across N_g at a fixed N_c ...
+        let two = bits(&step(ClusterConfig::new(1, 2)));
+        for n_g in [4, 16] {
+            assert_eq!(two, bits(&step(ClusterConfig::new(n_g, 2))), "N_g={n_g}");
+        }
+        // ... and within per-cluster f32 rounding across N_c.
+        for cfg in [ClusterConfig::new(4, 2), ClusterConfig::new(1, 4)] {
+            wmpt_check::assert_slices_approx_eq!(
+                &step(cfg),
+                &central.weights().data,
+                wmpt_check::Tol::CLUSTER_SUM_F32,
+                "{cfg}"
+            );
         }
     }
 
@@ -496,7 +364,7 @@ mod tests {
             let grad = central.update_grad_par(&pool, &x, &dyc);
             central.apply_grad(&grad, lr);
 
-            let yd = fprop_distributed_par(&pool, &dist, cfg, &x);
+            let yd = dist.fprop_par(&pool, &x);
             let mut dyd = yd.clone();
             for (d, t) in dyd.as_mut_slice().iter_mut().zip(target.as_slice()) {
                 *d -= t;
@@ -523,40 +391,37 @@ mod tests {
     }
 
     #[test]
-    fn distributed_momentum_matches_centralized() {
+    fn group_partitioned_momentum_equals_one_step() {
+        // §III-B: each group keeps the velocity of its own elements, so
+        // the per-group updates of the reduced gradient jointly equal one
+        // whole-tensor momentum step, for weights and velocity alike.
         use wmpt_winograd::MomentumSgd;
         let (layer, x, dy) = setup(12, 8);
         let t2 = 16;
         let (i_ch, j_ch) = (layer.weights().in_chans, layer.weights().out_chans);
-
-        let mut central = layer.clone();
-        let mut opt_c = MomentumSgd::new(t2, i_ch, j_ch, 0.01, 0.9);
-        let mut dist = layer.clone();
-        let mut opt_d = MomentumSgd::new(t2, i_ch, j_ch, 0.01, 0.9);
         let cfg = ClusterConfig::new(4, 2);
+        let pool = ParPool::new(2);
 
+        let mut whole = layer.clone();
+        let mut opt_w = MomentumSgd::new(t2, i_ch, j_ch, 0.01, 0.9);
+        let mut grouped = layer.clone();
+        let mut opt_g = MomentumSgd::new(t2, i_ch, j_ch, 0.01, 0.9);
+        // The weight gradient `X_eᵀ ∂Y_e` does not depend on the weights.
+        let grad = reduced_gradient_distributed_par(&pool, &layer, cfg, &x, &dy);
         for _ in 0..3 {
-            let g = central.update_grad_par(&ParPool::serial(), &x, &dy);
-            opt_c.step(central.weights_mut(), &g);
-            train_step_distributed_momentum(&mut dist, cfg, &mut opt_d, &x, &dy);
+            opt_w.step(whole.weights_mut(), &grad);
+            for g in 0..cfg.n_g {
+                opt_g.step_elements(grouped.weights_mut(), &grad, |e| {
+                    elem_owner(e, t2, cfg.n_g) == g
+                });
+            }
         }
-        let diff: f32 = dist
-            .weights()
-            .data
-            .iter()
-            .zip(&central.weights().data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max);
-        assert!(diff < 1e-3, "momentum trajectories diverged: {diff}");
-        // The velocity state matches too, element for element.
-        let vdiff: f32 = opt_d
-            .velocity()
-            .data
-            .iter()
-            .zip(&opt_c.velocity().data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max);
-        assert!(vdiff < 1e-3, "velocity state diverged: {vdiff}");
+        assert_eq!(bits(&grouped.weights().data), bits(&whole.weights().data));
+        assert_eq!(
+            bits(&opt_g.velocity().data),
+            bits(&opt_w.velocity().data),
+            "velocity"
+        );
     }
 
     #[test]

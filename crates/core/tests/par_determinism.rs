@@ -6,9 +6,7 @@
 //! `core::checkpoint` rendering (which serializes weights as `to_bits()`
 //! integers) for whole-net state.
 
-use wmpt_core::{
-    checkpoint_net, fprop_distributed_par, reduced_gradient_distributed_par, WinogradNet,
-};
+use wmpt_core::{checkpoint_net, reduced_gradient_distributed_par, WinogradNet};
 use wmpt_noc::ClusterConfig;
 use wmpt_par::ParPool;
 use wmpt_tensor::{DataGen, Shape4, Tensor4};
@@ -62,17 +60,19 @@ fn layer_phases_bit_identical_across_jobs() {
 
 #[test]
 fn distributed_phases_bit_identical_across_jobs() {
+    // MPT's forward is `fprop_par` for every grid; the reduced gradient
+    // is the grid-dependent phase.
     let (layer, x, dy) = layer_setup();
     let serial = ParPool::serial();
+    let y0 = bits(layer.fprop_par(&serial, &x).as_slice());
     for cfg in [ClusterConfig::new(4, 2), ClusterConfig::new(16, 1)] {
-        let y0 = bits(fprop_distributed_par(&serial, &layer, cfg, &x).as_slice());
         let g0 = bits(&reduced_gradient_distributed_par(&serial, &layer, cfg, &x, &dy).data);
         for jobs in JOBS {
             let pool = ParPool::new(jobs);
             assert_eq!(
                 y0,
-                bits(fprop_distributed_par(&pool, &layer, cfg, &x).as_slice()),
-                "{cfg}: distributed fprop diverged at jobs={jobs}"
+                bits(layer.fprop_par(&pool, &x).as_slice()),
+                "{cfg}: fprop diverged at jobs={jobs}"
             );
             assert_eq!(
                 g0,
@@ -121,12 +121,10 @@ fn three_step_mpt_training_checkpoints_byte_identical_across_jobs() {
 
 #[test]
 fn three_step_mpt_checkpoints_byte_identical_through_batched_gemm_path() {
-    // Single-group grid: every worker owns all 16 tile elements, so each
-    // training phase runs the full batched element-GEMM path (the
-    // blocked, panel-packed kernel over every (ξ,ν) point of its whole
-    // batch chunk) rather than the element-sliced dispatch of the
-    // grouped grid above. Checkpoints must still be byte-identical at
-    // every jobs count.
+    // Single-group grid: one group owns all 16 tile elements and reduces
+    // every element across both clusters. Checkpoints must still be
+    // byte-identical at every jobs count (and, pinned below, equal to
+    // the grouped grid's).
     let grid = ClusterConfig::new(1, 2);
     let (reference, ref_losses) = train_3_steps(1, Some(grid));
     for jobs in JOBS {

@@ -11,7 +11,7 @@
 //!   touches its own tile elements `W_(u,v)`).
 
 use wmpt_par::ParPool;
-use wmpt_tensor::ops::{gemm_f32_packed_rows, pack_b, PackedB, GEMM_ROW_CHUNK};
+use wmpt_tensor::ops::{gemm_f32_packed_rows, gemm_f32_par, pack_b, PackedB, GEMM_ROW_CHUNK};
 use wmpt_tensor::{Shape4, Tensor4};
 
 use crate::tiling::{
@@ -34,30 +34,21 @@ use crate::WinogradTransform;
 /// blocked kernel's reference reduction order, so each element matrix is
 /// bit-identical to [`gemm_f32_ref`](wmpt_tensor::ops::gemm_f32_ref) on
 /// that element, for any job count.
-fn batched_elem_gemm_par<'a, F>(
-    pool: &ParPool,
-    out: &mut [f32],
-    n: usize,
-    rows_per_elem: usize,
-    a_of: F,
-    packed: &[PackedB],
-) where
-    F: Fn(usize) -> (&'a [f32], usize, usize, bool) + Sync,
-{
-    pool.for_each_chunk_mut(out, GEMM_ROW_CHUNK * n, |ci, band| {
+fn batched_elem_gemm_par(pool: &ParPool, a: &WgTensor, packed: &[PackedB], n: usize) -> WgTensor {
+    let mut out = WgTensor::zeros(a.elems, a.tiles, n);
+    pool.for_each_chunk_mut(&mut out.data, GEMM_ROW_CHUNK * n, |ci, band| {
         let mut row = ci * GEMM_ROW_CHUNK;
         let end = row + band.len() / n;
         let mut off = 0;
         while row < end {
-            let e = row / rows_per_elem;
-            let local = row % rows_per_elem;
-            let take = (rows_per_elem - local).min(end - row);
-            let (a, ar, ac, ta) = a_of(e);
+            let e = row / a.tiles;
+            let local = row % a.tiles;
+            let take = (a.tiles - local).min(end - row);
             gemm_f32_packed_rows(
-                a,
-                ar,
-                ac,
-                ta,
+                a.elem_matrix(e),
+                a.tiles,
+                a.chans,
+                false,
                 &packed[e],
                 &mut band[off * n..(off + take) * n],
                 local,
@@ -66,6 +57,7 @@ fn batched_elem_gemm_par<'a, F>(
             off += take;
         }
     });
+    out
 }
 
 /// Element-wise batched GEMM over tile elements: `Y_e = X_e · W_e` for
@@ -83,19 +75,10 @@ fn batched_elem_gemm_par<'a, F>(
 pub fn elementwise_gemm_par(pool: &ParPool, x: &WgTensor, w: &WgWeights) -> WgTensor {
     assert_eq!(x.elems, w.elems, "tile-element count mismatch");
     assert_eq!(x.chans, w.in_chans, "channel mismatch");
-    let mut y = WgTensor::zeros(x.elems, x.tiles, w.out_chans);
     let packed: Vec<PackedB> = (0..x.elems)
         .map(|e| pack_b(w.elem_matrix(e), x.chans, w.out_chans, false))
         .collect();
-    batched_elem_gemm_par(
-        pool,
-        &mut y.data,
-        w.out_chans,
-        x.tiles,
-        |e| (x.elem_matrix(e), x.tiles, x.chans, false),
-        &packed,
-    );
-    y
+    batched_elem_gemm_par(pool, x, &packed, w.out_chans)
 }
 
 /// Element-wise `∂X_e = ∂Y_e · W_eᵀ` (same batched contract as
@@ -107,46 +90,63 @@ pub fn elementwise_gemm_par(pool: &ParPool, x: &WgTensor, w: &WgWeights) -> WgTe
 pub fn elementwise_gemm_bprop_par(pool: &ParPool, dy: &WgTensor, w: &WgWeights) -> WgTensor {
     assert_eq!(dy.elems, w.elems, "tile-element count mismatch");
     assert_eq!(dy.chans, w.out_chans, "channel mismatch");
-    let mut dx = WgTensor::zeros(dy.elems, dy.tiles, w.in_chans);
     // dX (tiles x I) = dY (tiles x J) * W^T (J x I): pack W_e transposed.
     let packed: Vec<PackedB> = (0..dy.elems)
         .map(|e| pack_b(w.elem_matrix(e), dy.chans, w.in_chans, true))
         .collect();
-    batched_elem_gemm_par(
-        pool,
-        &mut dx.data,
-        w.in_chans,
-        dy.tiles,
-        |e| (dy.elem_matrix(e), dy.tiles, dy.chans, false),
-        &packed,
-    );
-    dx
+    batched_elem_gemm_par(pool, dy, &packed, w.in_chans)
 }
 
-/// Element-wise `∇W_e = X_eᵀ · ∂Y_e`, the per-worker partial weight
-/// gradient of the `updateGrad` phase (same batched contract as
-/// [`elementwise_gemm_par`]; the row space is `T² × I` gradient rows,
-/// with `X_e` read transposed).
+/// Element-wise weight gradient `∇W_e = Σ_c X_e[c]ᵀ · ∂Y_e[c]` of the
+/// `updateGrad` phase, with the tile rows split into `n_c` equal
+/// contiguous clusters (`X_e[c]` is cluster `c`'s rows of `X_e`).
+///
+/// The `T²` elements fan out across the pool, one `I × J` output chunk
+/// each. Within an element, the `n_c` cluster GEMMs run on the claiming
+/// thread, and their f32 results are summed in ascending `c`: the
+/// order in which each MPT group's ring reduction visits its clusters.
+/// Cluster `0` writes the total directly, so `n_c = 1` is the
+/// centralized gradient, bit-identical to
+/// [`gemm_f32_ref`](wmpt_tensor::ops::gemm_f32_ref) on each element. The
+/// bits are the same for any job count.
 ///
 /// # Panics
 ///
-/// Panics if element counts or tile counts disagree.
-pub fn elementwise_gemm_wgrad_par(pool: &ParPool, x: &WgTensor, dy: &WgTensor) -> WgWeights {
+/// Panics if element or tile counts disagree, or if the tiles do not
+/// divide into `n_c` clusters.
+pub fn elementwise_gemm_wgrad_par(
+    pool: &ParPool,
+    x: &WgTensor,
+    dy: &WgTensor,
+    n_c: usize,
+) -> WgWeights {
     assert_eq!(x.elems, dy.elems, "tile-element count mismatch");
     assert_eq!(x.tiles, dy.tiles, "tile count mismatch");
-    let mut dw = WgWeights::zeros(x.elems, x.chans, dy.chans);
-    // dW (I x J) = X^T (I x tiles) * dY (tiles x J).
-    let packed: Vec<PackedB> = (0..x.elems)
-        .map(|e| pack_b(dy.elem_matrix(e), x.tiles, dy.chans, false))
-        .collect();
-    batched_elem_gemm_par(
-        pool,
-        &mut dw.data,
-        dy.chans,
-        x.chans,
-        |e| (x.elem_matrix(e), x.tiles, x.chans, true),
-        &packed,
+    assert!(
+        n_c > 0 && x.tiles.is_multiple_of(n_c),
+        "{} tiles must divide across {n_c} clusters",
+        x.tiles
     );
+    let (i_ch, j_ch) = (x.chans, dy.chans);
+    let rows = x.tiles / n_c;
+    let mut dw = WgWeights::zeros(x.elems, i_ch, j_ch);
+    pool.for_each_chunk_mut(&mut dw.data, (i_ch * j_ch).max(1), |e, total| {
+        let serial = ParPool::serial();
+        let (xe, dye) = (x.elem_matrix(e), dy.elem_matrix(e));
+        let mut part = vec![0.0f32; if n_c > 1 { total.len() } else { 0 }];
+        for c in 0..n_c {
+            // dW[c] (I x J) = X[c]^T (I x rows) * dY[c] (rows x J).
+            let xc = &xe[c * rows * i_ch..(c + 1) * rows * i_ch];
+            let dyc = &dye[c * rows * j_ch..(c + 1) * rows * j_ch];
+            let out = if c == 0 { &mut *total } else { &mut part[..] };
+            gemm_f32_par(&serial, xc, rows, i_ch, dyc, j_ch, out, true, false);
+            if c > 0 {
+                for (t, p) in total.iter_mut().zip(&part) {
+                    *t += p;
+                }
+            }
+        }
+    });
     dw
 }
 
@@ -208,7 +208,7 @@ impl WinogradConv {
         let pool = ParPool::serial();
         let wx = to_winograd_input_par(&pool, x, &self.tf);
         let wdy = output_grad_to_winograd_par(&pool, dy, &self.tf);
-        let dw_wg = elementwise_gemm_wgrad_par(&pool, &wx, &wdy);
+        let dw_wg = elementwise_gemm_wgrad_par(&pool, &wx, &wdy, 1);
         let r = self.tf.r();
         let t = self.tf.t();
         let mut dw = Tensor4::zeros(Shape4::new(dy.shape().c, x.shape().c, r, r));
@@ -309,13 +309,15 @@ impl WinogradLayer {
     /// for any job count (the `wmpt-par` determinism contract).
     pub fn fprop_par(&self, pool: &ParPool, x: &Tensor4) -> Tensor4 {
         let wx = to_winograd_input_par(pool, x, &self.tf);
-        let wy = elementwise_gemm_par(pool, &wx, &self.weights);
-        let out_shape = Shape4::new(
-            x.shape().n,
-            self.weights.out_chans,
-            x.shape().h,
-            x.shape().w,
-        );
+        self.fprop_wg_par(pool, &wx, x.shape())
+    }
+
+    /// [`Self::fprop_par`] from an already transformed input `wx` of the
+    /// spatial input shape `x_shape`: the element GEMMs and the inverse
+    /// transform.
+    pub fn fprop_wg_par(&self, pool: &ParPool, wx: &WgTensor, x_shape: Shape4) -> Tensor4 {
+        let wy = elementwise_gemm_par(pool, wx, &self.weights);
+        let out_shape = Shape4::new(x_shape.n, self.weights.out_chans, x_shape.h, x_shape.w);
         from_winograd_output_par(pool, &wy, &self.tf, out_shape)
     }
 
@@ -323,23 +325,25 @@ impl WinogradLayer {
     /// w.r.t. `x` (same determinism contract).
     pub fn bprop_par(&self, pool: &ParPool, dy: &Tensor4) -> Tensor4 {
         let wdy = output_grad_to_winograd_par(pool, dy, &self.tf);
-        let wdx = elementwise_gemm_bprop_par(pool, &wdy, &self.weights);
-        let in_shape = Shape4::new(
-            dy.shape().n,
-            self.weights.in_chans,
-            dy.shape().h,
-            dy.shape().w,
-        );
+        self.bprop_wg_par(pool, &wdy, dy.shape())
+    }
+
+    /// [`Self::bprop_par`] from an already transformed output gradient
+    /// `wdy` of the spatial shape `dy_shape`: the element GEMMs and the
+    /// adjoint input transform.
+    pub fn bprop_wg_par(&self, pool: &ParPool, wdy: &WgTensor, dy_shape: Shape4) -> Tensor4 {
+        let wdx = elementwise_gemm_bprop_par(pool, wdy, &self.weights);
+        let in_shape = Shape4::new(dy_shape.n, self.weights.in_chans, dy_shape.h, dy_shape.w);
         input_grad_to_spatial_par(pool, &wdx, &self.tf, in_shape)
     }
 
-    /// Winograd-domain weight gradient `∇W_e = X_eᵀ ∂Y_e` — exactly what
-    /// each MPT worker produces for its element subset (same determinism
-    /// contract).
+    /// Winograd-domain weight gradient `∇W_e = X_eᵀ ∂Y_e` over the whole
+    /// batch: the one-cluster case of [`elementwise_gemm_wgrad_par`]
+    /// (same determinism contract).
     pub fn update_grad_par(&self, pool: &ParPool, x: &Tensor4, dy: &Tensor4) -> WgWeights {
         let wx = to_winograd_input_par(pool, x, &self.tf);
         let wdy = output_grad_to_winograd_par(pool, dy, &self.tf);
-        elementwise_gemm_wgrad_par(pool, &wx, &wdy)
+        elementwise_gemm_wgrad_par(pool, &wx, &wdy, 1)
     }
 }
 
@@ -530,7 +534,7 @@ mod tests {
             let pool = ParPool::new(jobs);
             let y = elementwise_gemm_par(&pool, &wx, &w);
             let dx = elementwise_gemm_bprop_par(&pool, &dy, &w);
-            let dw = elementwise_gemm_wgrad_par(&pool, &wx, &dy);
+            let dw = elementwise_gemm_wgrad_par(&pool, &wx, &dy, 1);
             for e in 0..wx.elems {
                 let mut want = vec![0.0f32; tiles * j_ch];
                 gemm_f32_ref(

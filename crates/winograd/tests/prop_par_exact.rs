@@ -46,7 +46,7 @@ fn elementwise_gemms_are_bit_identical_for_any_jobs() {
             let pool = ParPool::new(jobs);
             let y = elementwise_gemm_par(&pool, &wx, &ww);
             let dx = elementwise_gemm_bprop_par(&pool, &y, &ww);
-            let dw = elementwise_gemm_wgrad_par(&pool, &wx, &y);
+            let dw = elementwise_gemm_wgrad_par(&pool, &wx, &y, 1);
             for e in 0..wx.elems {
                 let (xe, we, ye) = (wx.elem_matrix(e), ww.elem_matrix(e), y.elem_matrix(e));
                 assert_eq!(

@@ -7,7 +7,7 @@
 //! cargo run --example distributed_training
 //! ```
 
-use winograd_mpt::core::{fprop_distributed_par, train_step_distributed_par};
+use winograd_mpt::core::train_step_distributed_par;
 use winograd_mpt::noc::ClusterConfig;
 use winograd_mpt::tensor::{DataGen, Shape4};
 use winograd_mpt::winograd::{WinogradLayer, WinogradTransform};
@@ -45,8 +45,11 @@ fn main() {
         let g = central.update_grad_par(&pool, &x, &dy);
         central.apply_grad(&g, 0.05);
 
-        // Distributed step: same math, partitioned execution.
-        let yd = fprop_distributed_par(&pool, &dist, grid, &x);
+        // Distributed step: same math, partitioned execution. Every
+        // worker's share of the forward is a block of the batched element
+        // GEMM, so the MPT forward is `fprop_par`; the weight gradient is
+        // reduced per element across the clusters.
+        let yd = dist.fprop_par(&pool, &x);
         let mut dyd = yd.clone();
         for (d, t) in dyd.as_mut_slice().iter_mut().zip(target.as_slice()) {
             *d = (*d - t) / n;
