@@ -14,8 +14,9 @@ use wmpt_par::ParPool;
 use wmpt_predict::{ActivationPredictor, PredictMode, QuantizerConfig};
 use wmpt_tensor::{DataGen, Shape4};
 use wmpt_winograd::{
-    elementwise_gemm_par, to_winograd_input_par, weights_to_winograd, DirectConv, WinogradConv,
-    WinogradTransform,
+    elementwise_gemm_par, from_winograd_output_par, input_grad_to_spatial_par,
+    output_grad_to_winograd_par, to_winograd_input_par, weights_to_winograd, DirectConv,
+    WinogradConv, WinogradTransform,
 };
 
 fn bench_transforms() {
@@ -39,6 +40,26 @@ fn bench_transforms() {
             tf.inverse_2d(black_box(&tile))
         });
     }
+
+    // The four tiling kernels on the shape of the `train_mpt` benchmark's
+    // first stage (batch 8, 8 channels, 16×16), on one thread.
+    let tf = WinogradTransform::f2x2_3x3();
+    let shape = Shape4::new(8, 8, 16, 16);
+    let x = DataGen::new(3).normal_tensor(shape, 0.0, 1.0);
+    let pool = ParPool::serial();
+    let wx = to_winograd_input_par(&pool, &x, &tf);
+    bench("transform_tiles/input/F(2,3)", || {
+        to_winograd_input_par(&pool, black_box(&x), &tf)
+    });
+    bench("transform_tiles/inverse/F(2,3)", || {
+        from_winograd_output_par(&pool, black_box(&wx), &tf, shape)
+    });
+    bench("transform_tiles/output_grad/F(2,3)", || {
+        output_grad_to_winograd_par(&pool, black_box(&x), &tf)
+    });
+    bench("transform_tiles/input_grad/F(2,3)", || {
+        input_grad_to_spatial_par(&pool, black_box(&wx), &tf, shape)
+    });
 }
 
 fn bench_conv() {

@@ -18,6 +18,7 @@ use crate::tiling::{
     from_winograd_output_par, input_grad_to_spatial_par, output_grad_to_winograd_par,
     to_winograd_input_par, weights_to_winograd, WgTensor, WgWeights,
 };
+use crate::transform::TileScratch;
 use crate::WinogradTransform;
 
 /// Distributes the batched element-wise GEMM across the pool in global
@@ -209,20 +210,22 @@ impl WinogradConv {
         let wx = to_winograd_input_par(&pool, x, &self.tf);
         let wdy = output_grad_to_winograd_par(&pool, dy, &self.tf);
         let dw_wg = elementwise_gemm_wgrad_par(&pool, &wx, &wdy, 1);
-        let r = self.tf.r();
-        let t = self.tf.t();
-        let mut dw = Tensor4::zeros(Shape4::new(dy.shape().c, x.shape().c, r, r));
-        let mut buf = vec![0.0f32; t * t];
-        for j in 0..dw.shape().n {
-            for i in 0..dw.shape().c {
-                for (e, b) in buf.iter_mut().enumerate() {
-                    *b = dw_wg.data[dw_wg.index(e, i, j)];
-                }
-                let sp = self.tf.weight_2d_grad(&buf);
-                for u in 0..r {
-                    for v in 0..r {
-                        dw[(j, i, u, v)] = sp[u * r + v];
-                    }
+        let (r, elems) = (self.tf.r(), dw_wg.elems);
+        let (jn, inc) = (dw_wg.out_chans, dw_wg.in_chans);
+        let mut dw = Tensor4::zeros(Shape4::new(jn, inc, r, r));
+        // Lanes are the J filters of one input channel.
+        let mut buf = vec![0.0f32; elems * jn];
+        let mut sp = vec![0.0f32; r * r * jn];
+        let mut scratch = TileScratch::default();
+        for i in 0..inc {
+            for e in 0..elems {
+                let at = (e * inc + i) * jn;
+                buf[e * jn..(e + 1) * jn].copy_from_slice(&dw_wg.data[at..at + jn]);
+            }
+            self.tf.weight_grad_lanes(&buf, jn, &mut scratch, &mut sp);
+            for j in 0..jn {
+                for uv in 0..r * r {
+                    dw[(j, i, uv / r, uv % r)] = sp[uv * jn + j];
                 }
             }
         }

@@ -8,10 +8,18 @@
 //! tile element `(u, v)` form one `tiles × channels` matrix — exactly the
 //! `T²` independent GEMMs of the paper's Eq. 2 and the unit of intra-tile
 //! parallelism that MPT distributes across groups.
+//!
+//! The four tiling kernels work one tile position at a time, all channels
+//! at once: they gather the tile's `T²` (or `m²`) positions as contiguous
+//! `chans`-long lanes, make one call to the lane kernel of
+//! [`crate::transform`], and move each position's lane to or from its
+//! destination as one run. Per image they allocate three buffers, never
+//! one per tile.
 
 use wmpt_par::ParPool;
 use wmpt_tensor::{Shape4, Tensor4};
 
+use crate::transform::TileScratch;
 use crate::WinogradTransform;
 
 /// Tiling geometry for one layer ("same" padding, stride 1).
@@ -85,6 +93,9 @@ impl Tiling {
 /// matrices stored contiguously, `data[(e * tiles + tile) * chans + c]`.
 ///
 /// `tiles` counts tiles across the whole batch (`B · tiles_per_image`).
+/// The tiling kernels move a tile's channels as whole contiguous runs and
+/// do not use [`Self::gather_tile`]/[`Self::scatter_tile`]; those
+/// one-channel accessors remain for the activation predictor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WgTensor {
     /// Number of tile elements (`T²`).
@@ -242,33 +253,150 @@ where
     out
 }
 
-/// Extracts and transforms every tile of image `b` into its element runs
-/// (see [`fill_per_image`]) — the per-image work unit of
-/// [`to_winograd_input_par`].
-fn image_to_winograd_into(
-    x: &Tensor4,
-    b: usize,
-    tf: &WinogradTransform,
-    tl: &Tiling,
-    runs: &mut [&mut [f32]],
-) {
-    let t = tl.t;
-    let chans = x.shape().c;
-    let mut tile_buf = vec![0.0f32; t * t];
-    for c in 0..chans {
-        for ty in 0..tl.tiles_h {
-            for tx in 0..tl.tiles_w {
-                let (oy, ox) = tl.tile_origin(ty, tx);
-                for u in 0..t {
-                    for v in 0..t {
-                        tile_buf[u * t + v] = x.get_padded(b, c, oy + u as isize, ox + v as isize);
+/// Where each tile's `k×k` spatial window sits in an NCHW image of
+/// `chans × h × w`: tile `(ty, tx)`'s window starts at
+/// `(ty·m − off, tx·m − off)` — the input tile (`k = T`, `off = pad`) or
+/// the output tile (`k = m`, `off = 0`).
+struct Windows {
+    m: usize,
+    k: usize,
+    off: usize,
+    chans: usize,
+    h: usize,
+    w: usize,
+}
+
+impl Windows {
+    /// The `T×T` input tiles of a map of `shape` (padding included).
+    fn input(tl: &Tiling, shape: Shape4) -> Self {
+        Self::new(tl, tl.t, tl.pad, shape)
+    }
+
+    /// The `m×m` output tiles of a map of `shape` (edge tiles cropped).
+    fn output(tl: &Tiling, shape: Shape4) -> Self {
+        Self::new(tl, tl.m, 0, shape)
+    }
+
+    fn new(tl: &Tiling, k: usize, off: usize, shape: Shape4) -> Self {
+        Self {
+            m: tl.m,
+            k,
+            off,
+            chans: shape.c,
+            h: shape.h,
+            w: shape.w,
+        }
+    }
+
+    /// Calls `f(u·k + v, at)` for every position `(u, v)` of tile
+    /// `(ty, tx)`'s window in row-major order, with `at = y·w + x` the
+    /// position's offset in a channel plane, or `None` where it falls
+    /// outside the map. Padding is decided once per position, for all
+    /// channels.
+    fn for_each<F: FnMut(usize, Option<usize>)>(&self, ty: usize, tx: usize, mut f: F) {
+        let oy = (ty * self.m) as isize - self.off as isize;
+        let ox = (tx * self.m) as isize - self.off as isize;
+        for u in 0..self.k {
+            let y = oy + u as isize;
+            let row_in = y >= 0 && (y as usize) < self.h;
+            for v in 0..self.k {
+                let x = ox + v as isize;
+                let inside = row_in && x >= 0 && (x as usize) < self.w;
+                f(
+                    u * self.k + v,
+                    inside.then(|| y as usize * self.w + x as usize),
+                );
+            }
+        }
+    }
+
+    /// Gathers tile `(ty, tx)`'s window of `img` in lane layout,
+    /// `out[(u·k + v)·chans + c]`; positions outside the map read `0.0`.
+    fn gather(&self, img: &[f32], ty: usize, tx: usize, out: &mut [f32]) {
+        let (chans, plane) = (self.chans, self.h * self.w);
+        self.for_each(ty, tx, |uv, at| {
+            let lane = &mut out[uv * chans..(uv + 1) * chans];
+            match at {
+                Some(at) => {
+                    for (c, l) in lane.iter_mut().enumerate() {
+                        *l = img[c * plane + at];
                     }
                 }
-                let at = (ty * tl.tiles_w + tx) * chans + c;
-                for (run, v) in runs.iter_mut().zip(tf.input_2d(&tile_buf)) {
-                    run[at] = v;
-                }
+                None => lane.fill(0.0),
             }
+        });
+    }
+}
+
+/// Gathers, transforms and stores every tile of image `b` of `src` into
+/// the image's element runs (see [`fill_per_image`]) — the per-image work
+/// unit of [`to_winograd_input_par`] and [`output_grad_to_winograd_par`].
+fn image_windows_into<T>(
+    src: &Tensor4,
+    b: usize,
+    win: &Windows,
+    tl: &Tiling,
+    transform: T,
+    runs: &mut [&mut [f32]],
+) where
+    T: Fn(&[f32], usize, &mut TileScratch, &mut [f32]),
+{
+    let chans = win.chans;
+    let len = chans * win.h * win.w;
+    let img = &src.as_slice()[b * len..(b + 1) * len];
+    let mut tile = vec![0.0f32; win.k * win.k * chans];
+    let mut wg = vec![0.0f32; tl.t * tl.t * chans];
+    let mut scratch = TileScratch::default();
+    for ty in 0..tl.tiles_h {
+        for tx in 0..tl.tiles_w {
+            win.gather(img, ty, tx, &mut tile);
+            transform(&tile, chans, &mut scratch, &mut wg);
+            let at = (ty * tl.tiles_w + tx) * chans;
+            for (e, run) in runs.iter_mut().enumerate() {
+                run[at..at + chans].copy_from_slice(&wg[e * chans..(e + 1) * chans]);
+            }
+        }
+    }
+}
+
+/// Transforms every tile of image `b` of `wg` and combines each result
+/// position into the image's contiguous NCHW slice `img` through `put`
+/// (positions outside the map are dropped). Tiles are visited in
+/// `(ty, tx)` order, so every location combines its contributions in a
+/// fixed order — the per-image work unit of [`from_winograd_output_par`]
+/// and [`input_grad_to_spatial_par`].
+fn image_tiles_into<T, P>(
+    wg: &WgTensor,
+    b: usize,
+    win: &Windows,
+    tl: &Tiling,
+    transform: T,
+    put: P,
+    img: &mut [f32],
+) where
+    T: Fn(&[f32], usize, &mut TileScratch, &mut [f32]),
+    P: Fn(&mut f32, f32),
+{
+    let (chans, plane) = (wg.chans, win.h * win.w);
+    let tpi = tl.tiles_per_image();
+    let mut tile = vec![0.0f32; wg.elems * chans];
+    let mut sp = vec![0.0f32; win.k * win.k * chans];
+    let mut scratch = TileScratch::default();
+    for ty in 0..tl.tiles_h {
+        for tx in 0..tl.tiles_w {
+            let tile_idx = b * tpi + ty * tl.tiles_w + tx;
+            for e in 0..wg.elems {
+                let at = (e * wg.tiles + tile_idx) * chans;
+                tile[e * chans..(e + 1) * chans].copy_from_slice(&wg.data[at..at + chans]);
+            }
+            transform(&tile, chans, &mut scratch, &mut sp);
+            win.for_each(ty, tx, |uv, at| {
+                if let Some(at) = at {
+                    for (c, v) in sp[uv * chans..(uv + 1) * chans].iter().enumerate() {
+                        put(&mut img[c * plane + at], *v);
+                    }
+                }
+            });
         }
     }
 }
@@ -281,14 +409,22 @@ fn image_to_winograd_into(
 pub fn to_winograd_input_par(pool: &ParPool, x: &Tensor4, tf: &WinogradTransform) -> WgTensor {
     let s = x.shape();
     let tl = Tiling::new(tf, s.h, s.w);
+    let win = Windows::input(&tl, s);
     fill_per_image(pool, &tl, s.n, s.c, |b, runs| {
-        image_to_winograd_into(x, b, tf, &tl, runs)
+        image_windows_into(
+            x,
+            b,
+            &win,
+            &tl,
+            |x, l, s, o| tf.input_lanes(x, l, s, o),
+            runs,
+        )
     })
 }
 
 /// Extracts *untransformed* spatial tiles in the same element-major layout
-/// (used by the distributed trainer, where the input transform happens at
-/// the destination worker or is split 1-D/1-D across source/destination).
+/// (used by the zero-skip analysis of `wmpt-predict`, which counts zeros
+/// in the spatial tiles before and after the input transform).
 pub fn to_spatial_tiles(x: &Tensor4, tf: &WinogradTransform) -> WgTensor {
     let s = x.shape();
     let tl = Tiling::new(tf, s.h, s.w);
@@ -317,68 +453,31 @@ pub fn to_spatial_tiles(x: &Tensor4, tf: &WinogradTransform) -> WgTensor {
 }
 
 /// Transforms spatial weights `(J, I, r, r)` into Winograd-domain weights
-/// (`G w Gᵀ` per filter).
+/// (`G w Gᵀ` per filter; the lanes are the `J` filters of one input
+/// channel).
 pub fn weights_to_winograd(w: &Tensor4, tf: &WinogradTransform) -> WgWeights {
     let s = w.shape();
     assert_eq!(s.h, tf.r(), "weight height must equal r");
     assert_eq!(s.w, tf.r(), "weight width must equal r");
-    let t = tf.t();
-    let r = tf.r();
-    let mut out = WgWeights::zeros(t * t, s.c, s.n);
-    let mut wbuf = vec![0.0f32; r * r];
-    for j in 0..s.n {
-        for i in 0..s.c {
-            for u in 0..r {
-                for v in 0..r {
-                    wbuf[u * r + v] = w[(j, i, u, v)];
-                }
+    let (t, r) = (tf.t(), tf.r());
+    let (jn, inc) = (s.n, s.c);
+    let mut out = WgWeights::zeros(t * t, inc, jn);
+    let mut wbuf = vec![0.0f32; r * r * jn];
+    let mut tw = vec![0.0f32; t * t * jn];
+    let mut scratch = TileScratch::default();
+    for i in 0..inc {
+        for j in 0..jn {
+            for uv in 0..r * r {
+                wbuf[uv * jn + j] = w[(j, i, uv / r, uv % r)];
             }
-            let tw = tf.weight_2d(&wbuf);
-            for (e, val) in tw.iter().enumerate() {
-                let idx = out.index(e, i, j);
-                out.data[idx] = *val;
-            }
+        }
+        tf.weight_lanes(&wbuf, jn, &mut scratch, &mut tw);
+        for e in 0..t * t {
+            let at = (e * inc + i) * jn;
+            out.data[at..at + jn].copy_from_slice(&tw[e * jn..(e + 1) * jn]);
         }
     }
     out
-}
-
-/// Inverse-transforms every tile of image `b` of `y` into the image's
-/// contiguous NCHW slice `img` (length `c * h * w`) — the per-image work
-/// unit of [`from_winograd_output_par`].
-fn image_from_winograd_into(
-    y: &WgTensor,
-    tf: &WinogradTransform,
-    tl: &Tiling,
-    b: usize,
-    out_shape: Shape4,
-    img: &mut [f32],
-) {
-    let tpi = tl.tiles_per_image();
-    let m = tl.m;
-    let (h, w) = (out_shape.h, out_shape.w);
-    for j in 0..out_shape.c {
-        for ty in 0..tl.tiles_h {
-            for tx in 0..tl.tiles_w {
-                let tile_idx = b * tpi + ty * tl.tiles_w + tx;
-                let full = y.gather_tile(tile_idx, j);
-                let sp = tf.inverse_2d(&full);
-                for u in 0..m {
-                    let oy = ty * m + u;
-                    if oy >= h {
-                        break;
-                    }
-                    for v in 0..m {
-                        let ox = tx * m + v;
-                        if ox >= w {
-                            break;
-                        }
-                        img[(j * h + oy) * w + ox] = sp[u * m + v];
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Inverse-transforms a Winograd-domain output (`tiles × J` per element)
@@ -402,50 +501,20 @@ pub fn from_winograd_output_par(
     assert_eq!(y.chans, out_shape.c, "channel count mismatch");
     assert_eq!(y.elems, tl.t * tl.t, "element count mismatch");
     let mut out = Tensor4::zeros(out_shape);
+    let win = Windows::output(&tl, out_shape);
     let stride = out_shape.c * out_shape.h * out_shape.w;
     pool.for_each_chunk_mut(out.as_mut_slice(), stride, |b, img| {
-        image_from_winograd_into(y, tf, &tl, b, out_shape, img);
+        image_tiles_into(
+            y,
+            b,
+            &win,
+            &tl,
+            |x, l, s, o| tf.inverse_lanes(x, l, s, o),
+            |d, v| *d = v,
+            img,
+        );
     });
     out
-}
-
-/// Pushes the output gradient of image `b` into its element runs (see
-/// [`fill_per_image`]; adjoint of the inverse transform) — the per-image
-/// work unit of [`output_grad_to_winograd_par`].
-fn image_grad_to_winograd_into(
-    dy: &Tensor4,
-    b: usize,
-    tf: &WinogradTransform,
-    tl: &Tiling,
-    runs: &mut [&mut [f32]],
-) {
-    let s = dy.shape();
-    let m = tl.m;
-    let mut buf = vec![0.0f32; m * m];
-    for j in 0..s.c {
-        for ty in 0..tl.tiles_h {
-            for tx in 0..tl.tiles_w {
-                buf.iter_mut().for_each(|v| *v = 0.0);
-                for u in 0..m {
-                    let oy = ty * m + u;
-                    if oy >= s.h {
-                        break;
-                    }
-                    for v in 0..m {
-                        let ox = tx * m + v;
-                        if ox >= s.w {
-                            break;
-                        }
-                        buf[u * m + v] = dy[(b, j, oy, ox)];
-                    }
-                }
-                let at = (ty * tl.tiles_w + tx) * s.c + j;
-                for (run, v) in runs.iter_mut().zip(tf.inverse_2d_grad(&buf)) {
-                    run[at] = v;
-                }
-            }
-        }
-    }
 }
 
 /// Pushes a spatial output gradient into the Winograd domain (`A ∂y Aᵀ`
@@ -459,57 +528,25 @@ pub fn output_grad_to_winograd_par(
 ) -> WgTensor {
     let s = dy.shape();
     let tl = Tiling::new(tf, s.h, s.w);
+    let win = Windows::output(&tl, s);
     fill_per_image(pool, &tl, s.n, s.c, |b, runs| {
-        image_grad_to_winograd_into(dy, b, tf, &tl, runs)
+        image_windows_into(
+            dy,
+            b,
+            &win,
+            &tl,
+            |x, l, s, o| tf.inverse_grad_lanes(x, l, s, o),
+            runs,
+        )
     })
-}
-
-/// Accumulates image `b`'s overlapped tile gradients into the image's
-/// contiguous NCHW slice `img`. Tiles only ever overlap within one image,
-/// so images are independent, and the accumulation order over `(ty, tx)`
-/// is fixed within the image.
-fn image_input_grad_into(
-    dx: &WgTensor,
-    tf: &WinogradTransform,
-    tl: &Tiling,
-    b: usize,
-    in_shape: Shape4,
-    img: &mut [f32],
-) {
-    let tpi = tl.tiles_per_image();
-    let t = tl.t;
-    let (h, w) = (in_shape.h, in_shape.w);
-    for c in 0..in_shape.c {
-        for ty in 0..tl.tiles_h {
-            for tx in 0..tl.tiles_w {
-                let tile_idx = b * tpi + ty * tl.tiles_w + tx;
-                let full = dx.gather_tile(tile_idx, c);
-                let sp = tf.input_2d_grad(&full);
-                let (oy, ox) = tl.tile_origin(ty, tx);
-                for u in 0..t {
-                    let y = oy + u as isize;
-                    if y < 0 || y as usize >= h {
-                        continue;
-                    }
-                    for v in 0..t {
-                        let x = ox + v as isize;
-                        if x < 0 || x as usize >= w {
-                            continue;
-                        }
-                        img[(c * h + y as usize) * w + x as usize] += sp[u * t + v];
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Pushes a Winograd-domain input gradient back to the spatial domain
 /// (`B ∂X Bᵀ` per tile + overlapped accumulation — the adjoint of
-/// [`to_winograd_input_par`]). Each image's overlapped accumulation stays
-/// on one thread, in a fixed addition order; images fan out across the
-/// pool into disjoint NCHW slices, so the bits are the same for any job
-/// count.
+/// [`to_winograd_input_par`]). Tiles only ever overlap within one image,
+/// so each image's overlapped accumulation stays on one thread, in a
+/// fixed `(ty, tx)` addition order; images fan out across the pool into
+/// disjoint NCHW slices, so the bits are the same for any job count.
 ///
 /// # Panics
 ///
@@ -525,9 +562,18 @@ pub fn input_grad_to_spatial_par(
     assert_eq!(dx.tiles, in_shape.n * tpi, "tile count mismatch");
     assert_eq!(dx.chans, in_shape.c, "channel count mismatch");
     let mut out = Tensor4::zeros(in_shape);
+    let win = Windows::input(&tl, in_shape);
     let stride = in_shape.c * in_shape.h * in_shape.w;
     pool.for_each_chunk_mut(out.as_mut_slice(), stride, |b, img| {
-        image_input_grad_into(dx, tf, &tl, b, in_shape, img);
+        image_tiles_into(
+            dx,
+            b,
+            &win,
+            &tl,
+            |x, l, s, o| tf.input_grad_lanes(x, l, s, o),
+            |d, v| *d += v,
+            img,
+        );
     });
     out
 }

@@ -17,6 +17,27 @@
 //! correctness system in the least-squares sense (the system is consistent
 //! by the Cook–Toom theorem; construction fails loudly if the residual is
 //! not numerically zero).
+//!
+//! # Channel lanes
+//!
+//! Every 2-D application is one *sandwich* `M · X · Mᵀ`, computed by a
+//! single kernel over `lanes` independent tiles at once. The tiles are
+//! interleaved with the lane as the innermost, contiguous axis: input
+//! element `(k, j)` of lane `l` lives at `x[(k·n + j)·lanes + l]` and
+//! output element `(i, j)` at `out[(i·rows + j)·lanes + l]`. The tiling
+//! kernels make the lanes a tile position's channels, so one call
+//! transforms every channel of a tile, and the lane loops are plain slice
+//! loops the compiler vectorises.
+//!
+//! Each lane runs the same scalar f64 arithmetic in the same order for any
+//! `lanes`: `tmp = M·X` starts from `0.0` and adds `M[i,k]·X[k,j]` over
+//! ascending `k`, skipping zero coefficients; `out = tmp·Mᵀ` starts from
+//! `0.0` and adds `tmp[i,k]·M[j,k]` over ascending `k` with no skipping,
+//! then rounds to f32 once. Lanes never mix and the coefficient matrices
+//! (with their transposes, built once at construction) are the same for
+//! every lane, so a tile's output bits — signed zeros included — do not
+//! depend on how many channels share the call. The `Vec`-returning
+//! `*_2d` forms are the `lanes = 1` case of the same kernel.
 
 use std::fmt;
 
@@ -64,9 +85,42 @@ pub struct WinogradTransform {
     g: Matrix,
     /// Input transform, `T × T`.
     b_t: Matrix,
+    /// `A` (`T × m`), the coefficients of the inverse transform's gradient.
+    a: Matrix,
+    /// `B` (`T × T`), the coefficients of the input transform's gradient.
+    b: Matrix,
+    /// `Gᵀ` (`r × T`), the coefficients of the weight transform's gradient.
+    g_t: Matrix,
+}
+
+/// Reusable f64 workspace of the lane kernel
+/// ([`WinogradTransform::input_lanes`] and friends). Keep one per thread
+/// and pass it to every call: once it has grown to the largest tile it
+/// sees, the kernel allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct TileScratch {
+    /// `M·X`, `rows × n × lanes`.
+    tmp: Vec<f64>,
+    /// One output element's f64 sums, `lanes` long.
+    acc: Vec<f64>,
 }
 
 impl WinogradTransform {
+    /// Assembles a transform from its three coefficient matrices and
+    /// precomputes the transposes the gradient forms apply.
+    fn from_matrices(m: usize, r: usize, a_t: Matrix, g: Matrix, b_t: Matrix) -> Self {
+        Self {
+            m,
+            r,
+            a: a_t.transpose(),
+            b: b_t.transpose(),
+            g_t: g.transpose(),
+            a_t,
+            g,
+            b_t,
+        }
+    }
+
     /// Output tile size `m` (per dimension).
     pub fn m(&self) -> usize {
         self.m
@@ -113,13 +167,7 @@ impl WinogradTransform {
             &[0.0, -1.0, 1.0, 0.0],
             &[0.0, 1.0, 0.0, -1.0],
         ]);
-        Self {
-            m: 2,
-            r: 3,
-            a_t,
-            g,
-            b_t,
-        }
+        Self::from_matrices(2, 3, a_t, g, b_t)
     }
 
     /// The Lavin–Gray `F(4×4, 3×3)` transform (tile size 6×6) used by the
@@ -147,13 +195,7 @@ impl WinogradTransform {
             &[0.0, 2.0, -1.0, -2.0, 1.0, 0.0],
             &[0.0, 4.0, 0.0, -5.0, 0.0, 1.0],
         ]);
-        Self {
-            m: 4,
-            r: 3,
-            a_t,
-            g,
-            b_t,
-        }
+        Self::from_matrices(4, 3, a_t, g, b_t)
     }
 
     /// `F(2×2, 5×5)` (tile size 6×6), used by the paper's §VII-B study of
@@ -285,7 +327,7 @@ impl WinogradTransform {
             }
         }
 
-        let tf = Self { m, r, a_t, g, b_t };
+        let tf = Self::from_matrices(m, r, a_t, g, b_t);
         let resid = tf.identity_residual();
         if resid > 1e-6 {
             return Err(TransformBuildError {
@@ -373,8 +415,7 @@ impl WinogradTransform {
     ///
     /// Panics if `w.len() != r*r`.
     pub fn weight_2d(&self, w: &[f32]) -> Vec<f32> {
-        assert_eq!(w.len(), self.r * self.r, "weight_2d expects r*r values");
-        sandwich(&self.g, w, self.r)
+        one_lane(&self.g, w)
     }
 
     /// 2-D input transform `Bᵀ x B` (`T×T` → `T×T`).
@@ -383,9 +424,7 @@ impl WinogradTransform {
     ///
     /// Panics if `x.len() != T*T`.
     pub fn input_2d(&self, x: &[f32]) -> Vec<f32> {
-        let t = self.t();
-        assert_eq!(x.len(), t * t, "input_2d expects T*T values");
-        sandwich(&self.b_t, x, t)
+        one_lane(&self.b_t, x)
     }
 
     /// 2-D inverse transform `Aᵀ Y A` (`T×T` → `m×m`).
@@ -394,9 +433,7 @@ impl WinogradTransform {
     ///
     /// Panics if `y.len() != T*T`.
     pub fn inverse_2d(&self, y: &[f32]) -> Vec<f32> {
-        let t = self.t();
-        assert_eq!(y.len(), t * t, "inverse_2d expects T*T values");
-        sandwich(&self.a_t, y, t)
+        one_lane(&self.a_t, y)
     }
 
     /// Gradient of the 2-D inverse transform: pushes an `m×m` output-tile
@@ -406,12 +443,7 @@ impl WinogradTransform {
     ///
     /// Panics if `dy.len() != m*m`.
     pub fn inverse_2d_grad(&self, dy: &[f32]) -> Vec<f32> {
-        assert_eq!(
-            dy.len(),
-            self.m * self.m,
-            "inverse_2d_grad expects m*m values"
-        );
-        sandwich(&self.a_t.transpose(), dy, self.m)
+        one_lane(&self.a, dy)
     }
 
     /// Gradient of the 2-D input transform: pushes a `T×T` Winograd-domain
@@ -421,9 +453,7 @@ impl WinogradTransform {
     ///
     /// Panics if `dx.len() != T*T`.
     pub fn input_2d_grad(&self, dx: &[f32]) -> Vec<f32> {
-        let t = self.t();
-        assert_eq!(dx.len(), t * t, "input_2d_grad expects T*T values");
-        sandwich(&self.b_t.transpose(), dx, t)
+        one_lane(&self.b, dx)
     }
 
     /// Maps a Winograd-domain weight gradient (`T×T`) to the spatial weight
@@ -433,9 +463,97 @@ impl WinogradTransform {
     ///
     /// Panics if `dw.len() != T*T`.
     pub fn weight_2d_grad(&self, dw: &[f32]) -> Vec<f32> {
-        let t = self.t();
-        assert_eq!(dw.len(), t * t, "weight_2d_grad expects T*T values");
-        sandwich(&self.g.transpose(), dw, t)
+        one_lane(&self.g_t, dw)
+    }
+
+    // ---- the same applications on `lanes` interleaved tiles ----
+
+    /// [`Self::weight_2d`] of `lanes` interleaved `r×r` filters into
+    /// `lanes` interleaved `T×T` tiles (layout in the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w.len() != r*r*lanes` or `out.len() != T*T*lanes`.
+    pub fn weight_lanes(
+        &self,
+        w: &[f32],
+        lanes: usize,
+        scratch: &mut TileScratch,
+        out: &mut [f32],
+    ) {
+        sandwich_lanes(&self.g, w, lanes, scratch, out);
+    }
+
+    /// [`Self::input_2d`] of `lanes` interleaved `T×T` tiles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` or `out.len()` is not `T*T*lanes`.
+    pub fn input_lanes(&self, x: &[f32], lanes: usize, scratch: &mut TileScratch, out: &mut [f32]) {
+        sandwich_lanes(&self.b_t, x, lanes, scratch, out);
+    }
+
+    /// [`Self::inverse_2d`] of `lanes` interleaved `T×T` tiles into
+    /// `lanes` interleaved `m×m` tiles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y.len() != T*T*lanes` or `out.len() != m*m*lanes`.
+    pub fn inverse_lanes(
+        &self,
+        y: &[f32],
+        lanes: usize,
+        scratch: &mut TileScratch,
+        out: &mut [f32],
+    ) {
+        sandwich_lanes(&self.a_t, y, lanes, scratch, out);
+    }
+
+    /// [`Self::inverse_2d_grad`] of `lanes` interleaved `m×m` tiles into
+    /// `lanes` interleaved `T×T` tiles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dy.len() != m*m*lanes` or `out.len() != T*T*lanes`.
+    pub fn inverse_grad_lanes(
+        &self,
+        dy: &[f32],
+        lanes: usize,
+        scratch: &mut TileScratch,
+        out: &mut [f32],
+    ) {
+        sandwich_lanes(&self.a, dy, lanes, scratch, out);
+    }
+
+    /// [`Self::input_2d_grad`] of `lanes` interleaved `T×T` tiles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dx.len()` or `out.len()` is not `T*T*lanes`.
+    pub fn input_grad_lanes(
+        &self,
+        dx: &[f32],
+        lanes: usize,
+        scratch: &mut TileScratch,
+        out: &mut [f32],
+    ) {
+        sandwich_lanes(&self.b, dx, lanes, scratch, out);
+    }
+
+    /// [`Self::weight_2d_grad`] of `lanes` interleaved `T×T` tiles into
+    /// `lanes` interleaved `r×r` filters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dw.len() != T*T*lanes` or `out.len() != r*r*lanes`.
+    pub fn weight_grad_lanes(
+        &self,
+        dw: &[f32],
+        lanes: usize,
+        scratch: &mut TileScratch,
+        out: &mut [f32],
+    ) {
+        sandwich_lanes(&self.g_t, dw, lanes, scratch, out);
     }
 
     /// Theoretical multiplication reduction of the 2-D transform versus
@@ -505,36 +623,66 @@ fn apply(mat: &Matrix, v: &[f32]) -> Vec<f32> {
         .collect()
 }
 
-/// Computes `M · X · Mᵀ` where `X` is `n×n` row-major f32 and `M` is
-/// `rows×n`; returns `rows×rows` row-major f32.
-fn sandwich(m: &Matrix, x: &[f32], n: usize) -> Vec<f32> {
-    let rows = m.rows();
-    debug_assert_eq!(m.cols(), n);
-    // tmp = M * X  (rows x n)
-    let mut tmp = vec![0.0f64; rows * n];
+/// The `lanes = 1` sandwich `M · X · Mᵀ` into a fresh `Vec`.
+fn one_lane(m: &Matrix, x: &[f32]) -> Vec<f32> {
+    let mut out = vec![0.0f32; m.rows() * m.rows()];
+    sandwich_lanes(m, x, 1, &mut TileScratch::default(), &mut out);
+    out
+}
+
+/// Computes `M · X · Mᵀ` for `lanes` interleaved tiles at once, where `M`
+/// is `rows×n`, `X` is `n×n` f32 (`x[(k·n + j)·lanes + l]`) and the result
+/// is `rows×rows` f32 (`out[(i·rows + j)·lanes + l]`). Per lane the f64
+/// arithmetic and its order are fixed (module docs), so the bits do not
+/// depend on `lanes`.
+fn sandwich_lanes(m: &Matrix, x: &[f32], lanes: usize, scratch: &mut TileScratch, out: &mut [f32]) {
+    let (rows, n) = (m.rows(), m.cols());
+    let coef = m.as_slice();
+    assert_eq!(
+        x.len(),
+        n * n * lanes,
+        "tile input must hold n*n*lanes values"
+    );
+    assert_eq!(
+        out.len(),
+        rows * rows * lanes,
+        "tile output must hold rows*rows*lanes values"
+    );
+    let TileScratch { tmp, acc } = scratch;
+    // tmp = M * X (rows x n x lanes); row k of X is one contiguous run.
+    let run = n * lanes;
+    tmp.clear();
+    tmp.resize(rows * run, 0.0);
     for i in 0..rows {
+        let tmp_i = &mut tmp[i * run..(i + 1) * run];
         for k in 0..n {
-            let a = m.row(i)[k];
+            let a = coef[i * n + k];
             if a == 0.0 {
                 continue;
             }
-            for j in 0..n {
-                tmp[i * n + j] += a * x[k * n + j] as f64;
+            for (t, v) in tmp_i.iter_mut().zip(&x[k * run..(k + 1) * run]) {
+                *t += a * *v as f64;
             }
         }
     }
-    // out = tmp * Mᵀ (rows x rows)
-    let mut out = vec![0.0f32; rows * rows];
+    // out = tmp * Mᵀ (rows x rows x lanes)
+    acc.resize(lanes, 0.0);
     for i in 0..rows {
         for j in 0..rows {
-            let mut s = 0.0f64;
+            acc.fill(0.0);
             for k in 0..n {
-                s += tmp[i * n + k] * m.row(j)[k];
+                let c = coef[j * n + k];
+                let at = (i * n + k) * lanes;
+                for (s, t) in acc.iter_mut().zip(&tmp[at..at + lanes]) {
+                    *s += t * c;
+                }
             }
-            out[i * rows + j] = s as f32;
+            let at = (i * rows + j) * lanes;
+            for (o, s) in out[at..at + lanes].iter_mut().zip(acc.iter()) {
+                *o = *s as f32;
+            }
         }
     }
-    out
 }
 
 #[cfg(test)]
