@@ -214,18 +214,18 @@ pub fn http_request(addr: &str, method: &str, path: &str, body: &[u8]) -> Result
             }
         }
     }
-    let body = match content_length {
-        Some(n) => {
-            let mut buf = vec![0u8; n];
-            reader.read_exact(&mut buf).map_err(|e| e.to_string())?;
-            buf
+    // Read to EOF even past `Content-Length`: the server closes a
+    // `Connection: close` exchange only after its post-response
+    // bookkeeping (the lifecycle record), so once this returns that
+    // record is visible to the next request.
+    let mut body = Vec::new();
+    reader.read_to_end(&mut body).map_err(|e| e.to_string())?;
+    if let Some(n) = content_length {
+        if body.len() < n {
+            return Err(format!("body: {} of {n} bytes before EOF", body.len()));
         }
-        None => {
-            let mut buf = Vec::new();
-            reader.read_to_end(&mut buf).map_err(|e| e.to_string())?;
-            buf
-        }
-    };
+        body.truncate(n);
+    }
     Ok(Response {
         status,
         content_type,

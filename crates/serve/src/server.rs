@@ -79,7 +79,9 @@ pub struct ServeConfig {
     pub cache_bytes: usize,
     /// Worker threads executing jobs.
     pub workers: usize,
-    /// `--jobs` parallelism of each worker's simulation pool.
+    /// `--jobs` parallelism of each worker's simulation pool. Each worker
+    /// owns its pool for its whole lifetime, so it keeps `jobs − 1`
+    /// parked helper threads (none at the default `1`).
     pub jobs: usize,
     /// Structured-log destination (disabled by default; the CLI maps
     /// `--log-level` onto [`Logger::stderr`]).

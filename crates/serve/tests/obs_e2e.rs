@@ -5,48 +5,17 @@
 //! snapshot, request-id propagation into response headers and log
 //! events, and the flamegraph/SVG renderings of the served trace.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-
 use wmpt_obs::json::{self, Value};
 use wmpt_obs::{Level, Logger, Span, Tracer};
 use wmpt_serve::{http_request, Response, ServeConfig, Server, SimRequest};
 
-/// Submits `req` with `?wait=1` and reads the response to EOF. The server
-/// pushes a submission's lifecycle record after writing its response and
-/// closes the connection only after that, so once this returns the
-/// request is in `/api/v1/trace`. `http_request` stops reading at
-/// `Content-Length` bytes, which can be before the push.
+/// Submits `req` with `?wait=1`. `http_request` reads to EOF, and the
+/// server closes the connection only after it pushes the submission's
+/// lifecycle record, so once this returns the request is in
+/// `/api/v1/trace`.
 fn submit(addr: &str, req: &SimRequest) -> Response {
     let body = req.to_json().render();
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "POST /api/v1/jobs?wait=1 HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
-         Connection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read to EOF");
-    let text = String::from_utf8(raw).expect("UTF-8 response");
-    let (head, body) = text.split_once("\r\n\r\n").expect("header terminator");
-    let header = |name: &str| {
-        head.lines()
-            .filter_map(|l| l.split_once(':'))
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map_or(String::new(), |(_, v)| v.trim().to_string())
-    };
-    Response {
-        status: head
-            .split(' ')
-            .nth(1)
-            .and_then(|c| c.parse().ok())
-            .expect("status code"),
-        content_type: header("content-type"),
-        request_id: header("x-request-id"),
-        body: body.as_bytes().to_vec(),
-    }
+    http_request(addr, "POST", "/api/v1/jobs?wait=1", body.as_bytes()).expect("submit")
 }
 
 fn fetch(addr: &str, path: &str) -> wmpt_serve::Response {
