@@ -126,17 +126,14 @@ impl Analyzer {
         }
     }
 
-    /// Consumes one event. Errors on a non-dense track registration, a
-    /// span on an unregistered track, or a span starting before the
+    /// Consumes one event. Errors on a non-dense or repeated track
+    /// registration, a span on an unregistered track, or a span starting before the
     /// finalized frontier (a trace that is not epoch-ordered — use the
     /// batch path for those).
     pub fn event(&mut self, ev: &TraceEvent) -> Result<(), String> {
         match ev {
             TraceEvent::Track { tid, name } => match tid.cmp(&self.tracks.len()) {
-                Ordering::Less if self.tracks[*tid] != *name => {
-                    Err(format!("tid {tid} registered twice"))
-                }
-                Ordering::Less => Ok(()),
+                Ordering::Less => Err(format!("tid {tid} registered twice")),
                 Ordering::Equal => {
                     self.register_track(name);
                     Ok(())
@@ -602,12 +599,16 @@ mod tests {
             name: "iter".into(),
         })
         .unwrap();
-        assert!(an
-            .event(&TraceEvent::Track {
-                tid: 0,
-                name: "other".into(),
-            })
-            .is_err());
+        // A second registration of one tid is rejected even under the
+        // same name, as every `wmpt_obs` reader rejects it.
+        for name in ["other", "iter"] {
+            assert!(an
+                .event(&TraceEvent::Track {
+                    tid: 0,
+                    name: name.into(),
+                })
+                .is_err());
+        }
     }
 
     #[test]

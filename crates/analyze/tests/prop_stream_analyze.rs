@@ -46,7 +46,9 @@ fn random_epoch_tracer(c: &mut Case, phase_max: u64) -> Tracer {
         base = c.u64_in(1, phase_max);
         let start = c.u64_in(0, base - 1);
         let end = start + c.u64_in(1, base + phase_max);
-        t.span(*c.pick(&tracks), *c.pick(&cats), "pre", start, end);
+        let track = *c.pick(&tracks);
+        let cat = *c.pick(&cats);
+        t.span(track, cat, "pre", start, end);
     }
     for _ in 0..c.size(1, 5) {
         let fwd = c.u64_in(1, phase_max);

@@ -22,6 +22,27 @@
 //! * [`json`] — a minimal JSON writer/parser; the workspace builds
 //!   hermetically, so this substitutes for `serde_json` (see DESIGN.md).
 //!
+//! # Span sinks
+//!
+//! [`Tracer`] and [`StreamingTracer`] share one private span book: track
+//! registration by name, per-track `begin`/`end` stacks, per-category
+//! cycle sums, the last timestamp, and the one check that a span does not
+//! end before it starts. The in-memory sink pushes each closed [`Span`]
+//! into a `Vec`; the streaming sink renders it to a JSONL line at once.
+//! [`SpanSink::append_offset`] is written once, on top of `track` and
+//! `span`.
+//!
+//! Spans still open when a trace is exported ([`Tracer::chrome_trace`])
+//! or finished ([`StreamingTracer::finish`]) are *auto-closed*: each is
+//! closed at the last timestamp (the maximum over closed ends and open
+//! starts), per track in registration order, innermost first — the order
+//! repeated `end()` calls would have produced.
+//!
+//! The readers ([`Tracer::from_chrome_trace`] and [`read_trace_auto`]
+//! on either format) rebuild a [`Tracer`] through one replay, which
+//! rejects a span on an unregistered `tid` and a second registration of
+//! one `tid`; [`jsonl_to_chrome`] applies the same two rules.
+//!
 //! # Metric keys
 //!
 //! Every key is documented on its [`MetricKey`] variant; the serialized

@@ -23,14 +23,21 @@
 //! them. The sink reports its own behaviour via [`StreamStats`] /
 //! [`StreamingTracer::record_self_metrics`] (`obs.spans_emitted`,
 //! `obs.flushes`, `obs.peak_buffer_bytes`, `obs.truncated_spans`).
+//!
+//! Both sinks keep one span book — the same private code for track
+//! registration, open-span stacks, category sums, the last timestamp and
+//! the [auto-close rule](crate#span-sinks) — so they cannot disagree on
+//! what the trace says. The sinks differ only in what they do with a new
+//! track (this one writes its `ph:"M"` line at once) and with a closed
+//! span (this one renders it through the budgeted buffer).
 
 use crate::json;
 use crate::metrics::{MetricKey, MetricRegistry};
 use crate::trace::{
-    parse_trace_event, span_complete_event, track_meta_event, OpenSpan, Span, SpanSink, TraceEvent,
-    Tracer, TrackId,
+    parse_trace_event, replay, span_complete_event, track_meta_event, Span, SpanBook, SpanSink,
+    TraceEvent, Tracer, TrackId,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -77,10 +84,7 @@ pub struct StreamingTracer<W: Write> {
     path: Option<PathBuf>,
     budget: usize,
     buf: String,
-    tracks: Vec<String>,
-    open: Vec<Vec<OpenSpan>>,
-    cat_cycles: BTreeMap<String, Time>,
-    last_end: Time,
+    book: SpanBook,
     stats: StreamStats,
     io_error: Option<io::Error>,
 }
@@ -90,7 +94,7 @@ impl<W: Write> std::fmt::Debug for StreamingTracer<W> {
         f.debug_struct("StreamingTracer")
             .field("path", &self.path)
             .field("budget", &self.budget)
-            .field("tracks", &self.tracks.len())
+            .field("tracks", &self.book.tracks().len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -136,10 +140,7 @@ impl<W: Write> StreamingTracer<W> {
             path: None,
             budget,
             buf: String::new(),
-            tracks: Vec::new(),
-            open: Vec::new(),
-            cat_cycles: BTreeMap::new(),
-            last_end: 0,
+            book: SpanBook::default(),
             stats: StreamStats::default(),
             io_error: None,
         }
@@ -158,41 +159,19 @@ impl<W: Write> StreamingTracer<W> {
     }
 
     /// The latest timestamp seen (max over closed ends and open starts),
-    /// where `finish` auto-closes — mirrors [`Tracer::last_timestamp`].
+    /// where `finish` auto-closes.
     pub fn last_timestamp(&self) -> Time {
-        let open = self
-            .open
-            .iter()
-            .flatten()
-            .map(|o| o.start)
-            .max()
-            .unwrap_or(0);
-        self.last_end.max(open)
+        self.book.last_timestamp()
     }
 
-    /// Auto-closes still-open spans at [`StreamingTracer::last_timestamp`]
-    /// (same order and rule as [`Tracer::chrome_trace`]), counts them as
-    /// truncated, flushes everything, and returns the writer and final
-    /// stats. The first I/O error from anywhere in the sink's life is
-    /// returned here.
+    /// [Auto-closes](crate#span-sinks) still-open spans at
+    /// [`StreamingTracer::last_timestamp`], counts them as truncated,
+    /// flushes everything, and returns the writer and final stats. The
+    /// first I/O error from anywhere in the sink's life is returned here.
     pub fn finish(mut self) -> io::Result<(W, StreamStats)> {
-        let last = self.last_timestamp();
-        let mut auto = Vec::new();
-        for (tid, stack) in self.open.iter().enumerate() {
-            for o in stack.iter().rev() {
-                auto.push(Span {
-                    track: TrackId::new(tid),
-                    cat: o.cat.clone(),
-                    name: o.name.clone(),
-                    start: o.start,
-                    end: last,
-                });
-            }
-        }
-        self.open.iter_mut().for_each(Vec::clear);
-        for sp in &auto {
-            self.emit_line(&span_complete_event(sp).render());
-            self.stats.spans_emitted += 1;
+        let book = std::mem::take(&mut self.book);
+        for sp in book.auto_closed() {
+            self.emit_span(&sp);
             self.stats.truncated_spans += 1;
         }
         self.flush_buf();
@@ -203,6 +182,11 @@ impl<W: Write> StreamingTracer<W> {
             Some(e) => Err(e),
             None => Ok((self.out, self.stats)),
         }
+    }
+
+    fn emit_span(&mut self, sp: &Span) {
+        self.emit_line(&span_complete_event(sp).render());
+        self.stats.spans_emitted += 1;
     }
 
     fn emit_line(&mut self, line: &str) {
@@ -242,76 +226,33 @@ impl<W: Write> StreamingTracer<W> {
 
 impl<W: Write> SpanSink for StreamingTracer<W> {
     fn track(&mut self, name: &str) -> TrackId {
-        if let Some(i) = self.tracks.iter().position(|t| t == name) {
-            return TrackId::new(i);
+        let (track, new) = self.book.track(name);
+        if new {
+            self.emit_line(&track_meta_event(track.index(), name).render());
         }
-        self.tracks.push(name.to_string());
-        self.open.push(Vec::new());
-        let tid = self.tracks.len() - 1;
-        self.emit_line(&track_meta_event(tid, name).render());
-        TrackId::new(tid)
+        track
     }
 
     fn span(&mut self, track: TrackId, cat: &str, name: &str, start: Time, end: Time) {
-        assert!(end >= start, "span '{name}' ends before it starts");
-        assert!(track.index() < self.tracks.len(), "unknown track");
-        *self.cat_cycles.entry(cat.to_string()).or_insert(0) += end - start;
-        self.last_end = self.last_end.max(end);
-        let sp = Span {
-            track,
-            cat: cat.to_string(),
-            name: name.to_string(),
-            start,
-            end,
-        };
-        self.emit_line(&span_complete_event(&sp).render());
-        self.stats.spans_emitted += 1;
+        let sp = self.book.close(track, cat.into(), name.into(), start, end);
+        self.emit_span(&sp);
     }
 
     fn begin(&mut self, track: TrackId, cat: &str, name: &str, start: Time) {
-        assert!(track.index() < self.tracks.len(), "unknown track");
-        self.open[track.index()].push(OpenSpan {
-            cat: cat.to_string(),
-            name: name.to_string(),
-            start,
-        });
+        self.book.begin(track, cat, name, start);
     }
 
     fn end(&mut self, track: TrackId, end: Time) {
-        let open = self.open[track.index()]
-            .pop()
-            .expect("end() without matching begin()");
-        self.span(
-            track,
-            &open.cat.clone(),
-            &open.name.clone(),
-            open.start,
-            end,
-        );
+        let sp = self.book.end(track, end);
+        self.emit_span(&sp);
     }
 
     fn open_spans(&self) -> usize {
-        self.open.iter().map(Vec::len).sum()
+        self.book.open_spans()
     }
 
     fn category_cycles(&self, cat: &str) -> Time {
-        self.cat_cycles.get(cat).copied().unwrap_or(0)
-    }
-
-    fn append_offset(&mut self, other: &Tracer, offset: Time) {
-        // Same semantics as Tracer::append_offset: tracks registered by
-        // name in other's order (even when spanless), completed spans
-        // shifted by offset, open spans not carried over.
-        let map: Vec<TrackId> = other.tracks().iter().map(|n| self.track(n)).collect();
-        for sp in other.spans() {
-            self.span(
-                map[sp.track.index()],
-                &sp.cat,
-                &sp.name,
-                sp.start + offset,
-                sp.end + offset,
-            );
-        }
+        self.book.category_cycles(cat)
     }
 
     fn buffer_bytes(&self) -> usize {
@@ -397,18 +338,18 @@ pub fn detect_format(path: &Path) -> io::Result<TraceFormat> {
 /// `ph:"M"` track registrations (hoisted to the front of `traceEvents`
 /// in `tid` order, where the in-memory export puts them); pass 2
 /// re-renders each `ph:"X"` event in order. Spans referencing a `tid`
-/// with no registration are an error.
+/// with no registration are an error, and so is a second registration
+/// of one `tid`.
 pub fn jsonl_to_chrome(jsonl: &Path, chrome: &Path) -> io::Result<()> {
-    let mut tracks: Vec<(usize, String)> = Vec::new();
+    let mut tracks: BTreeMap<usize, String> = BTreeMap::new();
     for ev in jsonl_events(jsonl)? {
         if let TraceEvent::Track { tid, name } = ev? {
-            tracks.push((tid, name));
+            if tracks.insert(tid, name).is_some() {
+                return Err(invalid(format!(
+                    "duplicate track registration for tid {tid}"
+                )));
+            }
         }
-    }
-    tracks.sort_by_key(|(tid, _)| *tid);
-    let tids: BTreeSet<usize> = tracks.iter().map(|(tid, _)| *tid).collect();
-    if tids.len() != tracks.len() {
-        return Err(invalid("duplicate track registration for one tid"));
     }
 
     let mut w = BufWriter::new(File::create(chrome)?);
@@ -435,7 +376,7 @@ pub fn jsonl_to_chrome(jsonl: &Path, chrome: &Path) -> io::Result<()> {
             end,
         } = ev?
         {
-            if !tids.contains(&tid) {
+            if !tracks.contains_key(&tid) {
                 return Err(invalid(format!("span on unregistered tid {tid}")));
             }
             let sp = Span {
@@ -463,28 +404,7 @@ pub fn read_trace_auto(path: &Path) -> io::Result<Tracer> {
             Tracer::from_chrome_trace(&doc).map_err(invalid)
         }
         TraceFormat::Jsonl => {
-            let mut out = Tracer::new();
-            let mut by_tid: BTreeMap<usize, TrackId> = BTreeMap::new();
-            for ev in jsonl_events(path)? {
-                match ev? {
-                    TraceEvent::Track { tid, name } => {
-                        by_tid.insert(tid, out.track(&name));
-                    }
-                    TraceEvent::Span {
-                        tid,
-                        cat,
-                        name,
-                        start,
-                        end,
-                    } => {
-                        let track = *by_tid
-                            .get(&tid)
-                            .ok_or_else(|| invalid(format!("span on unregistered tid {tid}")))?;
-                        out.span(track, &cat, &name, start, end);
-                    }
-                }
-            }
-            Ok(out)
+            replay(jsonl_events(path)?.map(|ev| ev.map_err(|e| e.to_string()))).map_err(invalid)
         }
     }
 }
@@ -650,6 +570,41 @@ mod tests {
         // Both read back through the auto-detecting reader.
         assert_eq!(read_trace_auto(&chrome).expect("read").spans(), mem.spans());
         assert_eq!(read_trace_auto(&jsonl).expect("read").spans().len(), 5);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn jsonl_readers_reject_duplicate_tids_and_overflowing_spans() {
+        use crate::trace::tests::OVERFLOW_SPAN;
+        let dir = std::env::temp_dir().join(format!("wmpt_stream_bad_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let (jsonl, chrome) = (dir.join("t.jsonl"), dir.join("t.json"));
+        let span = r#"{"ph":"X","name":"gemm","cat":"ndp","tid":0,"ts":0,"dur":1}"#;
+        let cases = [
+            (
+                vec![
+                    track_meta_event(0, "a").render(),
+                    track_meta_event(0, "b").render(),
+                    span.into(),
+                ],
+                "duplicate",
+            ),
+            (
+                vec![track_meta_event(0, "a").render(), OVERFLOW_SPAN.into()],
+                "ends past the last cycle",
+            ),
+        ];
+        for (lines, why) in cases {
+            std::fs::write(&jsonl, lines.join("\n")).expect("write");
+            for err in [
+                read_trace_auto(&jsonl).expect_err(why),
+                jsonl_to_chrome(&jsonl, &chrome).expect_err(why),
+            ] {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert!(err.to_string().contains(why), "{err}");
+            }
+        }
+        assert!(parse_jsonl_line(OVERFLOW_SPAN).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -50,11 +50,118 @@ impl Span {
     }
 }
 
+/// A span opened by `begin` and not yet closed.
 #[derive(Debug, Clone)]
-pub(crate) struct OpenSpan {
-    pub(crate) cat: String,
-    pub(crate) name: String,
-    pub(crate) start: Time,
+struct OpenSpan {
+    cat: String,
+    name: String,
+    start: Time,
+}
+
+/// The span book both sinks keep: track names, per-track open-span
+/// stacks, per-category cycle sums and the latest timestamp seen. Each
+/// recording rule lives here once; a sink adds only what it does with a
+/// new track and with each closed [`Span`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SpanBook {
+    tracks: Vec<String>,
+    open: Vec<Vec<OpenSpan>>,
+    cat_cycles: BTreeMap<String, Time>,
+    /// Max over closed ends and begun starts. A begun span closes at or
+    /// after its start, so this equals the max over closed ends and the
+    /// starts of spans still open.
+    last: Time,
+}
+
+impl SpanBook {
+    /// Registers (or looks up) a track by name; `true` when it is new.
+    pub(crate) fn track(&mut self, name: &str) -> (TrackId, bool) {
+        if let Some(i) = self.tracks.iter().position(|t| t == name) {
+            return (TrackId(i), false);
+        }
+        self.tracks.push(name.to_string());
+        self.open.push(Vec::new());
+        (TrackId(self.tracks.len() - 1), true)
+    }
+
+    /// Accounts one finished span and hands it back to the sink.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `end < start` or the track is unknown.
+    pub(crate) fn close(
+        &mut self,
+        track: TrackId,
+        cat: String,
+        name: String,
+        start: Time,
+        end: Time,
+    ) -> Span {
+        assert!(end >= start, "span '{name}' ends before it starts");
+        assert!(track.0 < self.tracks.len(), "unknown track");
+        match self.cat_cycles.get_mut(&cat) {
+            Some(sum) => *sum += end - start,
+            None => {
+                self.cat_cycles.insert(cat.clone(), end - start);
+            }
+        }
+        self.last = self.last.max(end);
+        Span {
+            track,
+            cat,
+            name,
+            start,
+            end,
+        }
+    }
+
+    pub(crate) fn begin(&mut self, track: TrackId, cat: &str, name: &str, start: Time) {
+        assert!(track.0 < self.tracks.len(), "unknown track");
+        self.last = self.last.max(start);
+        self.open[track.0].push(OpenSpan {
+            cat: cat.to_string(),
+            name: name.to_string(),
+            start,
+        });
+    }
+
+    /// Closes the innermost open span on `track` at `end`.
+    pub(crate) fn end(&mut self, track: TrackId, end: Time) -> Span {
+        let open = self.open[track.0]
+            .pop()
+            .expect("end() without matching begin()");
+        self.close(track, open.cat, open.name, open.start, end)
+    }
+
+    pub(crate) fn open_spans(&self) -> usize {
+        self.open.iter().map(Vec::len).sum()
+    }
+
+    pub(crate) fn category_cycles(&self, cat: &str) -> Time {
+        self.cat_cycles.get(cat).copied().unwrap_or(0)
+    }
+
+    pub(crate) fn last_timestamp(&self) -> Time {
+        self.last
+    }
+
+    pub(crate) fn tracks(&self) -> &[String] {
+        &self.tracks
+    }
+
+    /// Every still-open span, closed by the crate's auto-close rule (see
+    /// the crate docs, "Span sinks"). The book itself is untouched.
+    pub(crate) fn auto_closed(&self) -> impl Iterator<Item = Span> + '_ {
+        self.open.iter().enumerate().flat_map(move |(tid, stack)| {
+            stack.iter().rev().map(move |o| Span {
+                track: TrackId(tid),
+                cat: o.cat.clone(),
+                name: o.name.clone(),
+                start: o.start,
+                end: self.last,
+            })
+        })
+    }
 }
 
 /// The `ph:"M"` `thread_name` metadata event naming a track.
@@ -166,13 +273,15 @@ pub fn parse_trace_event(e: &Value) -> Result<Option<TraceEvent>, String> {
                     .ok_or(format!("complete event without '{us_key}'"))
             };
             let start = exact("start_cycle", "ts")?;
-            let cycles = exact("cycles", "dur")?;
+            let end = start
+                .checked_add(exact("cycles", "dur")?)
+                .ok_or_else(|| format!("span '{name}' ends past the last cycle"))?;
             Ok(Some(TraceEvent::Span {
                 tid,
                 cat: cat.to_string(),
                 name: name.to_string(),
                 start,
-                end: start + cycles,
+                end,
             }))
         }
         _ => Ok(None),
@@ -202,8 +311,35 @@ pub trait SpanSink {
     /// Running total of cycles recorded under `cat` (closed spans only).
     fn category_cycles(&self, cat: &str) -> Time;
     /// Appends every track and span of an in-memory tracer, shifting
-    /// span times by `offset` cycles. See [`Tracer::append_offset`].
-    fn append_offset(&mut self, other: &Tracer, offset: Time);
+    /// span times by `offset` cycles. Tracks are matched (or registered)
+    /// by name in `other`'s registration order, so appending per-run
+    /// tracers in run order reproduces the trace a single serial sink
+    /// would have recorded with runs laid back to back.
+    ///
+    /// Edge semantics, relied on by multi-grid trace concatenation:
+    ///
+    /// * An empty `other` (no tracks) is a complete no-op.
+    /// * `other`'s tracks are registered even when they carry no spans —
+    ///   a grid that stayed idle still contributes its track layout.
+    /// * Track names shared between `self` and `other` merge onto one
+    ///   track (spans interleave on it); names unique to `other` are
+    ///   appended after `self`'s existing tracks in `other`'s
+    ///   registration order.
+    /// * `other`'s open (unclosed) spans are *not* carried over — only
+    ///   completed spans move; close them (or let the export auto-close
+    ///   them) on the source tracer first.
+    fn append_offset(&mut self, other: &Tracer, offset: Time) {
+        let map: Vec<TrackId> = other.tracks().iter().map(|n| self.track(n)).collect();
+        for sp in other.spans() {
+            self.span(
+                map[sp.track.0],
+                &sp.cat,
+                &sp.name,
+                sp.start + offset,
+                sp.end + offset,
+            );
+        }
+    }
     /// Bytes of span data currently resident in host memory. For the
     /// in-memory tracer this grows with every span; a streaming sink
     /// keeps it under its configured budget.
@@ -217,10 +353,8 @@ pub trait SpanSink {
 /// most recent open span, stack-wise).
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    tracks: Vec<String>,
+    book: SpanBook,
     spans: Vec<Span>,
-    open: Vec<Vec<OpenSpan>>,
-    cat_cycles: BTreeMap<String, Time>,
     span_bytes: usize,
 }
 
@@ -240,12 +374,7 @@ impl Tracer {
     /// Registers a track (Chrome thread) and returns its handle.
     /// Re-registering an existing name returns the original handle.
     pub fn track(&mut self, name: &str) -> TrackId {
-        if let Some(i) = self.tracks.iter().position(|t| t == name) {
-            return TrackId(i);
-        }
-        self.tracks.push(name.to_string());
-        self.open.push(Vec::new());
-        TrackId(self.tracks.len() - 1)
+        self.book.track(name).0
     }
 
     /// Records a completed span.
@@ -254,28 +383,14 @@ impl Tracer {
     ///
     /// Panics if `end < start` or the track is unknown.
     pub fn span(&mut self, track: TrackId, cat: &str, name: &str, start: Time, end: Time) {
-        assert!(end >= start, "span '{name}' ends before it starts");
-        assert!(track.0 < self.tracks.len(), "unknown track");
-        *self.cat_cycles.entry(cat.to_string()).or_insert(0) += end - start;
-        self.span_bytes += span_mem_bytes(cat, name);
-        self.spans.push(Span {
-            track,
-            cat: cat.to_string(),
-            name: name.to_string(),
-            start,
-            end,
-        });
+        let sp = self.book.close(track, cat.into(), name.into(), start, end);
+        self.push(sp);
     }
 
     /// Opens a span at `start`; closed by the matching [`Tracer::end`].
     /// Opens nest per track.
     pub fn begin(&mut self, track: TrackId, cat: &str, name: &str, start: Time) {
-        assert!(track.0 < self.tracks.len(), "unknown track");
-        self.open[track.0].push(OpenSpan {
-            cat: cat.to_string(),
-            name: name.to_string(),
-            start,
-        });
+        self.book.begin(track, cat, name, start);
     }
 
     /// Closes the most recently opened span on `track` at `end`.
@@ -284,21 +399,18 @@ impl Tracer {
     ///
     /// Panics if no span is open on the track or `end` precedes its start.
     pub fn end(&mut self, track: TrackId, end: Time) {
-        let open = self.open[track.0]
-            .pop()
-            .expect("end() without matching begin()");
-        self.span(
-            track,
-            &open.cat.clone(),
-            &open.name.clone(),
-            open.start,
-            end,
-        );
+        let sp = self.book.end(track, end);
+        self.push(sp);
+    }
+
+    fn push(&mut self, sp: Span) {
+        self.span_bytes += span_mem_bytes(&sp.cat, &sp.name);
+        self.spans.push(sp);
     }
 
     /// Number of open (unclosed) spans across all tracks.
     pub fn open_spans(&self) -> usize {
-        self.open.iter().map(Vec::len).sum()
+        self.book.open_spans()
     }
 
     /// All completed spans, in recording order.
@@ -308,48 +420,19 @@ impl Tracer {
 
     /// Name of a track.
     pub fn track_name(&self, track: TrackId) -> &str {
-        &self.tracks[track.0]
+        &self.book.tracks()[track.0]
     }
 
     /// All registered track names, in registration (`tid`) order.
     pub fn tracks(&self) -> &[String] {
-        &self.tracks
+        self.book.tracks()
     }
 
     /// The latest timestamp the tracer has seen: the maximum over closed
     /// spans' ends and open spans' starts (0 for an empty tracer). This
     /// is where [`Tracer::chrome_trace`] auto-closes still-open spans.
     pub fn last_timestamp(&self) -> Time {
-        let closed = self.spans.iter().map(|s| s.end).max().unwrap_or(0);
-        let open = self
-            .open
-            .iter()
-            .flatten()
-            .map(|o| o.start)
-            .max()
-            .unwrap_or(0);
-        closed.max(open)
-    }
-
-    /// Spans that [`Tracer::chrome_trace`] synthesizes for still-open
-    /// spans: each open span closed at [`Tracer::last_timestamp`], per
-    /// track in registration order, innermost (most recently opened)
-    /// first — the order repeated `end()` calls would have produced.
-    fn auto_closed(&self) -> Vec<Span> {
-        let last = self.last_timestamp();
-        let mut out = Vec::new();
-        for (tid, stack) in self.open.iter().enumerate() {
-            for o in stack.iter().rev() {
-                out.push(Span {
-                    track: TrackId(tid),
-                    cat: o.cat.clone(),
-                    name: o.name.clone(),
-                    start: o.start,
-                    end: last,
-                });
-            }
-        }
-        out
+        self.book.last_timestamp()
     }
 
     /// Builds the Chrome `trace_event` document:
@@ -357,20 +440,20 @@ impl Tracer {
     /// `thread_name` metadata event per track and one `ph:"X"` complete
     /// event per span. `ts`/`dur` are microseconds (cycles / 1000).
     ///
-    /// Spans still open (unbalanced [`Tracer::begin`]) are auto-closed in
-    /// the export at [`Tracer::last_timestamp`] — the document is always
-    /// internally consistent instead of silently dropping them. Callers
-    /// that care should check [`Tracer::open_spans`] first and account
-    /// the count as `obs.truncated_spans`.
+    /// Spans still open (unbalanced [`Tracer::begin`]) are
+    /// [auto-closed](crate#span-sinks) in the export — the document is
+    /// always internally consistent instead of silently dropping them.
+    /// Callers that care should check [`Tracer::open_spans`] first and
+    /// account the count as `obs.truncated_spans`.
     pub fn chrome_trace(&self) -> Value {
         let mut events = Vec::new();
-        for (tid, name) in self.tracks.iter().enumerate() {
+        for (tid, name) in self.tracks().iter().enumerate() {
             events.push(track_meta_event(tid, name));
         }
         for sp in &self.spans {
             events.push(span_complete_event(sp));
         }
-        for sp in self.auto_closed() {
+        for sp in self.book.auto_closed() {
             events.push(span_complete_event(&sp));
         }
         json::obj(vec![
@@ -394,69 +477,26 @@ impl Tracer {
     /// back to the microsecond `ts` / `dur` fields (× 1000) — so a trace
     /// produced by this crate round-trips bit-exactly.
     pub fn from_chrome_trace(doc: &Value) -> Result<Tracer, String> {
-        let events = doc
+        let mut events = doc
             .get("traceEvents")
             .and_then(Value::as_arr)
-            .ok_or("missing 'traceEvents' array")?;
-        let mut tracks: Vec<(usize, String)> = Vec::new();
-        for e in events {
-            if let Some(TraceEvent::Track { tid, name }) = parse_trace_event(e)? {
-                tracks.push((tid, name));
-            }
-        }
-        tracks.sort_by_key(|(tid, _)| *tid);
-        let mut out = Tracer::new();
-        let mut by_tid: BTreeMap<usize, TrackId> = BTreeMap::new();
-        for (tid, name) in &tracks {
-            by_tid.insert(*tid, out.track(name));
-        }
-        for e in events {
-            if let Some(TraceEvent::Span {
-                tid,
-                cat,
-                name,
-                start,
-                end,
-            }) = parse_trace_event(e)?
-            {
-                let track = *by_tid
-                    .get(&tid)
-                    .ok_or(format!("span on unregistered tid {tid}"))?;
-                out.span(track, &cat, &name, start, end);
-            }
-        }
-        Ok(out)
+            .ok_or("missing 'traceEvents' array")?
+            .iter()
+            .filter_map(|e| parse_trace_event(e).transpose())
+            .collect::<Result<Vec<_>, _>>()?;
+        // Tracks first, in tid order; the sort is stable, so spans keep
+        // document order.
+        events.sort_by_key(|ev| match ev {
+            TraceEvent::Track { tid, .. } => (0, *tid),
+            TraceEvent::Span { .. } => (1, 0),
+        });
+        replay(events.into_iter().map(Ok))
     }
 
     /// Appends every track and span of `other`, shifting span times by
-    /// `offset` cycles. Tracks are matched (or registered) by name in
-    /// `other`'s registration order, so appending per-run tracers in run
-    /// order reproduces the trace a single serial tracer would have
-    /// recorded with runs laid back to back.
-    ///
-    /// Edge semantics, relied on by multi-grid trace concatenation:
-    ///
-    /// * An empty `other` (no tracks) is a complete no-op.
-    /// * `other`'s tracks are registered even when they carry no spans —
-    ///   a grid that stayed idle still contributes its track layout.
-    /// * Track names shared between `self` and `other` merge onto one
-    ///   track (spans interleave on it); names unique to `other` are
-    ///   appended after `self`'s existing tracks in `other`'s
-    ///   registration order.
-    /// * `other`'s open (unclosed) spans are *not* carried over — only
-    ///   completed spans move; close them (or let the export auto-close
-    ///   them) on the source tracer first.
+    /// `offset` cycles. See [`SpanSink::append_offset`].
     pub fn append_offset(&mut self, other: &Tracer, offset: Time) {
-        let map: Vec<TrackId> = other.tracks.iter().map(|n| self.track(n)).collect();
-        for sp in &other.spans {
-            self.span(
-                map[sp.track.0],
-                &sp.cat,
-                &sp.name,
-                sp.start + offset,
-                sp.end + offset,
-            );
-        }
+        SpanSink::append_offset(self, other, offset)
     }
 
     /// Total cycles per `(category, name)`, with span counts, sorted by
@@ -477,7 +517,7 @@ impl Tracer {
     /// total, so the per-layer `category_cycles("layer")` base queries of
     /// network sweeps cost O(log categories) instead of O(spans).
     pub fn category_cycles(&self, cat: &str) -> Time {
-        self.cat_cycles.get(cat).copied().unwrap_or(0)
+        self.book.category_cycles(cat)
     }
 
     /// Exact per-span-duration percentiles for every `(category, name)`
@@ -574,16 +614,47 @@ impl SpanSink for Tracer {
     fn category_cycles(&self, cat: &str) -> Time {
         Tracer::category_cycles(self, cat)
     }
-    fn append_offset(&mut self, other: &Tracer, offset: Time) {
-        Tracer::append_offset(self, other, offset)
-    }
     fn buffer_bytes(&self) -> usize {
         self.span_bytes
     }
 }
 
+/// Rebuilds a [`Tracer`] from decoded [`TraceEvent`]s: the one replay
+/// behind [`Tracer::from_chrome_trace`] and [`crate::read_trace_auto`].
+/// Each `tid` may be registered once, and every span must sit on a
+/// registered `tid`.
+pub(crate) fn replay(
+    events: impl IntoIterator<Item = Result<TraceEvent, String>>,
+) -> Result<Tracer, String> {
+    let mut trace = Tracer::new();
+    let mut by_tid = BTreeMap::new();
+    for ev in events {
+        match ev? {
+            TraceEvent::Track { tid, name } => {
+                if by_tid.insert(tid, trace.track(&name)).is_some() {
+                    return Err(format!("duplicate track registration for tid {tid}"));
+                }
+            }
+            TraceEvent::Span {
+                tid,
+                cat,
+                name,
+                start,
+                end,
+            } => {
+                let track = *by_tid
+                    .get(&tid)
+                    .ok_or_else(|| format!("span on unregistered tid {tid}"))?;
+                let sp = trace.book.close(track, cat, name, start, end);
+                trace.push(sp);
+            }
+        }
+    }
+    Ok(trace)
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -702,21 +773,36 @@ mod tests {
         assert_eq!(back2.spans(), t.spans());
     }
 
+    /// A span on tid 0 at `start_cycle = u64::MAX` lasting 5 cycles: its
+    /// end does not fit in a cycle count.
+    pub(crate) const OVERFLOW_SPAN: &str = r#"{"ph":"X","name":"gemm","cat":"ndp","tid":0,"ts":0,"dur":0,"args":{"start_cycle":18446744073709551615,"cycles":5}}"#;
+
     #[test]
     fn from_chrome_trace_rejects_malformed_documents() {
+        let reject = |events: &[String], why: &str| {
+            let text = format!("{{\"traceEvents\":[{}]}}", events.join(","));
+            let doc = crate::json::parse(&text).expect("valid JSON");
+            let err = Tracer::from_chrome_trace(&doc).expect_err(why);
+            assert!(err.contains(why), "{err}");
+        };
         assert!(Tracer::from_chrome_trace(&crate::json::obj(vec![])).is_err());
-        // A span on a tid with no thread_name metadata is an error.
-        let doc = crate::json::obj(vec![(
-            "traceEvents",
-            Value::Arr(vec![crate::json::obj(vec![
-                ("ph", crate::json::s("X")),
-                ("tid", crate::json::num(0.0)),
-                ("name", crate::json::s("gemm")),
-                ("ts", crate::json::num(0.0)),
-                ("dur", crate::json::num(1.0)),
-            ])]),
-        )]);
-        assert!(Tracer::from_chrome_trace(&doc).is_err());
+        let span = r#"{"ph":"X","tid":0,"name":"gemm","ts":0,"dur":1}"#.to_string();
+        reject(std::slice::from_ref(&span), "unregistered tid 0");
+        // Two registrations of one tid used to leave a phantom track.
+        reject(
+            &[
+                track_meta_event(0, "a").render(),
+                track_meta_event(0, "b").render(),
+                span,
+            ],
+            "duplicate track registration for tid 0",
+        );
+        // An end past u64::MAX used to overflow (debug) or wrap into an
+        // "ends before it starts" panic (release).
+        reject(
+            &[track_meta_event(0, "a").render(), OVERFLOW_SPAN.to_string()],
+            "ends past the last cycle",
+        );
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Streaming-sink equivalence properties on the `wmpt-check` harness:
-//! for random span layouts — including still-open spans and the
-//! `--jobs` sweep concatenation path — a [`StreamingTracer`] finalized
-//! into a chrome-trace document is byte-identical to the in-memory
-//! [`Tracer`] export, re-parses into the same tracer, and never buffers
-//! more than its byte budget.
+//! for random span layouts — including still-open spans, sub-traces
+//! appended while spans are open, and the `--jobs` sweep concatenation
+//! path — a [`StreamingTracer`] finalized into a chrome-trace document
+//! is byte-identical to the in-memory [`Tracer`] export, re-parses into
+//! the same tracer, agrees with it on the running queries, and never
+//! buffers more than its byte budget.
 //!
 //! Failures shrink toward the fewest operations and the smallest cycle
 //! values, and replay via `WMPT_CHECK_REPLAY`.
@@ -23,10 +24,12 @@ enum Op {
     Span(usize, &'static str, &'static str, u64, u64),
     Begin(usize, &'static str, &'static str, u64),
     End(usize, u64),
+    Append(Tracer, u64),
 }
 
-/// A random operation script over `n_tracks` tracks: closed spans plus
-/// begin/end pairs whose tail may stay open (exercising auto-close).
+/// A random operation script over `n_tracks` tracks: closed spans,
+/// begin/end pairs whose tail may stay open (exercising auto-close), and
+/// closed sub-traces appended at an offset while spans are still open.
 fn random_script(c: &mut Case) -> (usize, Vec<Op>) {
     let n_tracks = c.size(1, TRACKS.len());
     let idx: Vec<usize> = (0..n_tracks).collect();
@@ -42,6 +45,8 @@ fn random_script(c: &mut Case) -> (usize, Vec<Op>) {
             // Close the innermost open span at or after its start.
             let s = open[t].pop().expect("non-empty");
             ops.push(Op::End(t, s + dur));
+        } else if c.ratio() < 0.15 {
+            ops.push(Op::Append(random_subtrace(c), start));
         } else if c.bool() {
             ops.push(Op::Span(t, cat, name, start, start + dur));
         } else {
@@ -57,12 +62,39 @@ fn random_script(c: &mut Case) -> (usize, Vec<Op>) {
 fn apply<S: SpanSink>(n_tracks: usize, ops: &[Op], sink: &mut S) {
     let ids: Vec<TrackId> = TRACKS[..n_tracks].iter().map(|n| sink.track(n)).collect();
     for op in ops {
-        match *op {
-            Op::Span(t, cat, name, start, end) => sink.span(ids[t], cat, name, start, end),
-            Op::Begin(t, cat, name, start) => sink.begin(ids[t], cat, name, start),
-            Op::End(t, end) => sink.end(ids[t], end),
+        match op {
+            &Op::Span(t, cat, name, start, end) => sink.span(ids[t], cat, name, start, end),
+            &Op::Begin(t, cat, name, start) => sink.begin(ids[t], cat, name, start),
+            &Op::End(t, end) => sink.end(ids[t], end),
+            Op::Append(sub, offset) => sink.append_offset(sub, *offset),
         }
     }
+}
+
+/// What a script leaves behind, worked out from the script alone: the
+/// number of spans still open and the latest timestamp (every `end`
+/// lies at or after its `begin`, so that is the maximum over all times
+/// the script names).
+fn script_tail(ops: &[Op]) -> (usize, u64) {
+    let (mut open, mut last) = (0usize, 0u64);
+    for op in ops {
+        match op {
+            &Op::Span(.., end) => last = last.max(end),
+            &Op::Begin(.., start) => {
+                open += 1;
+                last = last.max(start);
+            }
+            &Op::End(_, end) => {
+                open -= 1;
+                last = last.max(end);
+            }
+            Op::Append(sub, offset) => {
+                let end = sub.spans().iter().map(|sp| sp.end + offset).max();
+                last = last.max(end.unwrap_or(0));
+            }
+        }
+    }
+    (open, last)
 }
 
 /// Per-test scratch directory (cases reuse the files; create truncates).
@@ -94,7 +126,29 @@ fn streamed_chrome_export_is_byte_identical_for_random_layouts() {
             apply(n_tracks, &ops, &mut mem);
             let mut s = StreamingTracer::create(&jsonl, budget).expect("create jsonl");
             apply(n_tracks, &ops, &mut s);
-            let open = SpanSink::open_spans(&s) as u64;
+
+            // Both sinks agree with each other, and with the script, on
+            // every running query.
+            let (open, last) = script_tail(&ops);
+            assert_eq!(SpanSink::open_spans(&s), open, "stream open spans");
+            assert_eq!(mem.open_spans(), open, "in-memory open spans");
+            assert_eq!(s.last_timestamp(), last, "stream last timestamp");
+            assert_eq!(mem.last_timestamp(), last, "in-memory last timestamp");
+            for cat in CATS {
+                let closed: u64 = mem
+                    .spans()
+                    .iter()
+                    .filter(|sp| sp.cat == cat)
+                    .map(|sp| sp.cycles())
+                    .sum();
+                assert_eq!(mem.category_cycles(cat), closed, "in-memory '{cat}' cycles");
+                assert_eq!(
+                    SpanSink::category_cycles(&s, cat),
+                    closed,
+                    "stream '{cat}' cycles"
+                );
+            }
+            let open = open as u64;
             let stats = s.finalize_chrome(&chrome_s).expect("finalize");
             mem.write_chrome_trace(&chrome_m).expect("in-memory export");
 

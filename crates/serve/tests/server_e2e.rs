@@ -216,3 +216,36 @@ fn deeply_nested_body_is_rejected_and_the_server_stays_up() {
     assert_eq!(health.status, 200);
     server.shutdown();
 }
+
+#[test]
+fn overflowing_analyze_trace_fails_the_job_and_the_server_stays_up() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.addr().to_string();
+    let meta = r#"{"ph":"M","name":"thread_name","pid":0,"tid":0,"args":{"name":"w"}}"#;
+    let trace = |args: &str| {
+        format!(
+            r#"{{"traceEvents":[{meta},{{"ph":"X","name":"gemm","cat":"ndp","pid":0,"tid":0,"ts":0,"dur":0,"args":{args}}}]}}"#
+        )
+    };
+    // A span whose end does not fit in a cycle count used to panic the
+    // worker inside the trace parser.
+    let bad = SimRequest::analyze(&trace(r#"{"start_cycle":18446744073709551615,"cycles":5}"#))
+        .expect("analyze request");
+    let resp = submit(&addr, &bad);
+    assert_eq!(resp.status, 500, "{}", resp.text());
+    assert!(
+        resp.text().contains("\"status\":\"failed\""),
+        "{}",
+        resp.text()
+    );
+    assert!(
+        resp.text().contains("\"error\":\"trace: "),
+        "{}",
+        resp.text()
+    );
+
+    let good = SimRequest::analyze(&trace(r#"{"start_cycle":0,"cycles":5}"#)).expect("analyze");
+    let resp = submit(&addr, &good);
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    server.shutdown();
+}
