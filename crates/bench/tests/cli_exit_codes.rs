@@ -37,6 +37,7 @@ fn unknown_subcommands_and_flags_exit_nonzero() {
     assert_rejected(&["faults", "--scenario", "nope"]);
     assert_rejected(&["faults", "--scenario", "single-link", "--seed", "NaN"]);
     assert_rejected(&["faults", "--scenario", "single-link", "--iters", "0"]);
+    assert_rejected(&["faults", "--scenario", "single-link", "--iters", "1025"]);
     assert_rejected(&["faults", "--scenario", "single-link", "--frobnicate", "1"]);
     // Obs sinks only apply to layer/network; silently ignoring them on
     // other commands used to mask typos.

@@ -45,7 +45,9 @@ pub use cache::ResultCache;
 pub use hash::{canonical_hash, hash_hex, parse_hash_hex};
 pub use http::{http_request, Response};
 pub use lifecycle::{LifeRecord, LifecycleTrace, Stage, DEFAULT_TRACE_CAP};
-pub use request::{find_network, SimRequest, DEFAULT_FAULT_ITERS, DEFAULT_FAULT_SEED};
+pub use request::{
+    find_network, SimRequest, DEFAULT_FAULT_ITERS, DEFAULT_FAULT_SEED, MAX_FAULT_ITERS,
+};
 pub use result::SimResult;
 pub use runner::{run_request, run_request_with};
 pub use server::{JobStatus, ServeConfig, Server, ShutdownReport};

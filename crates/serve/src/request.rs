@@ -26,6 +26,10 @@ use wmpt_obs::json::{num, obj, s, Value};
 pub const DEFAULT_FAULT_ITERS: usize = 6;
 /// Default `--seed` of a faults request, matching the CLI default.
 pub const DEFAULT_FAULT_SEED: u64 = 7;
+/// Upper bound on a faults request's `iters`. A run costs about 0.6 ms
+/// per iteration on a 2-vCPU Xeon, so one request holds a worker for
+/// about a second at most.
+pub const MAX_FAULT_ITERS: usize = 1024;
 
 /// One simulation job: everything needed to reproduce a result, and
 /// nothing else (no output paths, no thread counts — those belong to
@@ -211,6 +215,11 @@ impl SimRequest {
         if iters == 0 {
             return Err("iters must be positive".to_string());
         }
+        if iters > MAX_FAULT_ITERS {
+            return Err(format!(
+                "iters must be at most {MAX_FAULT_ITERS} (got {iters})"
+            ));
+        }
         Ok(SimRequest::Faults {
             scenario: scenario.to_string(),
             seed,
@@ -365,7 +374,7 @@ impl SimRequest {
                     .get("iters")
                     .map(|x| x.as_u64().ok_or("'iters' must be a non-negative integer"))
                     .transpose()?
-                    .map(|n| n as usize)
+                    .map(|n| usize::try_from(n).unwrap_or(usize::MAX))
                     .unwrap_or(DEFAULT_FAULT_ITERS);
                 SimRequest::faults(str_member("scenario")?, seed, iters)
             }
@@ -399,6 +408,7 @@ mod tests {
         assert!(SimRequest::plan_auto("alexnet").is_err());
         assert!(SimRequest::faults("single-link", 7, 6).is_ok());
         assert!(SimRequest::faults("single-link", 7, 0).is_err());
+        assert!(SimRequest::faults("single-link", 7, MAX_FAULT_ITERS).is_ok());
         assert!(SimRequest::faults("gremlins", 7, 6).is_err());
         assert!(SimRequest::analyze("").is_err());
     }
@@ -452,6 +462,22 @@ mod tests {
             req,
             SimRequest::faults("single-link", DEFAULT_FAULT_SEED, DEFAULT_FAULT_ITERS).unwrap()
         );
+    }
+
+    #[test]
+    fn faults_iters_past_the_bound_are_rejected_with_a_message() {
+        let err = SimRequest::faults("single-link", 7, MAX_FAULT_ITERS + 1).unwrap_err();
+        assert_eq!(
+            err,
+            format!("iters must be at most {MAX_FAULT_ITERS} (got 1025)")
+        );
+        // Through the JSON door too, including counts past usize on
+        // narrow targets.
+        for iters in ["1025", "18446744073709551615"] {
+            let text = format!(r#"{{"kind":"faults","scenario":"chaos","iters":{iters}}}"#);
+            let err = SimRequest::from_json(&parse(&text).unwrap()).unwrap_err();
+            assert!(err.contains("iters must be at most"), "{err}");
+        }
     }
 
     #[test]

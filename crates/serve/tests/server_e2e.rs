@@ -249,3 +249,25 @@ fn overflowing_analyze_trace_fails_the_job_and_the_server_stays_up() {
     assert_eq!(resp.status, 200, "{}", resp.text());
     server.shutdown();
 }
+
+#[test]
+fn faults_iters_past_the_bound_answer_400_and_the_server_stays_up() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.addr().to_string();
+    let body = format!(
+        r#"{{"kind":"faults","scenario":"single-link","iters":{}}}"#,
+        wmpt_serve::MAX_FAULT_ITERS + 1
+    );
+    let resp = http_request(&addr, "POST", "/api/v1/jobs?wait=1", body.as_bytes()).expect("submit");
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(
+        resp.text().contains("iters must be at most"),
+        "{}",
+        resp.text()
+    );
+
+    let ok = SimRequest::faults("single-link", 7, 2).expect("faults request");
+    let resp = submit(&addr, &ok);
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    server.shutdown();
+}

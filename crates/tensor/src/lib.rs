@@ -30,6 +30,8 @@
 //! assert_eq!(t.shape().len(), 32);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod fp16;
 pub mod gen;
 pub mod matrix;
