@@ -12,7 +12,7 @@
 
 use wmpt_noc::ClusterConfig;
 use wmpt_par::ParPool;
-use wmpt_predict::{ActivationPredictor, PredictMode};
+use wmpt_predict::{predict_tensor, ActivationPredictor, PredictMode};
 use wmpt_tensor::{Shape4, Tensor4};
 use wmpt_winograd::{
     elementwise_gemm_wgrad_par, from_winograd_output_par, output_grad_to_winograd_par, relu,
@@ -135,37 +135,21 @@ pub fn gather_with_prediction(
     let tf = predictor.transform();
     let full = from_winograd_output_par(&ParPool::serial(), y, tf, out_shape);
     let mut out = relu(&full);
-    let mut skipped_bytes = 0u64;
+    let dead = predict_tensor(y, predictor, mode).dead_tiles;
     let tl = wmpt_winograd::Tiling::new(tf, out_shape.h, out_shape.w);
     let tpi = tl.tiles_per_image();
     let m = tf.m();
-    for b in 0..out_shape.n {
-        for j in 0..out_shape.c {
-            for ty in 0..tl.tiles_h {
-                for tx in 0..tl.tiles_w {
-                    let tile_idx = b * tpi + ty * tl.tiles_w + tx;
-                    let vals = y.gather_tile(tile_idx, j);
-                    let pred = predictor.predict(&vals, mode);
-                    if pred.tile_dead {
-                        skipped_bytes += (vals.len() * 4) as u64;
-                        // The destination writes zeros without receiving
-                        // the tile; assert-equivalent because prediction is
-                        // conservative (every neuron was <= 0).
-                        for u in 0..m {
-                            let oy = ty * m + u;
-                            if oy >= out_shape.h {
-                                break;
-                            }
-                            for v in 0..m {
-                                let ox = tx * m + v;
-                                if ox >= out_shape.w {
-                                    break;
-                                }
-                                out[(b, j, oy, ox)] = 0.0;
-                            }
-                        }
-                    }
-                }
+    let mut skipped_bytes = 0u64;
+    for (at, _) in dead.iter().enumerate().filter(|(_, d)| **d) {
+        let (tile, j) = (at / y.chans, at % y.chans);
+        let (b, ty, tx) = (tile / tpi, tile % tpi / tl.tiles_w, tile % tl.tiles_w);
+        skipped_bytes += (y.elems * 4) as u64;
+        // The destination writes zeros without receiving the tile;
+        // assert-equivalent because prediction is conservative (every
+        // neuron was <= 0).
+        for oy in ty * m..((ty + 1) * m).min(out_shape.h) {
+            for ox in tx * m..((tx + 1) * m).min(out_shape.w) {
+                out[(b, j, oy, ox)] = 0.0;
             }
         }
     }

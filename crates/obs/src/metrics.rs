@@ -179,6 +179,9 @@ pub enum MetricKey {
     ServeRejectedShutdown,
     /// Jobs a worker actually executed (completed or failed).
     ServeJobsExecuted,
+    /// Executed jobs that panicked; each ended `failed`, and its worker
+    /// went on serving.
+    ServeJobPanics,
     /// Gauge: resident bytes of the result cache after the last insert
     /// or eviction.
     ServeCacheBytes,
@@ -289,6 +292,7 @@ impl MetricKey {
             MetricKey::ServeRejectedOverload,
             MetricKey::ServeRejectedShutdown,
             MetricKey::ServeJobsExecuted,
+            MetricKey::ServeJobPanics,
             MetricKey::ServeCacheBytes,
             MetricKey::OptConfigsEvaluated,
             MetricKey::OptMemoHits,
@@ -361,6 +365,7 @@ impl MetricKey {
             MetricKey::ServeRejectedOverload => "serve.rejected_overload".to_string(),
             MetricKey::ServeRejectedShutdown => "serve.rejected_shutdown".to_string(),
             MetricKey::ServeJobsExecuted => "serve.jobs_executed".to_string(),
+            MetricKey::ServeJobPanics => "serve.job_panics".to_string(),
             MetricKey::ServeCacheBytes => "serve.cache_bytes".to_string(),
             MetricKey::OptConfigsEvaluated => "opt.configs_evaluated".to_string(),
             MetricKey::OptMemoHits => "opt.memo_hits".to_string(),

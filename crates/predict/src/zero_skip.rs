@@ -13,8 +13,9 @@
 //!   (`Bᵀ x`), which preserves zero *columns* — hence the paper's larger
 //!   64.7 % (1-D) vs 39.3 % (2-D) scatter savings.
 
+use wmpt_par::ParPool;
 use wmpt_tensor::Tensor4;
-use wmpt_winograd::{to_spatial_tiles, WinogradTransform};
+use wmpt_winograd::{to_spatial_tiles, to_winograd_input_par, WinogradTransform};
 
 /// A bitmap over the values of a tile payload: `true` marks values that
 /// are transferred, `false` marks skipped (zero or predicted-dead) values.
@@ -100,53 +101,40 @@ impl ActivationMap {
 }
 
 /// Zero fraction of the fully 2-D-transformed input tiles (`Bᵀ x B`) —
-/// the scatter payload of the 16-group configuration.
+/// the scatter payload of the 16-group configuration. Counts the zeros of
+/// the very tensor MPT scatters, [`to_winograd_input_par`].
 pub fn scatter_zero_fraction_2d(x: &Tensor4, tf: &WinogradTransform) -> f64 {
-    let tiles = to_spatial_tiles(x, tf);
-    let t = tf.t();
-    let mut zeros = 0usize;
-    let mut total = 0usize;
-    for tile in 0..tiles.tiles {
-        for c in 0..tiles.chans {
-            let spatial = tiles.gather_tile(tile, c);
-            let tx = tf.input_2d(&spatial);
-            zeros += tx.iter().filter(|v| **v == 0.0).count();
-            total += t * t;
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        zeros as f64 / total as f64
-    }
+    let wx = to_winograd_input_par(&ParPool::serial(), x, tf);
+    let zeros = wx.data.iter().filter(|v| **v == 0.0).count();
+    fraction(zeros, wx.data.len())
 }
 
 /// Zero fraction of half-transformed input lines (`Bᵀ x`, 1-D only) — the
-/// scatter payload of the 4-group configuration.
+/// scatter payload of the 4-group configuration. Value `(i, j)` of a
+/// tile's `Z = Bᵀ x` mixes column `j` of `x` only: one f64 sum over `k`
+/// in ascending order, tested against zero in f64, for every (tile,
+/// channel) of the spatial tiles' element runs at once.
 pub fn scatter_zero_fraction_1d(x: &Tensor4, tf: &WinogradTransform) -> f64 {
-    let tiles = to_spatial_tiles(x, tf);
-    let t = tf.t();
-    let b_t = tf.b_t();
+    let sp = to_spatial_tiles(x, tf);
+    let (t, b_t) = (tf.t(), tf.b_t());
     let mut zeros = 0usize;
-    let mut total = 0usize;
-    for tile in 0..tiles.tiles {
-        for c in 0..tiles.chans {
-            let spatial = tiles.gather_tile(tile, c);
-            // Z = B^T * x : column j of Z mixes column j of x only.
-            for j in 0..t {
-                for i in 0..t {
-                    let mut s = 0.0f64;
-                    for k in 0..t {
-                        s += b_t.row(i)[k] * spatial[k * t + j] as f64;
-                    }
-                    if s == 0.0 {
-                        zeros += 1;
-                    }
-                    total += 1;
-                }
-            }
+    for j in 0..t {
+        let cols: Vec<&[f32]> = (0..t).map(|k| sp.elem_matrix(k * t + j)).collect();
+        for i in 0..t {
+            let coeffs = b_t.row(i);
+            zeros += (0..sp.tiles * sp.chans)
+                .filter(|&at| {
+                    let s = (0..t).fold(0.0f64, |s, k| s + coeffs[k] * cols[k][at] as f64);
+                    s == 0.0
+                })
+                .count();
         }
     }
+    fraction(zeros, sp.data.len())
+}
+
+/// `zeros / total`, or zero for an empty map.
+fn fraction(zeros: usize, total: usize) -> f64 {
     if total == 0 {
         0.0
     } else {

@@ -36,6 +36,10 @@
 //! ignore `pause` and keep executing until the queue is empty, so a
 //! shutdown snapshot never contains a non-terminal job.
 //!
+//! A job that panics ends `failed` ("job panicked: …", a **500** to a
+//! waiting client) and is counted under `serve.job_panics`; its worker
+//! catches the unwind and goes on serving the queue.
+//!
 //! Identical in-flight requests are *coalesced* (single-flight): the
 //! second submission of a queued/running content hash attaches to the
 //! existing job instead of enqueueing a duplicate, counted under
@@ -49,6 +53,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -59,6 +64,7 @@ use crate::hash::{hash_hex, parse_hash_hex};
 use crate::http::{read_request, write_response, write_response_with, Request};
 use crate::lifecycle::{LifeRecord, LifecycleTrace, Stage, DEFAULT_TRACE_CAP};
 use crate::request::SimRequest;
+use crate::result::SimResult;
 use crate::runner::run_request;
 use wmpt_analyze::{collapsed_stacks, flame_svg, timeline_svg};
 use wmpt_obs::json::{self, num, obj, s, Value};
@@ -251,6 +257,11 @@ impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
     /// starts the accept loop and workers.
     pub fn bind(addr: &str, config: ServeConfig) -> io::Result<Server> {
+        Self::bind_with(addr, config, run_request)
+    }
+
+    /// [`Server::bind`] with the workers executing jobs through `run`.
+    fn bind_with(addr: &str, config: ServeConfig, run: Runner) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -288,7 +299,7 @@ impl Server {
         for widx in 0..config.workers.max(1) {
             let sh = Arc::clone(&shared);
             let jobs = config.jobs;
-            worker_handles.push(thread::spawn(move || worker_loop(&sh, jobs, widx)));
+            worker_handles.push(thread::spawn(move || worker_loop(&sh, jobs, widx, run)));
         }
         let queue_depth = config.queue_depth;
         let accept_shared = Arc::clone(&shared);
@@ -365,10 +376,31 @@ impl Server {
     }
 }
 
+/// How a worker executes one job: [`run_request`], or a stand-in in the
+/// tests.
+type Runner = fn(&SimRequest, &ParPool) -> Result<SimResult, String>;
+
+/// Runs one job through `run`, turning a panic into that job's failure so
+/// the job still ends and its worker lives on. The flag says whether it
+/// panicked.
+fn run_caught(run: Runner, req: &SimRequest, pool: &ParPool) -> (Result<SimResult, String>, bool) {
+    match panic::catch_unwind(AssertUnwindSafe(|| run(req, pool))) {
+        Ok(outcome) => (outcome, false),
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|m| m.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string payload".to_string());
+            (Err(format!("job panicked: {msg}")), true)
+        }
+    }
+}
+
 /// One worker: pop, execute on a private deterministic pool, publish —
 /// and leave a `queue_wait` + `execute` span pair on its own lifecycle
 /// track.
-fn worker_loop(shared: &Shared, jobs: usize, widx: usize) {
+fn worker_loop(shared: &Shared, jobs: usize, widx: usize, run: Runner) {
     let pool = ParPool::new(jobs.max(1));
     let track = format!("worker{widx}");
     loop {
@@ -404,7 +436,7 @@ fn worker_loop(shared: &Shared, jobs: usize, widx: usize) {
             ],
         );
         let started = Instant::now();
-        let outcome = run_request(&job.req, &pool);
+        let (outcome, panicked) = run_caught(run, &job.req, &pool);
         let latency_us = started.elapsed().as_secs_f64() * 1e6;
         let done_us = shared.now_us().max(dequeued_us);
         let status = match &outcome {
@@ -413,6 +445,9 @@ fn worker_loop(shared: &Shared, jobs: usize, widx: usize) {
         };
         let mut st = shared.state.lock().expect("state lock");
         st.metrics.inc(MetricKey::ServeJobsExecuted, 1);
+        if panicked {
+            st.metrics.inc(MetricKey::ServeJobPanics, 1);
+        }
         st.metrics
             .observe(MetricKey::HistServeLatencyUs, latency_us);
         st.metrics
@@ -1046,6 +1081,45 @@ mod tests {
         assert_eq!(report.metrics.counter(MetricKey::ServeCacheHits), 1);
         assert_eq!(report.metrics.counter(MetricKey::ServeCacheMisses), 1);
         assert_eq!(report.metrics.counter(MetricKey::ServeJobsExecuted), 1);
+        assert!(report.fully_drained());
+    }
+
+    /// Panics on `wrn` plan requests and runs everything else normally.
+    fn panic_on_wrn(req: &SimRequest, pool: &ParPool) -> Result<SimResult, String> {
+        if let SimRequest::Plan { network, .. } = req {
+            if network == "wrn" {
+                panic!("boom on {network}");
+            }
+        }
+        run_request(req, pool)
+    }
+
+    #[test]
+    fn panicking_job_fails_and_its_worker_keeps_serving() {
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let server = Server::bind_with("127.0.0.1:0", config, panic_on_wrn).expect("bind");
+        let addr = server.addr().to_string();
+        let plan = |net: &str| format!(r#"{{"kind":"plan","network":"{net}","config":"w_mp++"}}"#);
+        // A job left `Running` would block this wait forever: bound it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (a, body) = (addr.clone(), plan("wrn"));
+        thread::spawn(move || tx.send(post_job(&a, &body, true)));
+        let bad = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the panicking job never ended");
+        let text = bad.text();
+        assert_eq!(bad.status, 500, "{text}");
+        assert!(text.contains(r#""status":"failed""#), "{text}");
+        assert!(text.contains("job panicked: boom on wrn"), "{text}");
+        // The one worker survived the panic and runs the next job.
+        let good = post_job(&addr, &plan("table2"), true);
+        assert_eq!(good.status, 200, "{}", good.text());
+        let report = server.shutdown();
+        assert_eq!(report.metrics.counter(MetricKey::ServeJobPanics), 1);
+        assert_eq!(report.metrics.counter(MetricKey::ServeJobsExecuted), 2);
         assert!(report.fully_drained());
     }
 

@@ -13,7 +13,8 @@
 //! registers and, when `k ≤ KC`, writes f32 straight into the output. An
 //! f64 accumulator strip carries the tile across `KC` crossings only.
 //! Edge tiles run the same code on zero-padded lanes and write back only
-//! their live lanes.
+//! their live lanes. Every product runs this kernel, however small; the
+//! naive [`gemm_f32_ref`] is only the tests' frozen oracle.
 //!
 //! # Two instantiations, one body
 //!
@@ -76,17 +77,12 @@ pub const KC: usize = 256;
 /// a multiple of [`NR`].
 pub const NC: usize = 256;
 
-/// Below this many multiply-adds (`m·k·n`) the packing overhead is not
-/// worth paying and the reference kernel runs instead. Safe to tune
-/// freely: both paths produce identical bits.
-const BLOCKED_MIN_MACS: usize = 4096;
-
 const _: () = assert!(MC.is_multiple_of(MR), "MC must be a multiple of MR");
 const _: () = assert!(NC.is_multiple_of(NR), "NC must be a multiple of NR");
 
 /// Naive triple-loop f32 GEMM with f64 accumulation — the frozen oracle
-/// the blocked kernel is held bit-identical to in the tests. Its row loop
-/// is also [`gemm_f32_par`]'s kernel below the size cutoff.
+/// the blocked kernel is held bit-identical to in the tests, and the
+/// naive baseline of the `kernels` roofline. No production path runs it.
 ///
 /// `a` is `ar × ac`; when `ta` it is used as `ac × ar` (transposed read).
 /// `b` has `bc` columns (rows inferred from `k`); when `tb`, `b` is read
@@ -107,39 +103,15 @@ pub fn gemm_f32_ref(
     ta: bool,
     tb: bool,
 ) {
-    let (m, _) = if ta { (ac, ar) } else { (ar, ac) };
+    let (m, k) = if ta { (ac, ar) } else { (ar, ac) };
     assert_eq!(
         out.len(),
         m * bc,
         "gemm_f32_ref: out length {} does not match {m}x{bc} product",
         out.len()
     );
-    gemm_rows_ref(a, ar, ac, b, bc, out, ta, tb, 0);
-}
-
-/// Computes rows `row0 .. row0 + out.len()/bc` of the product into `out`
-/// with the naive per-element loop. Shared by the reference entry point
-/// and the small-problem bands of [`gemm_f32_par`].
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows_ref(
-    a: &[f32],
-    ar: usize,
-    ac: usize,
-    b: &[f32],
-    bc: usize,
-    out: &mut [f32],
-    ta: bool,
-    tb: bool,
-    row0: usize,
-) {
-    let k = if ta { ar } else { ac };
     let n = bc;
-    if n == 0 {
-        return;
-    }
-    let rows = out.len() / n;
-    for ri in 0..rows {
-        let i = row0 + ri;
+    for i in 0..m {
         for j in 0..n {
             let mut acc = 0.0f64;
             for l in 0..k {
@@ -147,7 +119,7 @@ fn gemm_rows_ref(
                 let bv = if tb { b[j * k + l] } else { b[l * n + j] };
                 acc += av as f64 * bv as f64;
             }
-            out[ri * n + j] = acc as f32;
+            out[i * n + j] = acc as f32;
         }
     }
 }
@@ -551,12 +523,11 @@ pub fn tile_sweep(ap: &[f32], bp: &PackedB, rounds: usize) -> f64 {
 
 /// f32 GEMM with f64 accumulation — the one matrix multiply every numeric
 /// path in the workspace funnels through. Output rows are computed in
-/// fixed [`GEMM_ROW_CHUNK`]-row bands distributed across `pool`. Above the
-/// `BLOCKED_MIN_MACS` cutoff every band runs the blocked panel-packed
-/// kernel against one shared packed copy of `B`; below it, the naive
-/// reference loop. Both produce identical bits (see module docs), so the
-/// cutoff is a pure performance knob and the result is the same for any
-/// `jobs` value.
+/// fixed [`GEMM_ROW_CHUNK`]-row bands distributed across `pool`, every
+/// band running the blocked panel-packed kernel against one shared packed
+/// copy of `B`, whatever the problem size. The bits equal
+/// [`gemm_f32_ref`]'s (see module docs), so the result is the same for
+/// any `jobs` value.
 ///
 /// `a` is `ar × ac`; when `ta` it is used as `ac × ar` (transposed read).
 /// `b` has `bc` columns (rows inferred from `k`); when `tb`, `b` is read
@@ -586,12 +557,6 @@ pub fn gemm_f32_par(
         "gemm_f32_par: out length {} does not match {m}x{bc} product",
         out.len()
     );
-    if m * k * bc < BLOCKED_MIN_MACS {
-        pool.for_each_chunk_mut(out, GEMM_ROW_CHUNK * bc, |ci, band| {
-            gemm_rows_ref(a, ar, ac, b, bc, band, ta, tb, ci * GEMM_ROW_CHUNK);
-        });
-        return;
-    }
     let bp = pack_b(b, k, bc, tb);
     pool.for_each_chunk_mut(out, GEMM_ROW_CHUNK * bc, |ci, band| {
         gemm_f32_packed_rows(a, ar, ac, ta, &bp, band, ci * GEMM_ROW_CHUNK);
@@ -629,9 +594,9 @@ mod tests {
     #[test]
     fn gemm_par_is_bit_identical_for_any_jobs() {
         // Odd sizes so the last row band is partial, all four transpose
-        // combinations so every indexing path is covered. One shape is
-        // large enough (m > GEMM_ROW_CHUNK, macs > cutoff) for the blocked
-        // multi-band path, one small enough for the reference bands.
+        // combinations so every indexing path is covered. One shape spans
+        // several bands (m > GEMM_ROW_CHUNK), one is a tiny single-band
+        // product.
         for (m, k, n) in [(131, 13, 11), (70, 3, 5)] {
             let a = random(m * k, 1);
             let bv = random(k * n, 3);
@@ -654,8 +619,8 @@ mod tests {
     }
 
     /// Shapes straddling every blocking boundary: microkernel edges
-    /// (m % MR, n % NR), block edges (MC, KC, NC crossings), and the
-    /// small-problem cutoff on both sides.
+    /// (m % MR, n % NR), block edges (MC, KC, NC crossings), and tiny
+    /// products next to large ones.
     const EDGE_SHAPES: [(usize, usize, usize); 6] = [
         (1, 1, 1),
         (3, 5, 7),
@@ -674,7 +639,7 @@ mod tests {
                 let (ar, ac) = if ta { (k, m) } else { (m, k) };
                 let mut reference = vec![0.0f32; m * n];
                 gemm_f32_ref(&a, ar, ac, &bv, n, &mut reference, ta, tb);
-                // Force the blocked path regardless of the size cutoff.
+                // The packed-rows entry point, bypassing the band split.
                 let bp = pack_b(&bv, k, n, tb);
                 let mut blocked = vec![0.0f32; m * n];
                 gemm_f32_packed_rows(&a, ar, ac, ta, &bp, &mut blocked, 0);

@@ -77,7 +77,7 @@ fn blocked_gemm_bit_identical_to_reference_for_random_shapes() {
             let mut reference = vec![0.0f32; m * n];
             gemm_f32_ref(&a, ar, ac, &b, n, &mut reference, ta, tb);
 
-            // Blocked path forced, regardless of the size cutoff.
+            // The packed-rows entry point on the whole product, one band.
             let bp = pack_b(&b, k, n, tb);
             let mut blocked = vec![0.0f32; m * n];
             gemm_f32_packed_rows(&a, ar, ac, ta, &bp, &mut blocked, 0);
@@ -87,8 +87,8 @@ fn blocked_gemm_bit_identical_to_reference_for_random_shapes() {
                 "blocked {m}x{k}x{n} ta={ta} tb={tb}"
             );
 
-            // The dispatching entry point (may pick either kernel — same
-            // bits) at every gated jobs value, one job included.
+            // The banded entry point (the blocked kernel on every shape)
+            // at every gated jobs value, one job included.
             for jobs in [1usize, 2, 7] {
                 let pool = ParPool::new(jobs);
                 let mut par = vec![0.0f32; m * n];

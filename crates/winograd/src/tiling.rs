@@ -95,7 +95,9 @@ impl Tiling {
 /// `tiles` counts tiles across the whole batch (`B · tiles_per_image`).
 /// The tiling kernels move a tile's channels as whole contiguous runs and
 /// do not use [`Self::gather_tile`]/[`Self::scatter_tile`]; those
-/// one-channel accessors remain for the activation predictor.
+/// one-channel accessors serve per-tile readers (the activation
+/// predictor's `predict_tensor` and its statistics) and the tests'
+/// frozen oracles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WgTensor {
     /// Number of tile elements (`T²`).
@@ -330,7 +332,8 @@ impl Windows {
 
 /// Gathers, transforms and stores every tile of image `b` of `src` into
 /// the image's element runs (see [`fill_per_image`]) — the per-image work
-/// unit of [`to_winograd_input_par`] and [`output_grad_to_winograd_par`].
+/// unit of [`to_winograd_input_par`], [`output_grad_to_winograd_par`] and
+/// [`to_spatial_tiles`].
 fn image_windows_into<T>(
     src: &Tensor4,
     b: usize,
@@ -424,32 +427,15 @@ pub fn to_winograd_input_par(pool: &ParPool, x: &Tensor4, tf: &WinogradTransform
 
 /// Extracts *untransformed* spatial tiles in the same element-major layout
 /// (used by the zero-skip analysis of `wmpt-predict`, which counts zeros
-/// in the spatial tiles before and after the input transform).
+/// in the half-transformed lines `Bᵀ x` of these tiles): the gather of
+/// [`to_winograd_input_par`] with a copy in place of the transform.
 pub fn to_spatial_tiles(x: &Tensor4, tf: &WinogradTransform) -> WgTensor {
     let s = x.shape();
     let tl = Tiling::new(tf, s.h, s.w);
-    let t = tl.t;
-    let tpi = tl.tiles_per_image();
-    let mut out = WgTensor::zeros(t * t, s.n * tpi, s.c);
-    let mut tile_buf = vec![0.0f32; t * t];
-    for b in 0..s.n {
-        for c in 0..s.c {
-            for ty in 0..tl.tiles_h {
-                for tx in 0..tl.tiles_w {
-                    let (oy, ox) = tl.tile_origin(ty, tx);
-                    for u in 0..t {
-                        for v in 0..t {
-                            tile_buf[u * t + v] =
-                                x.get_padded(b, c, oy + u as isize, ox + v as isize);
-                        }
-                    }
-                    let tile_idx = b * tpi + ty * tl.tiles_w + tx;
-                    out.scatter_tile(tile_idx, c, &tile_buf);
-                }
-            }
-        }
-    }
-    out
+    let win = Windows::input(&tl, s);
+    fill_per_image(&ParPool::serial(), &tl, s.n, s.c, |b, runs| {
+        image_windows_into(x, b, &win, &tl, |x, _, _, o| o.copy_from_slice(x), runs)
+    })
 }
 
 /// Transforms spatial weights `(J, I, r, r)` into Winograd-domain weights
