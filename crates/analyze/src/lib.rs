@@ -65,6 +65,8 @@
 //! # Ok::<(), String>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod critpath;
 pub mod flame;

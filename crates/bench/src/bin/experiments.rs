@@ -32,6 +32,8 @@
 //! here and are live on `mpt_sim` runs, where a span sink is attached.
 //! Lines print in submission order — deterministic for any `--jobs`.
 
+#![forbid(unsafe_code)]
+
 use std::env;
 use std::time::Instant;
 

@@ -67,6 +67,8 @@
 //! in shard-index order, and traces concatenate in config order, so the
 //! written files match a serial run byte-for-byte.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::env;
 use std::fs::File;

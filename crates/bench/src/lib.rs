@@ -8,6 +8,8 @@
 //! and the plain-harness benches under `benches/` ([`timing`]) time the
 //! underlying kernels and ablations.
 
+#![forbid(unsafe_code)]
+
 pub mod comm_breakdown;
 pub mod fig01;
 pub mod fig06;

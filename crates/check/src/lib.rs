@@ -35,6 +35,8 @@
 //!
 //! [`Rng64`]: wmpt_tensor::Rng64
 
+#![forbid(unsafe_code)]
+
 pub mod approx;
 pub mod case;
 pub mod runner;

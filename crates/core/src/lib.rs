@@ -34,6 +34,8 @@
 //! assert!(full.total_cycles() < dp.total_cycles()); // late layers love MPT
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod config;
 pub mod exec;

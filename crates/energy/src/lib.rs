@@ -24,6 +24,8 @@
 //! assert!(e.total_j() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 /// Energy constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {

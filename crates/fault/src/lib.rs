@@ -30,6 +30,8 @@
 //! assert_eq!(plan, FaultPlan::scenario(Scenario::SingleLink, GridShape::paper(), 7, 100_000));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod degraded;
 pub mod event;
 pub mod plan;

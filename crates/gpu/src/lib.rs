@@ -24,6 +24,8 @@
 //! assert!(speedup > 2.0 && speedup < 8.0); // sub-linear
 //! ```
 
+#![forbid(unsafe_code)]
+
 use wmpt_models::Network;
 
 /// V100 + NVLink parameters.

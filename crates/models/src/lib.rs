@@ -21,6 +21,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod fractalnet;
 pub mod layer;
 pub mod network;

@@ -26,6 +26,8 @@
 //! assert!(cost.cycles >= cost.compute_cycles.min(cost.dram_cycles));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod comm_unit;
 pub mod dram;

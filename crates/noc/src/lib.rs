@@ -38,6 +38,8 @@
 //! assert_eq!(cfg, ClusterConfig::new(16, 16));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analytical;
 pub mod clustering;
 pub mod collective;

@@ -131,6 +131,8 @@
 //! assert!(obs.metrics.render_table().contains("noc.flits_injected.tile_scatter"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod hash;
 pub mod json;
 pub mod log;

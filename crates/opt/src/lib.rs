@@ -36,6 +36,8 @@
 //! must agree within the `oracle_analytical.rs` tolerance class
 //! (sim/model ratio in `[0.5, 2.0)`).
 
+#![forbid(unsafe_code)]
+
 pub mod memo;
 pub mod plan;
 pub mod search;

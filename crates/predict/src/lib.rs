@@ -39,6 +39,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bounds;
 pub mod observe;
 pub mod predictor;

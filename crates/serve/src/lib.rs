@@ -32,6 +32,8 @@
 //!   metrics (JSON or Prometheus text), rolling latency windows behind
 //!   `/healthz`, and structured JSONL logging.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod hash;
 pub mod http;

@@ -29,6 +29,8 @@
 //! assert_eq!(q.pop(), None);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 

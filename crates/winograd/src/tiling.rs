@@ -9,12 +9,14 @@
 //! `T²` independent GEMMs of the paper's Eq. 2 and the unit of intra-tile
 //! parallelism that MPT distributes across groups.
 //!
-//! The four tiling kernels work one tile position at a time, all channels
-//! at once: they gather the tile's `T²` (or `m²`) positions as contiguous
-//! `chans`-long lanes, make one call to the lane kernel of
-//! [`crate::transform`], and move each position's lane to or from its
-//! destination as one run. Per image they allocate three buffers, never
-//! one per tile.
+//! The four tiling kernels work one tile row at a time, all tiles and
+//! channels of the row at once: lane `tx·chans + c` holds channel `c` of
+//! tile `(ty, tx)`, so a row has `tiles_w·chans` lanes. They gather the
+//! row's `T²` (or `m²`) positions as contiguous lane runs, make one call
+//! to the lane kernel of [`crate::transform`], and move each position's
+//! run to or from its destination: a row's tiles are consecutive in a
+//! [`WgTensor`], so on that side each run is one copy. Per image they
+//! allocate three buffers, never one per row or tile.
 
 use wmpt_par::ParPool;
 use wmpt_tensor::{Shape4, Tensor4};
@@ -266,6 +268,7 @@ struct Windows {
     chans: usize,
     h: usize,
     w: usize,
+    tiles_w: usize,
 }
 
 impl Windows {
@@ -287,7 +290,13 @@ impl Windows {
             chans: shape.c,
             h: shape.h,
             w: shape.w,
+            tiles_w: tl.tiles_w,
         }
+    }
+
+    /// Lanes of one tile row: `tiles_w·chans`.
+    fn lanes(&self) -> usize {
+        self.tiles_w * self.chans
     }
 
     /// Calls `f(u·k + v, at)` for every position `(u, v)` of tile
@@ -312,28 +321,31 @@ impl Windows {
         }
     }
 
-    /// Gathers tile `(ty, tx)`'s window of `img` in lane layout,
-    /// `out[(u·k + v)·chans + c]`; positions outside the map read `0.0`.
-    fn gather(&self, img: &[f32], ty: usize, tx: usize, out: &mut [f32]) {
-        let (chans, plane) = (self.chans, self.h * self.w);
-        self.for_each(ty, tx, |uv, at| {
-            let lane = &mut out[uv * chans..(uv + 1) * chans];
-            match at {
-                Some(at) => {
-                    for (c, l) in lane.iter_mut().enumerate() {
-                        *l = img[c * plane + at];
+    /// Gathers the windows of tile row `ty` of `img` in row-lane layout,
+    /// `out[(u·k + v)·lanes + tx·chans + c]`; positions outside the map
+    /// read `0.0`.
+    fn gather_row(&self, img: &[f32], ty: usize, out: &mut [f32]) {
+        let (chans, plane, lanes) = (self.chans, self.h * self.w, self.lanes());
+        for tx in 0..self.tiles_w {
+            self.for_each(ty, tx, |uv, at| {
+                let lane = &mut out[uv * lanes + tx * chans..][..chans];
+                match at {
+                    Some(at) => {
+                        for (c, l) in lane.iter_mut().enumerate() {
+                            *l = img[c * plane + at];
+                        }
                     }
+                    None => lane.fill(0.0),
                 }
-                None => lane.fill(0.0),
-            }
-        });
+            });
+        }
     }
 }
 
-/// Gathers, transforms and stores every tile of image `b` of `src` into
-/// the image's element runs (see [`fill_per_image`]) — the per-image work
-/// unit of [`to_winograd_input_par`], [`output_grad_to_winograd_par`] and
-/// [`to_spatial_tiles`].
+/// Gathers, transforms and stores every tile row of image `b` of `src`
+/// into the image's element runs (see [`fill_per_image`]) — the per-image
+/// work unit of [`to_winograd_input_par`], [`output_grad_to_winograd_par`]
+/// and [`to_spatial_tiles`].
 fn image_windows_into<T>(
     src: &Tensor4,
     b: usize,
@@ -344,27 +356,25 @@ fn image_windows_into<T>(
 ) where
     T: Fn(&[f32], usize, &mut TileScratch, &mut [f32]),
 {
-    let chans = win.chans;
-    let len = chans * win.h * win.w;
+    let lanes = win.lanes();
+    let len = win.chans * win.h * win.w;
     let img = &src.as_slice()[b * len..(b + 1) * len];
-    let mut tile = vec![0.0f32; win.k * win.k * chans];
-    let mut wg = vec![0.0f32; tl.t * tl.t * chans];
+    let mut row = vec![0.0f32; win.k * win.k * lanes];
+    let mut wg = vec![0.0f32; tl.t * tl.t * lanes];
     let mut scratch = TileScratch::default();
     for ty in 0..tl.tiles_h {
-        for tx in 0..tl.tiles_w {
-            win.gather(img, ty, tx, &mut tile);
-            transform(&tile, chans, &mut scratch, &mut wg);
-            let at = (ty * tl.tiles_w + tx) * chans;
-            for (e, run) in runs.iter_mut().enumerate() {
-                run[at..at + chans].copy_from_slice(&wg[e * chans..(e + 1) * chans]);
-            }
+        win.gather_row(img, ty, &mut row);
+        transform(&row, lanes, &mut scratch, &mut wg);
+        let at = ty * lanes;
+        for (e, run) in runs.iter_mut().enumerate() {
+            run[at..at + lanes].copy_from_slice(&wg[e * lanes..(e + 1) * lanes]);
         }
     }
 }
 
-/// Transforms every tile of image `b` of `wg` and combines each result
-/// position into the image's contiguous NCHW slice `img` through `put`
-/// (positions outside the map are dropped). Tiles are visited in
+/// Transforms every tile row of image `b` of `wg` and combines each
+/// result position into the image's contiguous NCHW slice `img` through
+/// `put` (positions outside the map are dropped). Tiles are combined in
 /// `(ty, tx)` order, so every location combines its contributions in a
 /// fixed order — the per-image work unit of [`from_winograd_output_par`]
 /// and [`input_grad_to_spatial_par`].
@@ -380,22 +390,23 @@ fn image_tiles_into<T, P>(
     T: Fn(&[f32], usize, &mut TileScratch, &mut [f32]),
     P: Fn(&mut f32, f32),
 {
-    let (chans, plane) = (wg.chans, win.h * win.w);
+    let (chans, plane, lanes) = (wg.chans, win.h * win.w, win.lanes());
     let tpi = tl.tiles_per_image();
-    let mut tile = vec![0.0f32; wg.elems * chans];
-    let mut sp = vec![0.0f32; win.k * win.k * chans];
+    let mut row = vec![0.0f32; wg.elems * lanes];
+    let mut sp = vec![0.0f32; win.k * win.k * lanes];
     let mut scratch = TileScratch::default();
     for ty in 0..tl.tiles_h {
+        let first = (b * tpi + ty * tl.tiles_w) * chans;
+        for e in 0..wg.elems {
+            let at = e * wg.tiles * chans + first;
+            row[e * lanes..(e + 1) * lanes].copy_from_slice(&wg.data[at..at + lanes]);
+        }
+        transform(&row, lanes, &mut scratch, &mut sp);
         for tx in 0..tl.tiles_w {
-            let tile_idx = b * tpi + ty * tl.tiles_w + tx;
-            for e in 0..wg.elems {
-                let at = (e * wg.tiles + tile_idx) * chans;
-                tile[e * chans..(e + 1) * chans].copy_from_slice(&wg.data[at..at + chans]);
-            }
-            transform(&tile, chans, &mut scratch, &mut sp);
             win.for_each(ty, tx, |uv, at| {
                 if let Some(at) = at {
-                    for (c, v) in sp[uv * chans..(uv + 1) * chans].iter().enumerate() {
+                    let vals = &sp[uv * lanes + tx * chans..][..chans];
+                    for (c, v) in vals.iter().enumerate() {
                         put(&mut img[c * plane + at], *v);
                     }
                 }

@@ -25,9 +25,9 @@
 //! interleaved with the lane as the innermost, contiguous axis: input
 //! element `(k, j)` of lane `l` lives at `x[(k·n + j)·lanes + l]` and
 //! output element `(i, j)` at `out[(i·rows + j)·lanes + l]`. The tiling
-//! kernels make the lanes a tile position's channels, so one call
-//! transforms every channel of a tile, and the lane loops are plain slice
-//! loops the compiler vectorises.
+//! kernels make the lanes a whole tile row's channels, so one call
+//! transforms every channel of every tile in the row, and the lane loops
+//! are plain slice loops the compiler vectorises.
 //!
 //! Each lane runs the same scalar f64 arithmetic in the same order for any
 //! `lanes`: `tmp = M·X` starts from `0.0` and adds `M[i,k]·X[k,j]` over
@@ -36,7 +36,7 @@
 //! then rounds to f32 once. Lanes never mix and the coefficient matrices
 //! (with their transposes, built once at construction) are the same for
 //! every lane, so a tile's output bits — signed zeros included — do not
-//! depend on how many channels share the call. The `Vec`-returning
+//! depend on how many tiles share the call. The `Vec`-returning
 //! `*_2d` forms are the `lanes = 1` case of the same kernel.
 
 use std::fmt;

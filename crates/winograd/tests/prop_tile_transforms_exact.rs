@@ -5,17 +5,18 @@
 //! is frozen here as the oracle, the `gemm_f32_ref` pattern: the slow form
 //! whose arithmetic order is plain to read pins the bits of the fast one.
 //!
-//! Cases draw F(2,3), F(4,3) or F(2,5); odd and edge-cropped maps; batch
-//! 1–3; 1–17 channels (no multiple of a vector width is special); and jobs
-//! 1, 2 and 7. Inputs carry exact `+0.0`/`−0.0`, ReLU-style sparsity and,
-//! in some cases, infinities or two magnitudes 2⁶⁰ apart. `0·∞` is NaN,
-//! so a kernel that skips zero products diverges. With values of one
-//! magnitude the integer-coefficient transforms sum exactly in f64 in any
-//! order; mixing `{1, 3, 4, 5}·2³⁰` with `{1, 3, 4, 5}·2⁻³⁰` makes large
-//! terms cancel exactly while small ones are absorbed or not depending on
-//! when they are added, so a kernel that reorders a sum diverges too. NaN
-//! payloads are not part of the contract (IEEE 754 leaves open which NaN
-//! an operation returns), so every NaN compares as one value.
+//! Cases draw F(2,3), F(4,3) or F(2,5); odd and edge-cropped maps, 1–11
+//! high and 1–40 wide; batch 1–3; 1–17 channels (no multiple of a vector
+//! width is special); and jobs 1, 2 and 7. Inputs carry exact
+//! `+0.0`/`−0.0`, ReLU-style sparsity and, in some cases, infinities or
+//! two magnitudes 2⁶⁰ apart. `0·∞` is NaN, so a kernel that skips zero
+//! products diverges. With values of one magnitude the integer-coefficient
+//! transforms sum exactly in f64 in any order; mixing `{1, 3, 4, 5}·2³⁰`
+//! with `{1, 3, 4, 5}·2⁻³⁰` makes large terms cancel exactly while small
+//! ones are absorbed or not depending on when they are added, so a kernel
+//! that reorders a sum diverges too. NaN payloads are not part of the
+//! contract (IEEE 754 leaves open which NaN an operation returns), so
+//! every NaN compares as one value.
 
 use wmpt_check::{check, Case};
 use wmpt_par::ParPool;
@@ -258,7 +259,10 @@ fn tiling_kernels_match_the_frozen_per_tile_path_bitwise() {
         "tiling_kernels_match_the_frozen_per_tile_path_bitwise",
         |c| {
             let tf = transform(c);
-            let shape = c.shape4((1, 3), (1, 17), (1, 11), (1, 11));
+            // Up to 40 wide: a tile row then has up to 20·17 = 340 lanes,
+            // past the 64–128 of a training step's rows, and most lane
+            // counts are no multiple of a vector width.
+            let shape = c.shape4((1, 3), (1, 17), (1, 11), (1, 40));
             let tl = Tiling::new(&tf, shape.h, shape.w);
             let tiles = shape.n * tl.tiles_per_image();
             let x = salted(c, shape);

@@ -49,6 +49,8 @@
 //! assert_eq!(y.shape(), Shape4::new(1, 4, 8, 8)); // 'same' padding
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use wmpt_analyze as analyze;
 pub use wmpt_core as core;
 pub use wmpt_energy as energy;
