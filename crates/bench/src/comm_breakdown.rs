@@ -1,9 +1,9 @@
 //! Communication breakdown of whole-CNN training: how each configuration
 //! splits its communication between weight collectives and tile transfer
-//! (the trade-off dynamic clustering balances, §IV), from the host
-//! planner's per-layer view.
+//! (the trade-off dynamic clustering balances, §IV), from the per-layer
+//! network result the host plans with.
 
-use wmpt_core::{plan_network, SystemConfig, SystemModel};
+use wmpt_core::{simulate_network, SystemConfig, SystemModel};
 use wmpt_models::{fractalnet, resnet34, wrn_40_10};
 
 use crate::{f, row};
@@ -19,8 +19,8 @@ pub fn run() -> String {
     ));
     for net in [wrn_40_10(), resnet34(), fractalnet()] {
         for sys in [SystemConfig::WDp, SystemConfig::WMp, SystemConfig::WMpPD] {
-            let plan = plan_network(&model, &net, sys);
-            let coll: f64 = plan.layers.iter().map(|l| l.collective_cycles).sum();
+            let plan = simulate_network(&model, &net, sys);
+            let coll: f64 = plan.layers.iter().map(|l| l.collective.cycles).sum();
             let tile: f64 = plan.layers.iter().map(|l| l.tile_comm_cycles).sum();
             out.push_str(&row(
                 &format!("{} {}", net.name, sys.abbrev()),
@@ -48,7 +48,7 @@ mod tests {
     fn dp_is_all_collective_everywhere() {
         let model = SystemModel::paper_fp16();
         for net in [wrn_40_10(), resnet34()] {
-            let plan = plan_network(&model, &net, SystemConfig::WDp);
+            let plan = simulate_network(&model, &net, SystemConfig::WDp);
             assert_eq!(plan.collective_fraction(), 1.0, "{}", net.name);
         }
     }
@@ -56,10 +56,10 @@ mod tests {
     #[test]
     fn mpt_shifts_communication_to_tiles() {
         let model = SystemModel::paper_fp16();
-        let plan_dp = plan_network(&model, &wrn_40_10(), SystemConfig::WDp);
-        let plan_mp = plan_network(&model, &wrn_40_10(), SystemConfig::WMp);
-        let coll = |p: &wmpt_core::TrainingPlan| -> f64 {
-            p.layers.iter().map(|l| l.collective_cycles).sum()
+        let plan_dp = simulate_network(&model, &wrn_40_10(), SystemConfig::WDp);
+        let plan_mp = simulate_network(&model, &wrn_40_10(), SystemConfig::WMp);
+        let coll = |p: &wmpt_core::NetworkResult| -> f64 {
+            p.layers.iter().map(|l| l.collective.cycles).sum()
         };
         assert!(
             coll(&plan_mp) < coll(&plan_dp),

@@ -80,7 +80,7 @@ pub fn obs_report() -> Value {
         ("total_cycles", num(r.total_cycles())),
         ("forward_cycles", num(r.forward.cycles)),
         ("backward_cycles", num(r.backward.cycles)),
-        ("collective_cycles", num(r.collective_cycles)),
+        ("collective_cycles", num(r.collective.cycles)),
         ("tile_comm_cycles", num(r.tile_comm_cycles)),
         ("analysis", Value::Obj(analysis)),
         ("phases", Value::Arr(phases)),

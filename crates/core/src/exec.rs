@@ -133,6 +133,25 @@ pub struct PhaseResult {
     pub energy: EnergyBreakdown,
 }
 
+/// The weight collective a layer runs in its backward pass, as the
+/// execution model charged it. The planner's differential validation
+/// (`wmpt-opt`) rebuilds exactly this collective on the event simulator
+/// and bounds the analytical/event ratio; the observed entry points
+/// record its counters from these fields.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CollectiveParams {
+    /// Message bytes each ring member contributes (`|W|/N_g`).
+    pub msg_bytes: u64,
+    /// Ring membership count.
+    pub ring_len: usize,
+    /// Ring link bandwidth, bytes/cycle.
+    pub bandwidth: f64,
+    /// Host-stitching latency added per hop.
+    pub extra_hop_latency: u64,
+    /// Closed-form completion cycles charged to the layer.
+    pub cycles: f64,
+}
+
 /// Result of simulating one layer's training iteration.
 #[derive(Debug, Clone)]
 pub struct LayerResult {
@@ -146,10 +165,13 @@ pub struct LayerResult {
     pub forward: PhaseResult,
     /// Backward pass (bprop + updateGrad).
     pub backward: PhaseResult,
-    /// Weight-collective portion of the backward communication (cycles).
-    pub collective_cycles: f64,
+    /// The weight collective of the backward pass; its `cycles` are the
+    /// collective portion of the backward communication.
+    pub collective: CollectiveParams,
     /// Tile-transfer portion of the communication, fwd + bwd (cycles).
     pub tile_comm_cycles: f64,
+    /// Per-stage breakdown, read by [`crate::observe`].
+    pub(crate) detail: ExecDetail,
 }
 
 impl LayerResult {
@@ -175,25 +197,11 @@ pub(crate) struct CommPhase {
     pub payload_bytes: u64,
 }
 
-/// The weight collective's parameters, for observation.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CollectiveDetail {
-    /// Message bytes each ring member contributes.
-    pub msg_bytes: u64,
-    /// Ring membership count.
-    pub ring_len: usize,
-    /// Ring link bandwidth, bytes/cycle.
-    pub bandwidth: f64,
-    /// Host-stitching latency added per hop.
-    pub extra_hop_latency: u64,
-    /// Closed-form completion cycles.
-    pub cycles: f64,
-}
-
-/// Per-stage/per-phase breakdown collected while executing a layer, used
-/// by [`crate::observe`] to emit spans and metrics. Cheap to build (a few
-/// small vectors next to the topology allocations the execution already
-/// makes) and never exposed publicly.
+/// Per-stage/per-phase breakdown collected while executing a layer and
+/// carried on its [`LayerResult`], used by [`crate::observe`] to emit
+/// spans and metrics. Cheap to build (a few small vectors next to the
+/// topology allocations the execution already makes) and never exposed
+/// publicly.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExecDetail {
     /// Forward NDP stages `(name, busy cycles)` in dataflow order.
@@ -204,8 +212,6 @@ pub(crate) struct ExecDetail {
     pub fwd_comm: Vec<CommPhase>,
     /// Backward tile-transfer sub-phases in order.
     pub bwd_comm: Vec<CommPhase>,
-    /// Weight collective, if any.
-    pub collective: Option<CollectiveDetail>,
     /// Per-worker forward local cost.
     pub fwd_cost: WorkerCost,
     /// Per-worker backward local cost.
@@ -246,55 +252,6 @@ pub fn simulate_layer_with(
     sys: SystemConfig,
     cfg: ClusterConfig,
 ) -> LayerResult {
-    simulate_layer_with_detail(model, layer, sys, cfg).0
-}
-
-/// The weight collective a layer would run under an explicit worker
-/// organization, exposed for the parallelism auto-search's differential
-/// validation (`wmpt-opt` rebuilds exactly this collective on the event
-/// simulator and bounds the analytical/event ratio).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CollectiveParams {
-    /// Message bytes each ring member contributes (`|W|/N_g`).
-    pub msg_bytes: u64,
-    /// Ring membership count.
-    pub ring_len: usize,
-    /// Ring link bandwidth, bytes/cycle.
-    pub bandwidth: f64,
-    /// Host-stitching latency added per hop.
-    pub extra_hop_latency: u64,
-    /// Closed-form completion cycles charged to the layer.
-    pub cycles: f64,
-}
-
-/// Returns the weight-collective parameters of `layer` under `cfg`, or
-/// `None` when the layer runs without a weight collective. A narrow
-/// public window onto the execution breakdown: the full `ExecDetail`
-/// stays crate-private.
-pub fn collective_params(
-    model: &SystemModel,
-    layer: &ConvLayerSpec,
-    sys: SystemConfig,
-    cfg: ClusterConfig,
-) -> Option<CollectiveParams> {
-    let (_, det) = simulate_layer_with_detail(model, layer, sys, cfg);
-    det.collective.map(|c| CollectiveParams {
-        msg_bytes: c.msg_bytes,
-        ring_len: c.ring_len,
-        bandwidth: c.bandwidth,
-        extra_hop_latency: c.extra_hop_latency,
-        cycles: c.cycles,
-    })
-}
-
-/// Like [`simulate_layer_with`], additionally returning the execution
-/// breakdown for the observability layer.
-pub(crate) fn simulate_layer_with_detail(
-    model: &SystemModel,
-    layer: &ConvLayerSpec,
-    sys: SystemConfig,
-    cfg: ClusterConfig,
-) -> (LayerResult, ExecDetail) {
     let tf = if layer.winograd_friendly() {
         sys.transform_for(layer.r, cfg.n_g)
     } else {
@@ -306,13 +263,36 @@ pub(crate) fn simulate_layer_with_detail(
     }
 }
 
+/// The weight collective of `msg_bytes` per member around the rings of
+/// `cfg`, stitched through the host where a ring spans physical groups.
+fn weight_collective(
+    model: &SystemModel,
+    sys: SystemConfig,
+    cfg: ClusterConfig,
+    msg_bytes: u64,
+) -> CollectiveParams {
+    let extra_hop_latency =
+        cfg.host_traversals(model.group_size) as u64 * 2 * model.noc.hop_latency()
+            / cfg.ring_len().max(1) as u64;
+    let bandwidth = model.ring_bandwidth(sys);
+    CollectiveParams {
+        msg_bytes,
+        ring_len: cfg.ring_len(),
+        bandwidth,
+        extra_hop_latency,
+        cycles: ring_collective_cycles(
+            msg_bytes,
+            cfg.ring_len(),
+            bandwidth,
+            &model.noc,
+            extra_hop_latency,
+        ),
+    }
+}
+
 /// Direct convolution under data parallelism (`d_dp`, and any layer that
 /// cannot run in the Winograd domain).
-fn direct_layer_exec(
-    model: &SystemModel,
-    layer: &ConvLayerSpec,
-    sys: SystemConfig,
-) -> (LayerResult, ExecDetail) {
+fn direct_layer_exec(model: &SystemModel, layer: &ConvLayerSpec, sys: SystemConfig) -> LayerResult {
     let p = model.workers as u64;
     let cfg = ClusterConfig::data_parallel(model.workers);
     let b_local = (model.batch as u64).div_ceil(p);
@@ -354,15 +334,7 @@ fn direct_layer_exec(
         + (x_share + y_share + 2 * layer.spatial_weight_bytes());
 
     // Weight collective around the stitched full ring of all workers.
-    let host_extra = cfg.host_traversals(model.group_size) as u64 * 2 * model.noc.hop_latency()
-        / cfg.ring_len().max(1) as u64;
-    let coll = ring_collective_cycles(
-        layer.spatial_weight_bytes(),
-        cfg.ring_len(),
-        model.ring_bandwidth(sys),
-        &model.noc,
-        host_extra,
-    );
+    let collective = weight_collective(model, sys, cfg, layer.spatial_weight_bytes());
 
     let detail = ExecDetail {
         fwd_stages: vec![("gemm_f", g_f.cycles as f64), ("relu", relu.cycles as f64)],
@@ -372,23 +344,11 @@ fn direct_layer_exec(
             ("relu_b", relu_b.cycles as f64),
             ("upd", upd.cycles as f64),
         ],
-        collective: Some(CollectiveDetail {
-            msg_bytes: layer.spatial_weight_bytes(),
-            ring_len: cfg.ring_len(),
-            bandwidth: model.ring_bandwidth(sys),
-            extra_hop_latency: host_extra,
-            cycles: coll,
-        }),
         fwd_cost,
         bwd_cost,
         ..ExecDetail::default()
     };
-    (
-        assemble(
-            model, layer, sys, cfg, None, fwd_cost, 0.0, bwd_cost, 0.0, coll,
-        ),
-        detail,
-    )
+    assemble(model, layer, sys, cfg, None, 0.0, 0.0, collective, detail)
 }
 
 /// Winograd execution under MPT (or single-group data parallelism).
@@ -399,7 +359,7 @@ fn winograd_layer_exec(
     cfg: ClusterConfig,
     m: usize,
     t: usize,
-) -> (LayerResult, ExecDetail) {
+) -> LayerResult {
     let (n_g, n_c) = (cfg.n_g as u64, cfg.n_c as u64);
     let b = model.batch as u64;
     let tpi = layer.tiles_per_image(m);
@@ -571,15 +531,7 @@ fn winograd_layer_exec(
     } else {
         layer.spatial_weight_bytes()
     };
-    let host_extra = cfg.host_traversals(model.group_size) as u64 * 2 * model.noc.hop_latency()
-        / cfg.ring_len().max(1) as u64;
-    let coll = ring_collective_cycles(
-        coll_msg,
-        cfg.ring_len(),
-        model.ring_bandwidth(sys),
-        &model.noc,
-        host_extra,
-    );
+    let collective = weight_collective(model, sys, cfg, coll_msg);
     // Reduce-block adds for the incoming gradient chunks.
     bwd_cost.vector_ops += (coll_msg / 4) * 2;
 
@@ -597,33 +549,24 @@ fn winograd_layer_exec(
         ("gemm_u", g_u.cycles as f64),
         ("upd", upd.cycles as f64),
     ];
-    detail.collective = Some(CollectiveDetail {
-        msg_bytes: coll_msg,
-        ring_len: cfg.ring_len(),
-        bandwidth: model.ring_bandwidth(sys),
-        extra_hop_latency: host_extra,
-        cycles: coll,
-    });
     detail.fwd_cost = fwd_cost;
     detail.bwd_cost = bwd_cost;
 
-    let result = assemble(
+    assemble(
         model,
         layer,
         sys,
         cfg,
         Some((m, t)),
-        fwd_cost,
         fwd_comm,
-        bwd_cost,
         bwd_tile_comm,
-        coll,
-    );
-    (result, detail)
+        collective,
+        detail,
+    )
 }
 
-/// Combines local costs and communication into phase results with
-/// compute/communication overlap and link energy.
+/// Combines the local costs of `detail` and the communication into
+/// phase results with compute/communication overlap and link energy.
 #[allow(clippy::too_many_arguments)]
 fn assemble(
     model: &SystemModel,
@@ -631,24 +574,25 @@ fn assemble(
     sys: SystemConfig,
     cfg: ClusterConfig,
     transform: Option<(usize, usize)>,
-    fwd_cost: WorkerCost,
     fwd_comm: f64,
-    bwd_cost: WorkerCost,
     bwd_tile_comm: f64,
-    collective: f64,
+    collective: CollectiveParams,
+    detail: ExecDetail,
 ) -> LayerResult {
-    let bwd_comm = bwd_tile_comm + collective;
+    let bwd_comm = bwd_tile_comm + collective.cycles;
     let worker = wmpt_ndp::NdpWorker::new(model.ndp);
     let p = model.workers as f64;
+    let fwd_compute = detail.fwd_cost.pipelined_cycles(&model.ndp) as f64;
+    let bwd_compute = detail.bwd_cost.pipelined_cycles(&model.ndp) as f64;
 
-    let fwd_cycles = (fwd_cost.pipelined_cycles(&model.ndp) as f64).max(fwd_comm);
-    let mut fwd_energy = worker.energy(&fwd_cost, &model.energy).scale(p);
+    let fwd_cycles = fwd_compute.max(fwd_comm);
+    let mut fwd_energy = worker.energy(&detail.fwd_cost, &model.energy).scale(p);
     fwd_energy.link_j = model
         .energy
         .link_energy_j(model.enabled_link_bw_fwd(sys, cfg) * p, fwd_cycles);
 
-    let bwd_cycles = (bwd_cost.pipelined_cycles(&model.ndp) as f64).max(bwd_comm);
-    let mut bwd_energy = worker.energy(&bwd_cost, &model.energy).scale(p);
+    let bwd_cycles = bwd_compute.max(bwd_comm);
+    let mut bwd_energy = worker.energy(&detail.bwd_cost, &model.energy).scale(p);
     bwd_energy.link_j = model
         .energy
         .link_energy_j(model.enabled_link_bw_bwd(sys, cfg) * p, bwd_cycles);
@@ -657,20 +601,21 @@ fn assemble(
         layer: layer.name.clone(),
         cluster: cfg,
         transform,
-        collective_cycles: collective,
+        collective,
         tile_comm_cycles: fwd_comm + bwd_tile_comm,
         forward: PhaseResult {
             cycles: fwd_cycles,
-            compute_cycles: fwd_cost.pipelined_cycles(&model.ndp) as f64,
+            compute_cycles: fwd_compute,
             comm_cycles: fwd_comm,
             energy: fwd_energy,
         },
         backward: PhaseResult {
             cycles: bwd_cycles,
-            compute_cycles: bwd_cost.pipelined_cycles(&model.ndp) as f64,
+            compute_cycles: bwd_compute,
             comm_cycles: bwd_comm,
             energy: bwd_energy,
         },
+        detail,
     }
 }
 
@@ -825,19 +770,19 @@ mod tests {
     fn comm_breakdown_sums_consistently() {
         let m = model();
         let r = simulate_layer(&m, &layer(4), SystemConfig::WMp);
-        assert!(r.collective_cycles > 0.0);
+        assert!(r.collective.cycles > 0.0);
         assert!(r.tile_comm_cycles > 0.0);
         // fwd comm is pure tile transfer; bwd comm = tiles + collective.
         let total_comm = r.forward.comm_cycles + r.backward.comm_cycles;
         wmpt_check::assert_approx_eq!(
-            r.collective_cycles + r.tile_comm_cycles,
+            r.collective.cycles + r.tile_comm_cycles,
             total_comm,
             wmpt_check::Tol::F32_TIGHT
         );
         // Data parallelism has no tile component at all.
         let dp = simulate_layer(&m, &layer(4), SystemConfig::WDp);
         assert_eq!(dp.tile_comm_cycles, 0.0);
-        assert!(dp.collective_cycles > 0.0);
+        assert!(dp.collective.cycles > 0.0);
     }
 
     #[test]

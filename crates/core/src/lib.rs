@@ -15,7 +15,10 @@
 //! * [`config`] — the Table IV system configurations and §V-B savings.
 //! * [`exec`] — full-system per-layer simulation (time + energy) on the
 //!   256-worker memory-centric NDP architecture (Figs 15–16).
-//! * [`network_eval`] — whole-CNN aggregation (Figs 17–18).
+//! * [`network_eval`] — whole-CNN aggregation (Figs 17–18); the same
+//!   result is the host's per-layer execution plan (§VI-A).
+//! * [`observe`] — the observed entry points: one simulation, then one
+//!   pass recording its spans and metrics.
 //! * [`trainer`] — the *functional* distributed trainer: MPT's math
 //!   executed with real partitioning and verified bit-for-bit (to FP
 //!   tolerance) against centralized training, including the modified join
@@ -39,7 +42,6 @@
 pub mod checkpoint;
 pub mod config;
 pub mod exec;
-pub mod host;
 pub mod net_trainer;
 pub mod network_eval;
 pub mod observe;
@@ -52,10 +54,8 @@ pub mod trainer;
 pub use checkpoint::{checkpoint_layer, checkpoint_net, restore_layer, restore_net};
 pub use config::{PredictionSavings, SystemConfig};
 pub use exec::{
-    collective_params, simulate_layer, simulate_layer_with, CollectiveParams, LayerResult,
-    PhaseResult, SystemModel,
+    simulate_layer, simulate_layer_with, CollectiveParams, LayerResult, PhaseResult, SystemModel,
 };
-pub use host::{plan_network, PlannedLayer, TrainingPlan};
 pub use net_trainer::{Activations, Stage, WinogradNet};
 pub use network_eval::{simulate_network, speedup_vs_single, NetworkResult};
 pub use observe::{

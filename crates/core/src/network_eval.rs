@@ -1,6 +1,12 @@
 //! Whole-CNN evaluation (paper §VII-C, Figures 17–18): iterate a
 //! network's layers through the system model and aggregate time, energy
 //! and power.
+//!
+//! The same [`NetworkResult`] is the host's per-layer execution plan
+//! (§VI-A): before training starts, the host decides each layer's worker
+//! organization offline from the static layer shapes (§IV: "the optimal
+//! configuration per layer ... is pre-determined and does not change"),
+//! and [`NetworkResult::render`] prints that decision per layer.
 
 use wmpt_energy::EnergyBreakdown;
 use wmpt_models::Network;
@@ -59,6 +65,57 @@ impl NetworkResult {
         }
         hist
     }
+
+    /// Number of interconnect reconfigurations per iteration (changes of
+    /// worker organization between consecutive layers — each is a routing
+    /// update, not a data movement, §IV).
+    pub fn reconfigurations(&self) -> usize {
+        self.layers
+            .windows(2)
+            .filter(|w| w[0].cluster != w[1].cluster)
+            .count()
+    }
+
+    /// Fraction of communication cycles spent on the weight collectives
+    /// (vs tile transfer).
+    pub fn collective_fraction(&self) -> f64 {
+        let coll: f64 = self.layers.iter().map(|l| l.collective.cycles).sum();
+        let tile: f64 = self.layers.iter().map(|l| l.tile_comm_cycles).sum();
+        if coll + tile == 0.0 {
+            0.0
+        } else {
+            coll / (coll + tile)
+        }
+    }
+
+    /// Renders the per-layer plan as a table.
+    pub fn render(&self) -> String {
+        let mut out = format!(
+            "plan: {} under {} — {} layers, {} reconfigurations/iter\n",
+            self.network,
+            self.config,
+            self.layers.len(),
+            self.reconfigurations()
+        );
+        out.push_str(&format!(
+            "{:<12} {:>12} {:>10} {:>12} {:>12} {:>12}\n",
+            "layer", "organization", "transform", "cycles", "collective", "tile comm"
+        ));
+        for l in &self.layers {
+            out.push_str(&format!(
+                "{:<12} {:>12} {:>10} {:>12.0} {:>12.0} {:>12.0}\n",
+                l.layer,
+                l.cluster.to_string(),
+                l.transform
+                    .map(|(m, t)| format!("F({m},{})", t + 1 - m))
+                    .unwrap_or_else(|| "direct".into()),
+                l.total_cycles(),
+                l.collective.cycles,
+                l.tile_comm_cycles,
+            ));
+        }
+        out
+    }
 }
 
 /// Simulates one training iteration of `net` under `sys`.
@@ -86,7 +143,17 @@ pub fn speedup_vs_single(model: &SystemModel, net: &Network, sys: SystemConfig) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wmpt_models::{fractalnet, resnet34, wrn_40_10};
+    use wmpt_models::{fractalnet, resnet34, table2_layers, wrn_40_10};
+
+    /// The five Table II layers as one network.
+    fn table2_probe() -> Network {
+        Network {
+            name: "probe".into(),
+            dataset: wmpt_models::Dataset::Cifar,
+            layers: table2_layers(),
+            other_params: 0,
+        }
+    }
 
     #[test]
     fn full_proposal_beats_dp_on_every_network() {
@@ -160,5 +227,67 @@ mod tests {
         let res = simulate_network(&m, &wrn_40_10(), SystemConfig::WMpPD);
         let ips = res.images_per_second(256);
         assert!(ips.is_finite() && ips > 0.0);
+    }
+
+    #[test]
+    fn plan_covers_every_layer() {
+        let m = SystemModel::paper_fp16();
+        let net = wrn_40_10();
+        let plan = simulate_network(&m, &net, SystemConfig::WMpPD);
+        assert_eq!(plan.layers.len(), net.layers.len());
+        assert!(plan.total_cycles() > 0.0);
+    }
+
+    #[test]
+    fn static_configs_never_reconfigure() {
+        let m = SystemModel::paper_fp16();
+        let net = wrn_40_10();
+        // w_dp runs everything data-parallel: strictly zero switches.
+        let plan = simulate_network(&m, &net, SystemConfig::WDp);
+        assert_eq!(plan.reconfigurations(), 0, "w_dp should be static");
+        // w_mp is static too, except at boundaries with layers that
+        // cannot run in the Winograd domain (strided convs drop to data
+        // parallelism).
+        let plan = simulate_network(&m, &net, SystemConfig::WMp);
+        let non_friendly = net.layers.iter().filter(|l| !l.winograd_friendly()).count();
+        assert!(
+            plan.reconfigurations() <= 2 * non_friendly,
+            "w_mp reconfigured {} times for {} direct layers",
+            plan.reconfigurations(),
+            non_friendly
+        );
+    }
+
+    #[test]
+    fn dynamic_clustering_reconfigures_between_regimes() {
+        let m = SystemModel::paper_fp16();
+        let net = wrn_40_10();
+        let plan = simulate_network(&m, &net, SystemConfig::WMpPD);
+        assert!(
+            plan.reconfigurations() > 0,
+            "WRN spans early->late regimes; the plan must switch organizations"
+        );
+        // Reconfigurations are rare relative to layer count (regimes are
+        // contiguous).
+        assert!(plan.reconfigurations() < plan.layers.len() / 2);
+    }
+
+    #[test]
+    fn collective_fraction_rises_with_group_count() {
+        // Under (16,16) MPT the tile share dominates early nets less than
+        // under w_dp where there is no tile traffic at all.
+        let m = SystemModel::paper();
+        let dp = simulate_network(&m, &table2_probe(), SystemConfig::WDp);
+        assert_eq!(dp.collective_fraction(), 1.0, "dp comm is all collective");
+        let mp = simulate_network(&m, &table2_probe(), SystemConfig::WMp);
+        assert!(mp.collective_fraction() < 1.0);
+    }
+
+    #[test]
+    fn render_lists_layers() {
+        let m = SystemModel::paper();
+        let s = simulate_network(&m, &table2_probe(), SystemConfig::WMpPD).render();
+        assert!(s.contains("Early") && s.contains("Late-2"));
+        assert!(s.contains("reconfigurations"));
     }
 }

@@ -2,10 +2,10 @@
 //! [`crate::exec`], plus structured metrics and a span trace of the
 //! iteration suitable for Chrome-trace export.
 //!
-//! Timing is bit-identical to the un-observed entry points — observation
-//! only *reads* the `ExecDetail` breakdown the execution
-//! already computes — so `simulate_layer(..)` and
-//! `simulate_layer_observed(..)` never disagree.
+//! Each entry point runs its un-observed twin once and then records the
+//! returned [`LayerResult`]: observation only *reads* the breakdown the
+//! execution carries on the result, so `simulate_layer(..)` and
+//! `simulate_layer_observed(..)` return the same value by construction.
 //!
 //! # Trace layout
 //!
@@ -22,40 +22,25 @@ use wmpt_ndp::{
     dram_stall_cycles, record_dram_profile, record_utilization, record_worker_cost, DramConfig,
 };
 use wmpt_ndp::{TaskGraph, TaskKind};
-use wmpt_noc::{
-    all_to_all_flows, record_flows, ring_collective_cycles_observed, tile_pair_bytes, ClusterConfig,
-};
+use wmpt_noc::{all_to_all_flows, record_collective, record_flows, tile_pair_bytes, ClusterConfig};
 use wmpt_obs::{MetricKey, Observer, SpanSink, TrackId};
 
 use crate::config::SystemConfig;
-use crate::exec::{simulate_layer_with_detail, ExecDetail, LayerResult, SystemModel};
+use crate::exec::{simulate_layer, simulate_layer_with, LayerResult, SystemModel};
 use wmpt_models::ConvLayerSpec;
 
-/// Observed [`crate::exec::simulate_layer`]: identical result, plus spans
-/// and metrics for the winning configuration only (candidate search runs
-/// unobserved, like the paper's offline dynamic-clustering decision).
-/// Each candidate is simulated once; the winner's breakdown is kept from
-/// the search rather than recomputed.
+/// Observed [`crate::exec::simulate_layer`]: the same search, then spans
+/// and metrics for the winning configuration only (candidates are not
+/// observed, like the paper's offline dynamic-clustering decision).
 pub fn simulate_layer_observed<S: SpanSink>(
     model: &SystemModel,
     layer: &ConvLayerSpec,
     sys: SystemConfig,
     obs: &mut Observer<S>,
 ) -> LayerResult {
-    let mut best: Option<(ClusterConfig, LayerResult, ExecDetail)> = None;
-    for cfg in sys.candidate_configs(model.workers) {
-        let (r, det) = simulate_layer_with_detail(model, layer, sys, cfg);
-        // Strict `<`: the first of equal candidates wins, as in
-        // `simulate_layer`.
-        if best
-            .as_ref()
-            .is_none_or(|(_, b, _)| r.total_cycles() < b.total_cycles())
-        {
-            best = Some((cfg, r, det));
-        }
-    }
-    let (cfg, res, det) = best.expect("candidate_configs is never empty");
-    record_layer(model, cfg, res, &det, obs)
+    let res = simulate_layer(model, layer, sys);
+    record_layer(model, &res, obs);
+    res
 }
 
 /// Observed [`crate::exec::simulate_layer_with`]: identical result, plus
@@ -69,19 +54,14 @@ pub fn simulate_layer_with_observed<S: SpanSink>(
     cfg: ClusterConfig,
     obs: &mut Observer<S>,
 ) -> LayerResult {
-    let (res, det) = simulate_layer_with_detail(model, layer, sys, cfg);
-    record_layer(model, cfg, res, &det, obs)
+    let res = simulate_layer_with(model, layer, sys, cfg);
+    record_layer(model, &res, obs);
+    res
 }
 
-/// Emits the spans and metrics of one simulated layer and returns its
-/// result unchanged.
-fn record_layer<S: SpanSink>(
-    model: &SystemModel,
-    cfg: ClusterConfig,
-    res: LayerResult,
-    det: &ExecDetail,
-    obs: &mut Observer<S>,
-) -> LayerResult {
+/// Emits the spans and metrics of one simulated layer.
+fn record_layer<S: SpanSink>(model: &SystemModel, res: &LayerResult, obs: &mut Observer<S>) {
+    let det = &res.detail;
     let base = obs.trace.category_cycles("layer");
     let fwd = res.forward.cycles.round() as u64;
     let total = res.total_cycles().round() as u64;
@@ -148,27 +128,25 @@ fn record_layer<S: SpanSink>(
     }
 
     // Weight collective after the backward tile transfer.
-    if let Some(c) = det.collective {
-        let t_coll = obs.trace.track("collective");
-        let half = (c.cycles / 2.0).round() as u64;
-        obs.trace
-            .span(t_coll, "collective", "reduce", cursor, cursor + half);
-        obs.trace.span(
-            t_coll,
-            "collective",
-            "broadcast",
-            cursor + half,
-            cursor + 2 * half,
-        );
-        ring_collective_cycles_observed(
-            c.msg_bytes,
-            c.ring_len,
-            c.bandwidth,
-            &model.noc,
-            c.extra_hop_latency,
-            &mut obs.metrics,
-        );
-    }
+    let c = res.collective;
+    let t_coll = obs.trace.track("collective");
+    let half = (c.cycles / 2.0).round() as u64;
+    obs.trace
+        .span(t_coll, "collective", "reduce", cursor, cursor + half);
+    obs.trace.span(
+        t_coll,
+        "collective",
+        "broadcast",
+        cursor + half,
+        cursor + 2 * half,
+    );
+    record_collective(
+        &mut obs.metrics,
+        &model.noc,
+        c.msg_bytes,
+        c.ring_len,
+        c.cycles,
+    );
 
     // ---- metrics ----
     let reg = &mut obs.metrics;
@@ -187,7 +165,7 @@ fn record_layer<S: SpanSink>(
     let combined = det.fwd_cost.add(&det.bwd_cost);
     record_worker_cost(reg, &det.fwd_cost);
     record_worker_cost(reg, &det.bwd_cost);
-    record_utilization(reg, &model.ndp, &combined, total);
+    record_utilization(reg, &combined, total);
 
     reg.inc(MetricKey::TileBytesFwdTotal, det.tile_bytes_fwd_total);
     reg.inc(MetricKey::TileBytesSavedGather, det.tile_bytes_saved_gather);
@@ -197,10 +175,10 @@ fn record_layer<S: SpanSink>(
     );
 
     // Per-class flit/packet accounting of the tile transfers.
-    if let Some(cluster) = cfg.cluster_topology() {
+    if let Some(cluster) = res.cluster.cluster_topology() {
         let nodes: Vec<usize> = (0..cluster.len()).collect();
         for ph in det.fwd_comm.iter().chain(&det.bwd_comm) {
-            let pair = tile_pair_bytes(ph.payload_bytes, cfg.n_g);
+            let pair = tile_pair_bytes(ph.payload_bytes, res.cluster.n_g);
             if pair == 0 {
                 continue;
             }
@@ -227,8 +205,6 @@ fn record_layer<S: SpanSink>(
         reg.inc(MetricKey::SimEventsPushed, s.events());
         reg.inc(MetricKey::SimEventsPopped, s.events());
     }
-
-    res
 }
 
 /// Observed [`crate::network_eval::simulate_network`]: per-layer spans

@@ -41,9 +41,7 @@ pub mod worker;
 pub use buffer::{BufferSet, DoubleBuffer};
 pub use comm_unit::{CollectiveUnit, P2pUnit, PreparedSend};
 pub use dram::{Dram, DramConfig, DramRequest};
-pub use observe::{
-    dram_stall_cycles, record_dram, record_dram_profile, record_utilization, record_worker_cost,
-};
+pub use observe::{dram_stall_cycles, record_dram_profile, record_utilization, record_worker_cost};
 pub use params::{MacPrecision, NdpParams};
 pub use systolic::{gemm, winograd_elementwise_gemms, GemmCost};
 pub use task::{Schedule, Task, TaskGraph, TaskId, TaskKind};

@@ -1,8 +1,8 @@
 //! Export of worker-local activity into the [`wmpt_obs`] metric registry.
 //!
 //! The worker model is cost-based (it returns totals, not event streams),
-//! so observation is a pure fold: a [`WorkerCost`] or a [`Dram`] is mapped
-//! into counters and gauges after the fact. This keeps the hot path free
+//! so observation is a pure fold: a [`WorkerCost`] or a DRAM profile is
+//! mapped into counters and gauges after the fact. This keeps the hot path free
 //! of any instrumentation — recording is opt-in and zero-cost when unused.
 
 use std::collections::HashMap;
@@ -27,13 +27,7 @@ pub fn record_worker_cost(reg: &mut MetricRegistry, cost: &WorkerCost) {
 
 /// Sets the systolic/vector utilization gauges for a phase that spanned
 /// `elapsed` cycles (accumulated busy cycles over wall-clock cycles).
-pub fn record_utilization(
-    reg: &mut MetricRegistry,
-    params: &NdpParams,
-    cost: &WorkerCost,
-    elapsed: Time,
-) {
-    let _ = params;
+pub fn record_utilization(reg: &mut MetricRegistry, cost: &WorkerCost, elapsed: Time) {
     if elapsed == 0 {
         return;
     }
@@ -54,12 +48,6 @@ pub fn record_utilization(
 pub fn dram_stall_cycles(params: &NdpParams, cost: &WorkerCost) -> Time {
     cost.dram_cycles(params)
         .saturating_sub(cost.systolic_cycles.max(cost.vector_cycles))
-}
-
-/// Records a detailed-DRAM-model run: row-buffer hits and misses.
-pub fn record_dram(reg: &mut MetricRegistry, dram: &Dram) {
-    reg.inc(MetricKey::DramRowHits, dram.row_hits());
-    reg.inc(MetricKey::DramRowMisses, dram.row_misses());
 }
 
 /// Bytes of a phase's traffic streamed through the detailed model by
@@ -138,14 +126,13 @@ mod tests {
 
     #[test]
     fn utilization_gauges_are_fractions() {
-        let p = NdpParams::paper_fp32();
         let c = WorkerCost {
             systolic_cycles: 80,
             vector_cycles: 20,
             ..Default::default()
         };
         let mut reg = MetricRegistry::new();
-        record_utilization(&mut reg, &p, &c, 100);
+        record_utilization(&mut reg, &c, 100);
         assert_eq!(reg.gauge(MetricKey::SystolicUtilization), Some(0.8));
         assert_eq!(reg.gauge(MetricKey::VectorUtilization), Some(0.2));
     }

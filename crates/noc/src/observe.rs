@@ -1,20 +1,18 @@
-//! Observed variants of the closed-form network phases: identical timing
-//! results, plus per-traffic-class metric recording into a
-//! [`wmpt_obs::MetricRegistry`].
+//! Recording of the closed-form network phases into a
+//! [`wmpt_obs::MetricRegistry`]: per-traffic-class packet, flit and
+//! byte counters.
 //!
-//! The un-observed functions stay untouched and on the hot path; callers
-//! that want metrics call these wrappers instead. Flit accounting uses
-//! the paper's 16 B flit ([`crate::flit::FlitConfig::paper`]), so the
-//! counters are comparable with the flit-level microbenchmarks.
+//! These helpers only record. The timing comes from the closed forms
+//! the execution model already ran (`tile_transfer_phase`,
+//! `ring_collective_cycles`), so observing never re-evaluates them.
+//! Flit accounting uses the paper's 16 B flit
+//! ([`crate::flit::FlitConfig::paper`]), so the counters are comparable
+//! with the flit-level microbenchmarks.
 
 use wmpt_obs::{MetricKey, MetricRegistry, TrafficClass};
-use wmpt_sim::Time;
 
-use crate::collective::ring_collective_cycles;
 use crate::flit::FlitConfig;
-use crate::network::{bottleneck_phase, PacketNetwork, PhaseTime};
 use crate::params::NocParams;
-use crate::tile_transfer::{all_to_all_flows, tile_pair_bytes};
 use crate::topology::Topology;
 
 /// Records the traffic of a flow list under `class`: real packets
@@ -47,64 +45,20 @@ pub fn record_flows(
     reg.inc(MetricKey::BytesOnWire(class), wire_hops);
 }
 
-/// Observed [`crate::tile_transfer::tile_transfer_phase`]: same
-/// [`PhaseTime`], plus per-class packet/flit/byte counters, a tile-pair
-/// payload histogram sample, and the bottleneck-link utilization gauge.
-pub fn tile_transfer_phase_observed(
-    cluster: &Topology,
-    params: &NocParams,
-    cluster_tile_bytes: u64,
-    n_g: usize,
-    class: TrafficClass,
+/// Records a weight collective of `cycles` (the closed-form completion
+/// time the execution charged): reduce/broadcast cycle counters and
+/// per-phase flit/packet/byte accounting, where each of the
+/// `ring_len − 1` hops carries the full `msg_bytes` once per phase. A
+/// collective of zero cycles records nothing.
+pub fn record_collective(
     reg: &mut MetricRegistry,
-) -> PhaseTime {
-    let pair = tile_pair_bytes(cluster_tile_bytes, n_g);
-    let nodes: Vec<usize> = (0..cluster.len()).collect();
-    let flows = all_to_all_flows(&nodes, pair);
-    let ph = bottleneck_phase(cluster, params, &flows, params.packet_bytes);
-    record_flows(reg, params, cluster, &flows, class);
-    if pair > 0 {
-        reg.observe(MetricKey::HistTilePairBytes, pair as f64);
-    }
-    if ph.cycles > 0.0 {
-        // Serialization share of the phase on the most-loaded link; the
-        // remainder is pipeline (hop) latency.
-        let mut ser = 0.0f64;
-        for &(src, dst, payload) in &flows {
-            if src == dst || payload == 0 {
-                continue;
-            }
-            for e in &cluster.route(src, dst) {
-                let bw = cluster.link_kind(e.from, e.to).bytes_per_cycle();
-                ser = ser.max(ph.max_link_bytes / bw);
-            }
-        }
-        reg.set_gauge(MetricKey::NocMaxLinkUtilization, (ser / ph.cycles).min(1.0));
-    }
-    ph
-}
-
-/// Observed [`ring_collective_cycles`]: same closed-form result, plus
-/// reduce/broadcast cycle counters and per-phase flit/packet/byte
-/// accounting (each of the `ring_len − 1` hops carries the full message
-/// once per phase).
-pub fn ring_collective_cycles_observed(
+    params: &NocParams,
     msg_bytes: u64,
     ring_len: usize,
-    bytes_per_cycle: f64,
-    params: &NocParams,
-    extra_hop_latency: Time,
-    reg: &mut MetricRegistry,
-) -> f64 {
-    let cycles = ring_collective_cycles(
-        msg_bytes,
-        ring_len,
-        bytes_per_cycle,
-        params,
-        extra_hop_latency,
-    );
+    cycles: f64,
+) {
     if cycles == 0.0 {
-        return 0.0;
+        return;
     }
     let half = (cycles / 2.0).round() as u64;
     reg.inc(MetricKey::CollectiveReduceCycles, half);
@@ -114,7 +68,7 @@ pub fn ring_collective_cycles_observed(
     let chunk = params.collective_chunk_bytes as u64;
     let hops = (ring_len - 1) as u64;
     let wire_msg = params.wire_bytes(msg_bytes as usize, params.collective_chunk_bytes) as u64;
-    for (class, _) in [(TrafficClass::Reduce, 0), (TrafficClass::Broadcast, 1)] {
+    for class in [TrafficClass::Reduce, TrafficClass::Broadcast] {
         reg.inc(
             MetricKey::PacketsInjected(class),
             msg_bytes.div_ceil(chunk) * hops,
@@ -124,42 +78,23 @@ pub fn ring_collective_cycles_observed(
         reg.inc(MetricKey::FlitsDelivered(class), flits);
         reg.inc(MetricKey::BytesOnWire(class), wire_msg * hops);
     }
-    cycles
-}
-
-/// Folds a [`PacketNetwork`]'s lifetime counters into the registry under
-/// one traffic class (useful after event-driven runs).
-pub fn record_network(reg: &mut MetricRegistry, net: &PacketNetwork, class: TrafficClass) {
-    let flit = FlitConfig::paper().flit_bytes;
-    reg.inc(MetricKey::PacketsInjected(class), net.packets_injected());
-    let flits = net.flit_hops(flit);
-    reg.inc(MetricKey::FlitsInjected(class), flits);
-    reg.inc(MetricKey::FlitsDelivered(class), flits);
-    reg.inc(MetricKey::BytesOnWire(class), net.bytes_hops());
-    reg.inc(MetricKey::LinkBusyCycles, net.total_link_busy());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collective::ring_collective_cycles;
     use crate::params::LinkKind;
-    use crate::tile_transfer::tile_transfer_phase;
+    use crate::tile_transfer::{all_to_all_flows, tile_pair_bytes};
 
     #[test]
-    fn observed_tile_phase_matches_unobserved() {
+    fn tile_flows_count_per_class() {
         let p = NocParams::paper();
         let topo = Topology::flattened_butterfly(4, 4, LinkKind::Narrow);
+        let nodes: Vec<usize> = (0..topo.len()).collect();
+        let flows = all_to_all_flows(&nodes, tile_pair_bytes(16 << 20, 16));
         let mut reg = MetricRegistry::new();
-        let obs = tile_transfer_phase_observed(
-            &topo,
-            &p,
-            16 << 20,
-            16,
-            TrafficClass::TileGather,
-            &mut reg,
-        );
-        let plain = tile_transfer_phase(&topo, &p, 16 << 20, 16);
-        assert_eq!(obs, plain);
+        record_flows(&mut reg, &p, &topo, &flows, TrafficClass::TileGather);
         assert!(reg.counter(MetricKey::FlitsInjected(TrafficClass::TileGather)) > 0);
         assert_eq!(
             reg.counter(MetricKey::FlitsInjected(TrafficClass::TileGather)),
@@ -170,20 +105,16 @@ mod tests {
             reg.counter(MetricKey::FlitsInjected(TrafficClass::TileScatter)),
             0
         );
-        let util = reg
-            .gauge(MetricKey::NocMaxLinkUtilization)
-            .expect("gauge set");
-        assert!(util > 0.0 && util <= 1.0);
     }
 
     #[test]
-    fn observed_collective_matches_unobserved() {
+    fn collective_counters_split_into_halves() {
         let p = NocParams::paper();
         let mut reg = MetricRegistry::new();
-        let obs = ring_collective_cycles_observed(8 << 20, 16, 60.0, &p, 0, &mut reg);
-        let plain = ring_collective_cycles(8 << 20, 16, 60.0, &p, 0);
-        assert_eq!(obs, plain);
+        let cycles = ring_collective_cycles(8 << 20, 16, 60.0, &p, 0);
+        record_collective(&mut reg, &p, 8 << 20, 16, cycles);
         let total = reg.counter(MetricKey::CollectiveCycles);
+        assert_eq!(total, cycles.round() as u64);
         let halves = reg.counter(MetricKey::CollectiveReduceCycles)
             + reg.counter(MetricKey::CollectiveBroadcastCycles);
         assert!(total.abs_diff(halves) <= 1);
@@ -195,30 +126,16 @@ mod tests {
     }
 
     #[test]
-    fn network_counters_fold_into_registry() {
-        let p = NocParams::paper();
-        let topo = Topology::ring(4, LinkKind::Full);
-        let mut net = PacketNetwork::new(topo, p);
-        net.transfer(0, 2, 4096, 0, 64, 1024);
-        let mut reg = MetricRegistry::new();
-        record_network(&mut reg, &net, TrafficClass::TileScatter);
-        assert_eq!(
-            reg.counter(MetricKey::PacketsInjected(TrafficClass::TileScatter)),
-            4096u64.div_ceil(64)
-        );
-        assert!(reg.counter(MetricKey::LinkBusyCycles) > 0);
-    }
-
-    #[test]
     fn zero_work_records_nothing() {
         let p = NocParams::paper();
         let mut reg = MetricRegistry::new();
-        assert_eq!(
-            ring_collective_cycles_observed(0, 16, 60.0, &p, 0, &mut reg),
-            0.0
-        );
+        record_collective(&mut reg, &p, 0, 16, 0.0);
         let topo = Topology::fully_connected(2, LinkKind::Narrow);
-        tile_transfer_phase_observed(&topo, &p, 1024, 1, TrafficClass::TileScatter, &mut reg);
-        assert!(reg.is_empty() || reg.counter(MetricKey::CollectiveCycles) == 0);
+        record_flows(&mut reg, &p, &topo, &[(0, 1, 0)], TrafficClass::TileScatter);
+        assert_eq!(reg.counter(MetricKey::CollectiveCycles), 0);
+        assert_eq!(
+            reg.counter(MetricKey::PacketsInjected(TrafficClass::TileScatter)),
+            0
+        );
     }
 }

@@ -54,14 +54,9 @@
 //! | `noc.flits_delivered.<tc>` | counter | flits arriving at their destination per class |
 //! | `noc.packets_injected.<tc>` | counter | packets (payload + 8 B header) per class |
 //! | `noc.bytes_on_wire.<tc>` | counter | payload+header bytes per class, once per packet |
-//! | `noc.link_busy_cycles` | counter | busy cycles summed over links |
-//! | `noc.max_link_utilization` | gauge | utilization of the most-loaded link |
 //! | `tile.bytes_fwd_total` | counter | forward gather bytes before prediction |
 //! | `tile.bytes_saved_gather` | counter | bytes skipped by activation prediction |
 //! | `tile.bytes_saved_scatter` | counter | bytes skipped by zero-skip on backward |
-//! | `pred.dead_tiles_actual` | counter | truly all-dead output tiles |
-//! | `pred.true_positive_tiles` | counter | tiles correctly predicted dead |
-//! | `pred.false_positive_tiles` | counter | live tiles wrongly predicted dead (0 when sound) |
 //! | `ndp.systolic_macs` | counter | MACs executed by systolic arrays |
 //! | `ndp.systolic_busy_cycles` | counter | systolic busy cycles |
 //! | `ndp.vector_busy_cycles` | counter | vector-unit busy cycles |

@@ -62,13 +62,8 @@ pub enum MetricKey {
     /// Payload + header bytes crossing links for a traffic class,
     /// counted once per packet (not per hop).
     BytesOnWire(TrafficClass),
-    /// Sum of busy cycles over all links (for link-energy cross-checks).
-    LinkBusyCycles,
-    /// Gauge: utilization of the most-loaded link in `[0, 1]` over the
-    /// phase that set it.
-    NocMaxLinkUtilization,
 
-    // --- Tile transfer & activation prediction (counter) ---
+    // --- Tile transfer (counter) ---
     /// Tile bytes that would move in the forward gather without
     /// activation prediction.
     TileBytesFwdTotal,
@@ -78,14 +73,6 @@ pub enum MetricKey {
     /// Tile bytes actually skipped in the backward scatter because the
     /// stored activation tile was all-zero (zero-skip savings).
     TileBytesSavedScatter,
-    /// Output tiles that are truly all-dead after ReLU (ground truth).
-    PredDeadTilesActual,
-    /// Tiles the conservative predictor marked dead that are truly dead
-    /// (true positives; the sound predictor never kills a live tile).
-    PredTruePositiveTiles,
-    /// Tiles the predictor marked dead that were actually live
-    /// (false positives; must stay 0 for a sound predictor).
-    PredFalsePositiveTiles,
 
     // --- NDP worker (counter, unless noted) ---
     /// Multiply-accumulates executed by systolic arrays.
@@ -248,14 +235,9 @@ impl MetricKey {
             keys.push(MetricKey::BytesOnWire(tc));
         }
         keys.extend([
-            MetricKey::LinkBusyCycles,
-            MetricKey::NocMaxLinkUtilization,
             MetricKey::TileBytesFwdTotal,
             MetricKey::TileBytesSavedGather,
             MetricKey::TileBytesSavedScatter,
-            MetricKey::PredDeadTilesActual,
-            MetricKey::PredTruePositiveTiles,
-            MetricKey::PredFalsePositiveTiles,
             MetricKey::SystolicMacs,
             MetricKey::SystolicBusyCycles,
             MetricKey::VectorBusyCycles,
@@ -321,14 +303,9 @@ impl MetricKey {
             MetricKey::FlitsDelivered(tc) => format!("noc.flits_delivered.{}", tc.name()),
             MetricKey::PacketsInjected(tc) => format!("noc.packets_injected.{}", tc.name()),
             MetricKey::BytesOnWire(tc) => format!("noc.bytes_on_wire.{}", tc.name()),
-            MetricKey::LinkBusyCycles => "noc.link_busy_cycles".to_string(),
-            MetricKey::NocMaxLinkUtilization => "noc.max_link_utilization".to_string(),
             MetricKey::TileBytesFwdTotal => "tile.bytes_fwd_total".to_string(),
             MetricKey::TileBytesSavedGather => "tile.bytes_saved_gather".to_string(),
             MetricKey::TileBytesSavedScatter => "tile.bytes_saved_scatter".to_string(),
-            MetricKey::PredDeadTilesActual => "pred.dead_tiles_actual".to_string(),
-            MetricKey::PredTruePositiveTiles => "pred.true_positive_tiles".to_string(),
-            MetricKey::PredFalsePositiveTiles => "pred.false_positive_tiles".to_string(),
             MetricKey::SystolicMacs => "ndp.systolic_macs".to_string(),
             MetricKey::SystolicBusyCycles => "ndp.systolic_busy_cycles".to_string(),
             MetricKey::VectorBusyCycles => "ndp.vector_busy_cycles".to_string(),
@@ -901,11 +878,11 @@ mod tests {
     fn table_lists_every_metric() {
         let mut r = MetricRegistry::new();
         r.inc(MetricKey::CollectiveCycles, 7);
-        r.set_gauge(MetricKey::NocMaxLinkUtilization, 0.75);
+        r.set_gauge(MetricKey::SystolicUtilization, 0.75);
         r.observe(MetricKey::HistPhaseCycles, 42.0);
         let table = r.render_table();
         assert!(table.contains("coll.total_cycles"));
-        assert!(table.contains("noc.max_link_utilization"));
+        assert!(table.contains("ndp.systolic_utilization"));
         assert!(table.contains("hist.phase_cycles"));
     }
 }

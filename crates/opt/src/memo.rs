@@ -3,9 +3,7 @@
 
 use std::collections::HashMap;
 
-use wmpt_core::{
-    collective_params, simulate_layer_with, CollectiveParams, SystemConfig, SystemModel,
-};
+use wmpt_core::{simulate_layer_with, CollectiveParams, SystemConfig, SystemModel};
 use wmpt_energy::EnergyBreakdown;
 use wmpt_models::ConvLayerSpec;
 use wmpt_noc::{ring_collective_cycles, ClusterConfig};
@@ -25,8 +23,6 @@ pub struct LayerEval {
     /// Backward communication cycles, including the cross-replica
     /// gradient collective when the batch is split.
     pub bwd_comm_cycles: f64,
-    /// Intra-replica weight-collective cycles (for reporting).
-    pub collective_cycles: f64,
     /// Tile-transfer cycles (for reporting).
     pub tile_comm_cycles: f64,
     /// Cross-replica gradient-collective cycles (0 when `s == 1`).
@@ -35,8 +31,9 @@ pub struct LayerEval {
     pub energy: EnergyBreakdown,
     /// Winograd transform `(m, t)`, `None` for direct execution.
     pub transform: Option<(usize, usize)>,
-    /// The intra-replica weight collective, for event-sim validation.
-    pub collective: Option<CollectiveParams>,
+    /// The intra-replica weight collective (its `cycles` for
+    /// reporting, the rest for event-sim validation).
+    pub collective: CollectiveParams,
 }
 
 impl LayerEval {
@@ -135,19 +132,12 @@ impl EvalCache {
 
         let sub = crate::space::sub_model(model, batch_split);
         let r = simulate_layer_with(&sub, layer, sys, cluster);
-        let coll = collective_params(&sub, layer, sys, cluster);
         let cross_replica_cycles = if batch_split > 1 {
             // Each replica contributes the same per-group gradient shard
             // the intra-replica collective reduces; positions sync in
             // parallel rings of `s` members over the bonded ring fabric.
-            let msg = coll
-                .map(|c| c.msg_bytes)
-                .unwrap_or_else(|| match r.transform {
-                    Some((_, t)) => layer.winograd_weight_bytes(t),
-                    None => layer.spatial_weight_bytes(),
-                });
             ring_collective_cycles(
-                msg,
+                r.collective.msg_bytes,
                 batch_split,
                 model.ring_bandwidth(sys),
                 &model.noc,
@@ -161,12 +151,11 @@ impl EvalCache {
             fwd_cycles: r.forward.cycles,
             bwd_compute_cycles: r.backward.compute_cycles,
             bwd_comm_cycles: r.backward.comm_cycles + cross_replica_cycles,
-            collective_cycles: r.collective_cycles,
             tile_comm_cycles: r.tile_comm_cycles,
             cross_replica_cycles,
             energy: r.total_energy().scale(batch_split as f64),
             transform: r.transform,
-            collective: coll,
+            collective: r.collective,
         };
         self.map.insert(key, eval);
         eval
@@ -256,6 +245,7 @@ mod tests {
         assert_eq!(eval.fwd_cycles, r.forward.cycles);
         assert_eq!(eval.bwd_comm_cycles, r.backward.comm_cycles);
         assert_eq!(eval.cross_replica_cycles, 0.0);
+        assert_eq!(eval.collective, r.collective);
         assert_eq!(eval.serial_cycles(), r.forward.cycles + r.backward.cycles);
         assert_eq!(eval.energy.total_j(), r.total_energy().total_j());
     }

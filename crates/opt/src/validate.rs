@@ -65,7 +65,7 @@ impl LayerAgreement {
 pub struct ValidationReport {
     /// One comparison per layer that runs a weight collective.
     pub checks: Vec<LayerAgreement>,
-    /// Layers skipped (no collective, degenerate ring, empty message).
+    /// Layers skipped (degenerate ring or empty message).
     pub skipped: usize,
 }
 
@@ -130,10 +130,7 @@ pub fn validate_plan(
     let mut simulated: HashMap<(usize, u64, LinkKind), f64> = HashMap::new();
     for (layer, step) in layers.iter().zip(&plan.steps) {
         let eval = cache.evaluate(model, sys, layer, step.cluster, step.batch_split);
-        let Some(coll) = eval.collective else {
-            report.skipped += 1;
-            continue;
-        };
+        let coll = eval.collective;
         if coll.ring_len < 2 || coll.msg_bytes == 0 {
             report.skipped += 1;
             continue;

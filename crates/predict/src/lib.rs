@@ -42,14 +42,12 @@
 #![forbid(unsafe_code)]
 
 pub mod bounds;
-pub mod observe;
 pub mod predictor;
 pub mod quantize;
 pub mod stats;
 pub mod zero_skip;
 
 pub use bounds::IntervalMat;
-pub use observe::record_prediction;
 pub use predictor::{
     predict_tensor, ActivationPredictor, PredictMode, TensorPrediction, TilePrediction,
 };

@@ -250,9 +250,10 @@ pub fn predict_tensor(
     let m = predictor.transform().m();
     let mut dead_tiles = Vec::with_capacity(y.tiles * y.chans);
     let mut dead_lines = Vec::with_capacity(y.tiles * y.chans * m);
+    let mut vals = vec![0.0; y.elems];
     for tile in 0..y.tiles {
         for c in 0..y.chans {
-            let vals = y.gather_tile(tile, c);
+            read_tile(y, tile, c, &mut vals);
             let pred = predictor.predict(&vals, mode);
             dead_tiles.push(pred.tile_dead);
             dead_lines.extend_from_slice(&pred.rows_dead);
@@ -263,6 +264,14 @@ pub fn predict_tensor(
         dead_lines,
         m,
         chans: y.chans,
+    }
+}
+
+/// Copies the `T²` elements of tile `tile`, channel `c` of `y` into
+/// `buf`: the one buffer a per-tile walk reuses for every pair.
+pub(crate) fn read_tile(y: &wmpt_winograd::WgTensor, tile: usize, c: usize, buf: &mut [f32]) {
+    for (e, v) in buf.iter_mut().enumerate() {
+        *v = y.data[y.index(e, tile, c)];
     }
 }
 

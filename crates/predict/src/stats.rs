@@ -3,7 +3,7 @@
 
 use wmpt_winograd::{WgTensor, WinogradTransform};
 
-use crate::predictor::{ActivationPredictor, PredictMode};
+use crate::predictor::{read_tile, ActivationPredictor, PredictMode};
 use crate::quantize::{sigma_of, QuantizerConfig};
 
 /// Dead-tile / dead-line ratios, actual vs predicted.
@@ -60,9 +60,10 @@ pub fn measure(
     let mut lines_dead_actual = 0usize;
     let mut lines_dead_pred = 0usize;
 
+    let mut vals = vec![0.0; y.elems];
     for tile in 0..y.tiles {
         for c in 0..y.chans {
-            let vals = y.gather_tile(tile, c);
+            read_tile(y, tile, c, &mut vals);
             let actual = predictor.actual(&vals);
             let pred = predictor.predict(&vals, mode);
 

@@ -252,7 +252,7 @@ fn plan_report(name: &str, cfg: &str) -> Result<String, String> {
         return Err(format!("unknown config '{cfg}'"));
     };
     let model = SystemModel::paper_fp16();
-    let plan = wmpt_core::plan_network(&model, &net, sys);
+    let plan = simulate_network(&model, &net, sys);
     let mut out = plan.render();
     let _ = writeln!(
         out,

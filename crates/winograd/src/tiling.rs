@@ -97,9 +97,7 @@ impl Tiling {
 /// `tiles` counts tiles across the whole batch (`B · tiles_per_image`).
 /// The tiling kernels move a tile's channels as whole contiguous runs and
 /// do not use [`Self::gather_tile`]/[`Self::scatter_tile`]; those
-/// one-channel accessors serve per-tile readers (the activation
-/// predictor's `predict_tensor` and its statistics) and the tests'
-/// frozen oracles.
+/// one-channel accessors serve the tests' frozen oracles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WgTensor {
     /// Number of tile elements (`T²`).
