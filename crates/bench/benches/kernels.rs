@@ -6,9 +6,12 @@
 use std::hint::black_box;
 use wmpt_bench::timing::bench;
 
+use wmpt_core::{simulate_layer, SystemConfig, SystemModel};
+use wmpt_models::table2_layers;
+
 use wmpt_noc::{
-    bottleneck_phase, ring_collective_cycles, simulate_ring_reduce_broadcast, LinkKind, NocParams,
-    PacketNetwork, Topology,
+    bottleneck_phase, ring_collective_cycles, simulate_ring_reduce_broadcast, tile_transfer_phase,
+    ClusterConfig, LinkKind, NocParams, PacketNetwork, Topology,
 };
 use wmpt_par::ParPool;
 use wmpt_predict::{ActivationPredictor, PredictMode, QuantizerConfig};
@@ -132,6 +135,22 @@ fn bench_network() {
         .collect();
     bench("noc/fbfly_bottleneck_phase", || {
         bottleneck_phase(black_box(&topo), &params, black_box(&flows), 64)
+    });
+    // The per-candidate cost of the layer model: one tile scatter or
+    // gather on the memoized 16-group cluster fabric, then a whole layer.
+    let cluster = ClusterConfig::new(16, 16)
+        .cluster_topology()
+        .expect("16 groups have a fabric");
+    bench("noc/tile_transfer_phase_fbfly16", || {
+        tile_transfer_phase(black_box(&cluster), &params, black_box(16 << 20), 16)
+    });
+    let model = SystemModel::paper();
+    let late2 = table2_layers()
+        .into_iter()
+        .find(|l| l.name == "Late-2")
+        .expect("Table II has Late-2");
+    bench("core/simulate_layer_late2_w_mp++", || {
+        simulate_layer(&model, black_box(&late2), SystemConfig::WMpPD)
     });
     bench(
         "noc/mct_topology_build_257_nodes",

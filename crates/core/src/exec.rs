@@ -419,12 +419,11 @@ fn winograd_layer_exec(
         .with_vector(&relu);
     fwd_cost.dram_bytes = x_share + 2 * xt_share + w_share + 2 * yt_share + y_share;
 
-    // Forward communication: scatter X then gather Y inside each cluster.
+    // Forward communication: scatter X then gather Y inside each cluster
+    // (`N_g > 1`, the clusters with a tile-transfer fabric).
     let mut detail = ExecDetail::default();
-    let fwd_comm = if n_g > 1 {
-        let cluster = cfg
-            .cluster_topology()
-            .expect("n_g > 1 has a cluster fabric");
+    let cluster = cfg.cluster_topology();
+    let fwd_comm = if let Some(cluster) = &cluster {
         let x_bytes = layer.input_tile_bytes(model.batch, m, t) / n_c;
         let y_bytes = layer.output_tile_bytes(model.batch, m, t) / n_c;
         let gather_factor = if one_d { m as f64 / t as f64 } else { 1.0 };
@@ -436,8 +435,8 @@ fn winograd_layer_exec(
         let scatter_v = x_bytes as f64 * (1.0 - s_scatter);
         let gather_v =
             y_bytes as f64 * gather_factor * join_factor * (1.0 - s_gather + pred_overhead);
-        let ph_s = tile_transfer_phase(&cluster, &model.noc, scatter_v as u64, cfg.n_g);
-        let ph_g = tile_transfer_phase(&cluster, &model.noc, gather_v as u64, cfg.n_g);
+        let ph_s = tile_transfer_phase(cluster, &model.noc, scatter_v as u64, cfg.n_g);
+        let ph_g = tile_transfer_phase(cluster, &model.noc, gather_v as u64, cfg.n_g);
         detail.fwd_comm = vec![
             CommPhase {
                 class: TrafficClass::TileScatter,
@@ -492,18 +491,15 @@ fn winograd_layer_exec(
     bwd_cost.dram_bytes = (y_share + 2 * yt_share + w_share + 2 * xt_share + x_share)
         + (xt_share + yt_share + 3 * w_share);
 
-    let bwd_tile_comm = if n_g > 1 {
-        let cluster = cfg
-            .cluster_topology()
-            .expect("n_g > 1 has a cluster fabric");
+    let bwd_tile_comm = if let Some(cluster) = &cluster {
         let dy_bytes = layer.output_tile_bytes(model.batch, m, t) / n_c;
         let dx_bytes = layer.input_tile_bytes(model.batch, m, t) / n_c;
         let gather_factor = if one_d { m as f64 / t as f64 } else { 1.0 };
         // dY is ReLU-masked (sparse): zero-skip applies to its scatter.
         let scatter_v = dy_bytes as f64 * (1.0 - s_scatter);
         let gather_v = dx_bytes as f64 * gather_factor;
-        let ph_s = tile_transfer_phase(&cluster, &model.noc, scatter_v as u64, cfg.n_g);
-        let ph_g = tile_transfer_phase(&cluster, &model.noc, gather_v as u64, cfg.n_g);
+        let ph_s = tile_transfer_phase(cluster, &model.noc, scatter_v as u64, cfg.n_g);
+        let ph_g = tile_transfer_phase(cluster, &model.noc, gather_v as u64, cfg.n_g);
         detail.bwd_comm = vec![
             CommPhase {
                 class: TrafficClass::TileScatter,

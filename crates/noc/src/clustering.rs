@@ -8,6 +8,9 @@
 //! the precomputed communication amounts — reconfiguration itself moves
 //! no data (§IV).
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
 use crate::network::PhaseTime;
 use crate::params::{LinkKind, NocParams};
 use crate::tile_transfer::tile_transfer_phase;
@@ -83,19 +86,26 @@ impl ClusterConfig {
     /// as in the paper's (4, 64) configuration — "four fully connected
     /// workers constitute a cluster"), `None` when `N_g == 1` (no tile
     /// transfer at all).
-    pub fn cluster_topology(&self) -> Option<Topology> {
-        match self.n_g {
-            0 | 1 => None,
-            n if n <= 4 => Some(Topology::fully_connected(n, LinkKind::Narrow)),
-            n => {
-                let side = (n as f64).sqrt().round() as usize;
-                if side * side == n {
-                    Some(Topology::flattened_butterfly(side, side, LinkKind::Narrow))
-                } else {
-                    Some(Topology::fully_connected(n, LinkKind::Narrow))
-                }
-            }
+    ///
+    /// The fabric is a pure function of `N_g`, so it is built (and its
+    /// routes computed) once per `N_g` per process; every later call
+    /// shares that build.
+    pub fn cluster_topology(&self) -> Option<Arc<Topology>> {
+        type Memo = Mutex<HashMap<usize, Arc<Topology>>>;
+        static MEMO: OnceLock<Memo> = OnceLock::new();
+        if self.n_g <= 1 {
+            return None;
         }
+        // Every update is one insert of a finished fabric, so a guard
+        // recovered from a poisoned lock still sees a valid map.
+        let mut memo = MEMO
+            .get_or_init(Memo::default)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let fabric = memo
+            .entry(self.n_g)
+            .or_insert_with(|| Arc::new(cluster_fabric(self.n_g)));
+        Some(Arc::clone(fabric))
     }
 
     /// Gather-volume multiplier of the 1-D-transform-at-source
@@ -116,6 +126,16 @@ impl ClusterConfig {
     /// holds at least a complete line of the tile, i.e. `N_g ≤ T`.
     pub fn uses_one_d_transfer(&self, tile_t: usize) -> bool {
         self.n_g > 1 && self.n_g <= tile_t
+    }
+}
+
+/// The tile-transfer fabric of an `n_g`-group cluster (`n_g ≥ 2`).
+fn cluster_fabric(n_g: usize) -> Topology {
+    let side = (n_g as f64).sqrt().round() as usize;
+    if n_g > 4 && side * side == n_g {
+        Topology::flattened_butterfly(side, side, LinkKind::Narrow)
+    } else {
+        Topology::fully_connected(n_g, LinkKind::Narrow)
     }
 }
 

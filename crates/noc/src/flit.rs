@@ -218,11 +218,16 @@ pub fn try_simulate_flits(
         .collect();
 
     let edges = topo.edges();
+    // `edge_id[from * n + to]`: the first edge `from → to` in `edges`.
+    let n = topo.len();
+    let mut edge_id = vec![usize::MAX; n * n];
+    for (i, &(a, b, _)) in edges.iter().enumerate().rev() {
+        edge_id[a * n + b] = i;
+    }
     let edge_index = |from: usize, to: usize| -> usize {
-        edges
-            .iter()
-            .position(|(a, b, _)| *a == from && *b == to)
-            .expect("route edges exist in topology")
+        let id = edge_id[from * n + to];
+        assert_ne!(id, usize::MAX, "route edges exist in topology");
+        id
     };
     // Link service interval in 1/256 cycle fixed-point: flit_bytes / bw.
     let service: Vec<u64> = edges

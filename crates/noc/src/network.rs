@@ -142,13 +142,17 @@ pub struct PhaseTime {
 }
 
 /// Evaluates a phase of `(src, dst, payload_bytes)` flows on `topo`.
+///
+/// Routes are walked over the next-hop table into a dense `n · n` array
+/// of per-link wire bytes; each link sums its flows in flow order.
 pub fn bottleneck_phase(
     topo: &Topology,
     params: &NocParams,
     flows: &[(usize, usize, u64)],
     real_packet: usize,
 ) -> PhaseTime {
-    let mut link_bytes: HashMap<(usize, usize), f64> = HashMap::new();
+    let n = topo.len();
+    let mut link_bytes = vec![0.0f64; n * n];
     let mut bytes_hops = 0.0;
     let mut max_route_lat = 0u64;
     for &(src, dst, payload) in flows {
@@ -156,19 +160,21 @@ pub fn bottleneck_phase(
             continue;
         }
         let wire = params.wire_bytes(payload as usize, real_packet) as f64;
-        let route = topo.route(src, dst);
-        max_route_lat = max_route_lat.max(route.len() as u64 * params.hop_latency());
-        for e in &route {
-            *link_bytes.entry((e.from, e.to)).or_default() += wire;
+        let mut hops = 0u64;
+        for e in topo.route_edges(src, dst) {
+            link_bytes[e.from * n + e.to] += wire;
             bytes_hops += wire;
+            hops += 1;
         }
+        max_route_lat = max_route_lat.max(hops * params.hop_latency());
     }
+    // Untouched links hold 0 bytes and cannot raise either maximum.
     let mut cycles = 0.0f64;
     let mut max_link = 0.0f64;
-    for ((from, to), bytes) in &link_bytes {
-        let bw = topo.link_kind(*from, *to).bytes_per_cycle();
-        cycles = cycles.max(bytes / bw);
-        max_link = max_link.max(*bytes);
+    for (from, to, kind) in topo.edge_iter() {
+        let bytes = link_bytes[from * n + to];
+        cycles = cycles.max(bytes / kind.bytes_per_cycle());
+        max_link = max_link.max(bytes);
     }
     PhaseTime {
         cycles: cycles + max_route_lat as f64,

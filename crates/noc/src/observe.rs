@@ -33,7 +33,7 @@ pub fn record_flows(
             continue;
         }
         let wire = params.wire_bytes(payload as usize, params.packet_bytes) as u64;
-        let hops = topo.route(src, dst).len() as u64;
+        let hops = topo.hops(src, dst) as u64;
         packets += payload.div_ceil(params.packet_bytes as u64);
         flits += wire.div_ceil(flit);
         wire_hops += wire * hops;

@@ -20,8 +20,8 @@ pub struct Edge {
     pub to: usize,
 }
 
-/// A network topology: adjacency with link kinds, plus precomputed
-/// minimal-hop next-hop tables (deterministic tie-breaking).
+/// A network topology: adjacency with link kinds, plus a precomputed
+/// minimal-hop next-hop table (deterministic tie-breaking).
 ///
 /// # Examples
 ///
@@ -37,7 +37,9 @@ pub struct Edge {
 pub struct Topology {
     n: usize,
     adj: Vec<Vec<(usize, LinkKind)>>,
-    next_hop: Vec<Vec<usize>>,
+    /// `next_hop[cur * n + dst]`: the neighbour of `cur` on its minimal
+    /// route to `dst` (`usize::MAX` on the diagonal and for dead nodes).
+    next_hop: Vec<usize>,
     alive: Vec<bool>,
 }
 
@@ -172,40 +174,53 @@ impl Topology {
 
     /// All directed edges.
     pub fn edges(&self) -> Vec<(usize, usize, LinkKind)> {
-        let mut out = Vec::new();
-        for (i, ns) in self.adj.iter().enumerate() {
-            for &(j, k) in ns {
-                out.push((i, j, k));
-            }
-        }
-        out
+        self.edge_iter().collect()
     }
 
-    /// Minimal route from `src` to `dst` as the sequence of edges.
+    /// All directed edges in [`Topology::edges`] order, without
+    /// collecting them.
+    pub(crate) fn edge_iter(&self) -> impl Iterator<Item = (usize, usize, LinkKind)> + '_ {
+        self.adj
+            .iter()
+            .enumerate()
+            .flat_map(|(i, ns)| ns.iter().map(move |&(j, k)| (i, j, k)))
+    }
+
+    /// Minimal route from `src` to `dst` as the sequence of edges (empty
+    /// when `src == dst`).
     ///
     /// # Panics
     ///
-    /// Panics if `src == dst` routing degenerates (returns empty) is fine;
-    /// panics if indices are out of range.
+    /// Panics if an endpoint is out of range or a dead node.
     pub fn route(&self, src: usize, dst: usize) -> Vec<Edge> {
+        self.route_edges(src, dst).collect()
+    }
+
+    /// The edges of [`Topology::route`]`(src, dst)`, walked over the
+    /// next-hop table without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is out of range or a dead node.
+    pub fn route_edges(&self, src: usize, dst: usize) -> impl Iterator<Item = Edge> + '_ {
         assert!(src < self.n && dst < self.n, "route endpoints out of range");
         assert!(
             self.alive[src] && self.alive[dst],
             "route endpoint is a dead node"
         );
-        let mut edges = Vec::new();
         let mut cur = src;
-        while cur != dst {
-            let nxt = self.next_hop[cur][dst];
-            edges.push(Edge { from: cur, to: nxt });
-            cur = nxt;
-        }
-        edges
+        std::iter::from_fn(move || {
+            (cur != dst).then(|| {
+                let from = cur;
+                cur = self.next_hop[from * self.n + dst];
+                Edge { from, to: cur }
+            })
+        })
     }
 
     /// Hop count of the minimal route.
     pub fn hops(&self, src: usize, dst: usize) -> usize {
-        self.route(src, dst).len()
+        self.route_edges(src, dst).count()
     }
 
     /// A unidirectional-pair ring of `n` nodes (each node links to both
@@ -265,7 +280,7 @@ fn compute_next_hops(
     n: usize,
     adj: &[Vec<(usize, LinkKind)>],
     alive: &[bool],
-) -> Result<Vec<Vec<usize>>, String> {
+) -> Result<Vec<usize>, String> {
     // Minimal-hop BFS with lowest-index tie-breaking. The host node
     // carries the highest index, so ordinary traffic never detours
     // through it on a tie; configurations that *want* host routing (the
@@ -273,7 +288,7 @@ fn compute_next_hops(
     // explicit waypoint instead (see `PhysicalMapping`), mirroring the
     // paper's per-layer route reconfiguration (§IV). Dead nodes are
     // excluded: they neither originate, terminate, nor forward traffic.
-    let mut tables = vec![vec![usize::MAX; n]; n];
+    let mut table = vec![usize::MAX; n * n];
     for src in 0..n {
         if !alive[src] {
             continue;
@@ -301,10 +316,10 @@ fn compute_next_hops(
                     "topology not strongly connected: no path {src} -> {dst}"
                 ));
             }
-            tables[src][dst] = first[dst];
+            table[src * n + dst] = first[dst];
         }
     }
-    Ok(tables)
+    Ok(table)
 }
 
 /// Identifies a worker in the 16 × 16 physical arrangement.

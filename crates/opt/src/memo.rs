@@ -23,8 +23,6 @@ pub struct LayerEval {
     /// Backward communication cycles, including the cross-replica
     /// gradient collective when the batch is split.
     pub bwd_comm_cycles: f64,
-    /// Tile-transfer cycles (for reporting).
-    pub tile_comm_cycles: f64,
     /// Cross-replica gradient-collective cycles (0 when `s == 1`).
     pub cross_replica_cycles: f64,
     /// Whole-machine energy (one replica scaled by the replica count).
@@ -151,7 +149,6 @@ impl EvalCache {
             fwd_cycles: r.forward.cycles,
             bwd_compute_cycles: r.backward.compute_cycles,
             bwd_comm_cycles: r.backward.comm_cycles + cross_replica_cycles,
-            tile_comm_cycles: r.tile_comm_cycles,
             cross_replica_cycles,
             energy: r.total_energy().scale(batch_split as f64),
             transform: r.transform,

@@ -1,12 +1,12 @@
 //! Pins the exact bytes of every artifact the server serves for one
 //! request per execution path: a layer sweep, a single-config layer, a
 //! single-config network (per-layer streaming), a two-config network
-//! sweep, a host plan and an auto-searched plan. Each artifact is
-//! reduced to its `canonical_hash` digest, so any change to a report,
-//! trace, metrics document or SVG timeline — one byte anywhere — fails
-//! here. A refactor of the simulation stack must leave every digest as
-//! it is; a deliberate change to the output updates them in the same
-//! commit.
+//! sweep, a host plan, an auto-searched plan and two flit-level `noc`
+//! sweeps. Each artifact is reduced to its `canonical_hash` digest, so
+//! any change to a report, trace, metrics document or SVG timeline — one
+//! byte anywhere — fails here. A refactor of the simulation stack must
+//! leave every digest as it is; a deliberate change to the output
+//! updates them in the same commit.
 
 use wmpt_obs::json::s;
 use wmpt_par::ParPool;
@@ -104,5 +104,21 @@ fn auto_plan_artifacts_are_pinned() {
             ("report", "74413cc9c0580b07ab104f8ae9f7f4e0"),
             ("metrics", "814edd7f0aa24430ce44122959f25673"),
         ],
+    );
+}
+
+#[test]
+fn ring_noc_report_is_pinned() {
+    check(
+        SimRequest::noc("ring", "uniform").unwrap(),
+        &[("report", "273b5deab4453972ae678fcab69d6999")],
+    );
+}
+
+#[test]
+fn fbfly_noc_report_is_pinned() {
+    check(
+        SimRequest::noc("fbfly", "hotspot").unwrap(),
+        &[("report", "b044878baeb3926ba45e3dad196d5dac")],
     );
 }
