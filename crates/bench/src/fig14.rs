@@ -176,16 +176,6 @@ pub fn accuracy(scores: &[f32], targets: &[f32]) -> f64 {
     correct as f64 / scores.len() as f64
 }
 
-/// Mean-squared error of scores against targets.
-pub fn mse(scores: &[f32], targets: &[f32]) -> f64 {
-    scores
-        .iter()
-        .zip(targets)
-        .map(|(s, t)| ((s - t) as f64).powi(2))
-        .sum::<f64>()
-        / scores.len().max(1) as f64
-}
-
 /// Trains both variants and returns per-epoch accuracies
 /// `(spatial, winograd)`.
 pub fn train_both(epochs: usize) -> Vec<(f64, f64)> {

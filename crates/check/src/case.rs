@@ -133,16 +133,6 @@ impl<'a> Case<'a> {
         }
     }
 
-    /// Approximately normal `f32` (Irwin–Hall sum of four uniforms),
-    /// shrinking toward `mean - 2σ·√3`-ish simplicity — prefer
-    /// [`Case::f32_pm`] when shrink quality matters more than the shape of
-    /// the distribution.
-    pub fn normal_f32(&mut self, mean: f64, sigma: f64) -> f32 {
-        let sum: f64 = (0..4).map(|_| self.ratio()).sum();
-        // Sum of 4 U(0,1): mean 2, variance 1/3.
-        (mean + sigma * (sum - 2.0) * (3.0f64).sqrt()) as f32
-    }
-
     /// One element of a slice, shrinking toward the first.
     ///
     /// # Panics
@@ -151,11 +141,6 @@ impl<'a> Case<'a> {
     pub fn pick<'t, T>(&mut self, items: &'t [T]) -> &'t T {
         assert!(!items.is_empty(), "cannot pick from an empty slice");
         &items[self.size(0, items.len() - 1)]
-    }
-
-    /// `len` uniform `f32`s in `[lo, hi)`.
-    pub fn vec_f32(&mut self, len: usize, lo: f32, hi: f32) -> Vec<f32> {
-        (0..len).map(|_| self.f32_in(lo, hi)).collect()
     }
 
     /// `len` symmetric `f32`s in `[-max, max]`, shrinking toward zeros.

@@ -190,7 +190,9 @@ pub fn train_resilient(
             obs.metrics.inc(MetricKey::FaultEventsInjected, 1);
             state.apply(ev);
 
-            match ev {
+            // Link and worker loss and bit flips roll back and replay;
+            // stragglers and host flaps only cost time.
+            let rolls_back = match ev {
                 FaultEvent::LinkDown { .. } | FaultEvent::WorkerDown { .. } => {
                     let degraded = healthy.degrade(&state.dead_links, &state.dead_workers)?;
                     if let FaultEvent::WorkerDown { .. } = ev {
@@ -215,52 +217,17 @@ pub fn train_resilient(
                         extra_hops = new_extra;
                     }
                     obs.metrics.inc(MetricKey::FaultReroutes, 1);
-                    let spent = rollback_and_replay(
-                        net,
-                        x,
-                        targets,
-                        cfg,
-                        cur_grid,
-                        &state,
-                        extra_hops,
-                        &ckpt_text,
-                        ckpt_iter,
-                        it,
-                        &mut losses,
-                        &mut report_replayed,
-                        &iter_cycles,
-                    )?;
-                    clock += spent;
-                    report_rollbacks += 1;
-                    report_recovery += spent;
-                    record_recovery(obs, spent);
+                    true
                 }
                 FaultEvent::BitFlip { stage, index, bit } => {
                     flip_weight_bit(net, *stage, *index, *bit);
                     obs.metrics.inc(MetricKey::FaultBitFlipsDetected, 1);
-                    let spent = rollback_and_replay(
-                        net,
-                        x,
-                        targets,
-                        cfg,
-                        cur_grid,
-                        &state,
-                        extra_hops,
-                        &ckpt_text,
-                        ckpt_iter,
-                        it,
-                        &mut losses,
-                        &mut report_replayed,
-                        &iter_cycles,
-                    )?;
-                    clock += spent;
-                    report_rollbacks += 1;
-                    report_recovery += spent;
-                    record_recovery(obs, spent);
+                    true
                 }
                 FaultEvent::Straggler { .. } => {
                     // Already folded into `state`; it slows every
                     // subsequent iteration via `iter_cycles`.
+                    false
                 }
                 FaultEvent::HostLinkFlap { down_for, .. } => {
                     // Rings stitched through the host stall for the
@@ -269,7 +236,29 @@ pub fn train_resilient(
                         clock += down_for;
                         report_stalls += down_for;
                     }
+                    false
                 }
+            };
+            if rolls_back {
+                let spent = rollback_and_replay(
+                    net,
+                    x,
+                    targets,
+                    cfg,
+                    cur_grid,
+                    &state,
+                    extra_hops,
+                    &ckpt_text,
+                    ckpt_iter,
+                    it,
+                    &mut losses,
+                    &mut report_replayed,
+                    &iter_cycles,
+                )?;
+                clock += spent;
+                report_rollbacks += 1;
+                report_recovery += spent;
+                record_recovery(obs, spent);
             }
             obs.trace.span(
                 fault_track,

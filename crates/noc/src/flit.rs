@@ -218,17 +218,6 @@ pub fn try_simulate_flits(
         .collect();
 
     let edges = topo.edges();
-    // `edge_id[from * n + to]`: the first edge `from → to` in `edges`.
-    let n = topo.len();
-    let mut edge_id = vec![usize::MAX; n * n];
-    for (i, &(a, b, _)) in edges.iter().enumerate().rev() {
-        edge_id[a * n + b] = i;
-    }
-    let edge_index = |from: usize, to: usize| -> usize {
-        let id = edge_id[from * n + to];
-        assert_ne!(id, usize::MAX, "route edges exist in topology");
-        id
-    };
     // Link service interval in 1/256 cycle fixed-point: flit_bytes / bw.
     let service: Vec<u64> = edges
         .iter()
@@ -269,7 +258,7 @@ pub fn try_simulate_flits(
             if done[pi] || route.is_empty() {
                 continue;
             }
-            let last = edge_index(route[route.len() - 1].from, route[route.len() - 1].to);
+            let last = route[route.len() - 1].id;
             for vc in &mut bufs[last] {
                 while let Some(&f) = vc
                     .flits
@@ -312,7 +301,7 @@ pub fn try_simulate_flits(
                     if f.hop >= route.len() {
                         continue; // awaiting drain at destination
                     }
-                    let next_edge = edge_index(route[f.hop].from, route[f.hop].to);
+                    let next_edge = route[f.hop].id;
                     // Find (or allocate) the packet's class VC downstream.
                     let Some(nvc) =
                         alloc_vc(&bufs[next_edge], pi, config.vc_depth, classes[pi][f.hop])
@@ -359,7 +348,7 @@ pub fn try_simulate_flits(
                 });
                 continue;
             }
-            let first = edge_index(route[0].from, route[0].to);
+            let first = route[0].id;
             // Inject as many flits as the first link's capacity and the
             // downstream buffer allow this cycle.
             while let Some(vc) = alloc_vc(&bufs[first], pi, config.vc_depth, classes[pi][0]) {

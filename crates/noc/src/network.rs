@@ -14,7 +14,7 @@
 //! raise the effective packet size to bound event counts; headers are
 //! still charged per *real* packet.
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
 
 use wmpt_sim::{serialization_cycles, ResourceTimeline, Time};
 
@@ -26,7 +26,8 @@ use crate::topology::Topology;
 pub struct PacketNetwork {
     topo: Topology,
     params: NocParams,
-    links: HashMap<(usize, usize), ResourceTimeline>,
+    /// One timeline per directed link, indexed by edge id.
+    links: Vec<ResourceTimeline>,
     bytes_on_wire: u64,
 }
 
@@ -34,9 +35,9 @@ impl PacketNetwork {
     /// Creates a fresh simulator over `topo`.
     pub fn new(topo: Topology, params: NocParams) -> Self {
         Self {
+            links: vec![ResourceTimeline::default(); topo.edges().len()],
             topo,
             params,
-            links: HashMap::new(),
             bytes_on_wire: 0,
         }
     }
@@ -74,43 +75,36 @@ impl PacketNetwork {
         if src == dst || bytes == 0 {
             return ready;
         }
-        let route = self.topo.route(src, dst);
         let hop_lat = self.params.hop_latency();
         let wire = self.params.wire_bytes(bytes as usize, real_packet) as u64;
-        self.bytes_on_wire += wire * route.len() as u64;
+        self.bytes_on_wire += wire * self.topo.hops(src, dst) as u64;
         let sim_packet = sim_packet.max(real_packet) as u64;
         let n_pkts = wire.div_ceil(sim_packet);
         let mut done = ready;
         let mut remaining = wire;
-        // Track when each packet leaves each hop; packets are independent
-        // events and links serialize them.
-        let mut pkt_ready = ready;
+        // Packets are independent events and links serialize them: every
+        // packet leaves the source at `ready` (back-to-back injection),
+        // and the first link's timeline provides the serialization order.
         for _ in 0..n_pkts {
             let pkt_bytes = remaining.min(sim_packet);
             remaining -= pkt_bytes;
-            let mut t = pkt_ready;
-            for e in &route {
-                let kind = self.topo.link_kind(e.from, e.to);
+            let mut t = ready;
+            for e in self.topo.route_edges(src, dst) {
+                let kind = self.topo.edges()[e.id].2;
                 let ser = serialization_cycles(pkt_bytes, kind.bytes_per_cycle());
-                let tl = self.links.entry((e.from, e.to)).or_default();
-                let (_, end) = tl.reserve(t, ser);
+                let (_, end) = self.links[e.id].reserve(t, ser);
                 t = end + hop_lat;
             }
             done = done.max(t);
-            // Next packet can start serializing immediately (the source
-            // injects back-to-back); the first link's timeline provides the
-            // serialization order.
-            pkt_ready = ready;
         }
         done
     }
 
     /// Busy cycles accumulated on a directed link so far (0 if unused).
     pub fn link_busy(&self, from: usize, to: usize) -> Time {
-        self.links
-            .get(&(from, to))
-            .map(|t| t.busy_cycles())
-            .unwrap_or(0)
+        self.topo
+            .edge_id(from, to)
+            .map_or(0, |id| self.links[id].busy_cycles())
     }
 
     /// Total wire bytes × hops transported (for energy accounting).
@@ -120,7 +114,7 @@ impl PacketNetwork {
 
     /// Sum of busy cycles over all links.
     pub fn total_link_busy(&self) -> Time {
-        self.links.values().map(|t| t.busy_cycles()).sum()
+        self.links.iter().map(|t| t.busy_cycles()).sum()
     }
 }
 
@@ -143,26 +137,26 @@ pub struct PhaseTime {
 
 /// Evaluates a phase of `(src, dst, payload_bytes)` flows on `topo`.
 ///
-/// Routes are walked over the next-hop table into a dense `n · n` array
-/// of per-link wire bytes; each link sums its flows in flow order.
-pub fn bottleneck_phase(
+/// Routes are walked over the routing table into per-link wire bytes
+/// indexed by edge id; each link sums its flows in flow order.
+pub fn bottleneck_phase<F: Borrow<(usize, usize, u64)>>(
     topo: &Topology,
     params: &NocParams,
-    flows: &[(usize, usize, u64)],
+    flows: impl IntoIterator<Item = F>,
     real_packet: usize,
 ) -> PhaseTime {
-    let n = topo.len();
-    let mut link_bytes = vec![0.0f64; n * n];
+    let mut link_bytes = vec![0.0f64; topo.edges().len()];
     let mut bytes_hops = 0.0;
     let mut max_route_lat = 0u64;
-    for &(src, dst, payload) in flows {
+    for flow in flows {
+        let (src, dst, payload) = *flow.borrow();
         if src == dst || payload == 0 {
             continue;
         }
         let wire = params.wire_bytes(payload as usize, real_packet) as f64;
         let mut hops = 0u64;
         for e in topo.route_edges(src, dst) {
-            link_bytes[e.from * n + e.to] += wire;
+            link_bytes[e.id] += wire;
             bytes_hops += wire;
             hops += 1;
         }
@@ -171,8 +165,7 @@ pub fn bottleneck_phase(
     // Untouched links hold 0 bytes and cannot raise either maximum.
     let mut cycles = 0.0f64;
     let mut max_link = 0.0f64;
-    for (from, to, kind) in topo.edge_iter() {
-        let bytes = link_bytes[from * n + to];
+    for (&(_, _, kind), &bytes) in topo.edges().iter().zip(&link_bytes) {
         cycles = cycles.max(bytes / kind.bytes_per_cycle());
         max_link = max_link.max(bytes);
     }
@@ -257,7 +250,7 @@ mod tests {
         let p = NocParams::paper();
         // Two flows share link 1->2: 0->2 and 1->2, 3000B payload each.
         let flows = [(0usize, 2usize, 3000u64), (1, 2, 3000)];
-        let ph = bottleneck_phase(&topo, &p, &flows, 64);
+        let ph = bottleneck_phase(&topo, &p, flows, 64);
         // wire bytes per flow: 3000 + ceil(3000/64)*8 = 3000 + 47*8 = 3376
         let wire = 3376.0;
         wmpt_check::assert_approx_eq!(ph.max_link_bytes, 2.0 * wire, wmpt_check::Tol::F64_SOLVE);
@@ -271,7 +264,7 @@ mod tests {
     fn bottleneck_phase_agrees_with_event_sim_for_single_flow() {
         let topo = line3();
         let p = NocParams::paper();
-        let ph = bottleneck_phase(&topo, &p, &[(0, 2, 64_000)], 64);
+        let ph = bottleneck_phase(&topo, &p, [(0, 2, 64_000)], 64);
         // 1 KiB simulation packets avoid the per-packet integer-cycle
         // rounding that inflates 64 B-granularity runs by ~40 %.
         let sim = PacketNetwork::new(line3(), p).transfer(0, 2, 64_000, 0, 64, 1024);

@@ -15,15 +15,21 @@ use crate::topology::Topology;
 /// Builds the flow list of a uniform all-to-all where every ordered pair
 /// exchanges `pair_bytes`.
 pub fn all_to_all_flows(nodes: &[usize], pair_bytes: u64) -> Vec<(usize, usize, u64)> {
-    let mut flows = Vec::with_capacity(nodes.len() * nodes.len().saturating_sub(1));
-    for &a in nodes {
-        for &b in nodes {
-            if a != b {
-                flows.push((a, b, pair_bytes));
-            }
-        }
-    }
-    flows
+    all_to_all(nodes.iter().copied(), pair_bytes).collect()
+}
+
+/// The flows of [`all_to_all_flows`], in its order, without collecting
+/// them.
+fn all_to_all(
+    nodes: impl Iterator<Item = usize> + Clone,
+    pair_bytes: u64,
+) -> impl Iterator<Item = (usize, usize, u64)> {
+    nodes.clone().flat_map(move |a| {
+        nodes
+            .clone()
+            .filter(move |&b| b != a)
+            .map(move |b| (a, b, pair_bytes))
+    })
 }
 
 /// Per-ordered-pair bytes of a tile transfer: the cluster holds
@@ -44,9 +50,8 @@ pub fn tile_transfer_phase(
     cluster_tile_bytes: u64,
     n_g: usize,
 ) -> PhaseTime {
-    let nodes: Vec<usize> = (0..cluster.len()).collect();
-    let flows = all_to_all_flows(&nodes, tile_pair_bytes(cluster_tile_bytes, n_g));
-    bottleneck_phase(cluster, params, &flows, params.packet_bytes)
+    let flows = all_to_all(0..cluster.len(), tile_pair_bytes(cluster_tile_bytes, n_g));
+    bottleneck_phase(cluster, params, flows, params.packet_bytes)
 }
 
 /// Event-driven all-to-all on an existing network; returns completion

@@ -18,10 +18,13 @@ pub struct Edge {
     pub from: usize,
     /// Destination node index.
     pub to: usize,
+    /// Edge id: the link's position in [`Topology::edges`]. Every
+    /// per-link array of the network models is indexed by it.
+    pub id: usize,
 }
 
-/// A network topology: adjacency with link kinds, plus a precomputed
-/// minimal-hop next-hop table (deterministic tie-breaking).
+/// A network topology: its directed links, numbered once, plus a
+/// precomputed minimal-hop routing table (deterministic tie-breaking).
 ///
 /// # Examples
 ///
@@ -36,16 +39,22 @@ pub struct Edge {
 #[derive(Debug, Clone)]
 pub struct Topology {
     n: usize,
-    adj: Vec<Vec<(usize, LinkKind)>>,
-    /// `next_hop[cur * n + dst]`: the neighbour of `cur` on its minimal
-    /// route to `dst` (`usize::MAX` on the diagonal and for dead nodes).
-    next_hop: Vec<usize>,
+    /// Directed links sorted by `(from, to)`, one per pair; a link's
+    /// position is its edge id.
+    links: Vec<(usize, usize, LinkKind)>,
+    /// `links[row[v]..row[v + 1]]` are the links out of node `v`.
+    row: Vec<usize>,
+    /// `next_edge[cur * n + dst]`: the id of the first link on `cur`'s
+    /// minimal route to `dst` (`usize::MAX` on the diagonal and for dead
+    /// nodes).
+    next_edge: Vec<usize>,
     alive: Vec<bool>,
 }
 
 impl Topology {
     /// Builds a topology from directed edges; routing tables are computed
-    /// by BFS (minimal hop count, lowest-index tie-breaking).
+    /// by BFS (minimal hop count, lowest-index tie-breaking). Of a
+    /// repeated `(from, to)` pair the first is kept.
     ///
     /// # Panics
     ///
@@ -63,23 +72,35 @@ impl Topology {
     /// not strongly connected. Fault-injection paths use this to test
     /// whether a degraded network still routes.
     pub fn try_from_edges(n: usize, edges: &[(usize, usize, LinkKind)]) -> Result<Self, String> {
-        let mut adj = vec![Vec::new(); n];
-        for &(a, b, k) in edges {
-            if a >= n || b >= n {
-                return Err(format!("edge ({a},{b}) out of range for {n} nodes"));
-            }
-            adj[a].push((b, k));
+        if let Some((a, b, _)) = edges.iter().find(|(a, b, _)| *a >= n || *b >= n) {
+            return Err(format!("edge ({a},{b}) out of range for {n} nodes"));
         }
-        for neighbors in &mut adj {
-            neighbors.sort_by_key(|(j, _)| *j);
-            neighbors.dedup_by_key(|(j, _)| *j);
+        let mut links = edges.to_vec();
+        links.sort_by_key(|&(a, b, _)| (a, b));
+        links.dedup_by_key(|&mut (a, b, _)| (a, b));
+        Self::build(n, links, vec![true; n])
+    }
+
+    /// Numbers `links` (sorted by `(from, to)`, one per pair) and routes
+    /// over them.
+    fn build(
+        n: usize,
+        links: Vec<(usize, usize, LinkKind)>,
+        alive: Vec<bool>,
+    ) -> Result<Self, String> {
+        let mut row = vec![0; n + 1];
+        for &(a, _, _) in &links {
+            row[a + 1] += 1;
         }
-        let alive = vec![true; n];
-        let next_hop = compute_next_hops(n, &adj, &alive)?;
-        Ok(Self {
+        for v in 0..n {
+            row[v + 1] += row[v];
+        }
+        let next_edge = compute_next_edges(n, &links, &row, &alive)?;
+        Ok(Topology {
             n,
-            adj,
-            next_hop,
+            links,
+            row,
+            next_edge,
             alive,
         })
     }
@@ -91,21 +112,16 @@ impl Topology {
     /// other — the degraded network would partition and cannot carry the
     /// collectives, so callers must treat it as unrecoverable.
     pub fn without_links(&self, dead: &[(usize, usize)]) -> Result<Topology, String> {
-        let mut adj = self.adj.clone();
-        for &(a, b) in dead {
-            if a >= self.n || b >= self.n {
-                return Err(format!("link ({a},{b}) out of range for {} nodes", self.n));
-            }
-            adj[a].retain(|(j, _)| *j != b);
-            adj[b].retain(|(j, _)| *j != a);
+        if let Some((a, b)) = dead.iter().find(|(a, b)| *a >= self.n || *b >= self.n) {
+            return Err(format!("link ({a},{b}) out of range for {} nodes", self.n));
         }
-        let next_hop = compute_next_hops(self.n, &adj, &self.alive)?;
-        Ok(Topology {
-            n: self.n,
-            adj,
-            next_hop,
-            alive: self.alive.clone(),
-        })
+        let links = self
+            .links
+            .iter()
+            .filter(|&&(a, b, _)| !dead.iter().any(|&d| d == (a, b) || d == (b, a)))
+            .copied()
+            .collect();
+        Self::build(self.n, links, self.alive.clone())
     }
 
     /// The topology with the given nodes marked dead: all their links are
@@ -114,28 +130,23 @@ impl Topology {
     /// Errors if the surviving alive nodes are no longer strongly
     /// connected.
     pub fn without_nodes(&self, dead: &[usize]) -> Result<Topology, String> {
-        let mut adj = self.adj.clone();
         let mut alive = self.alive.clone();
         for &d in dead {
             if d >= self.n {
                 return Err(format!("node {d} out of range for {} nodes", self.n));
             }
             alive[d] = false;
-            adj[d].clear();
-        }
-        for neighbors in adj.iter_mut() {
-            neighbors.retain(|(j, _)| alive[*j]);
         }
         if alive.iter().filter(|a| **a).count() < 2 {
             return Err("fewer than 2 nodes survive".to_string());
         }
-        let next_hop = compute_next_hops(self.n, &adj, &alive)?;
-        Ok(Topology {
-            n: self.n,
-            adj,
-            next_hop,
-            alive,
-        })
+        let links = self
+            .links
+            .iter()
+            .filter(|&&(a, b, _)| alive[a] && alive[b])
+            .copied()
+            .collect();
+        Self::build(self.n, links, alive)
     }
 
     /// `true` when the node has not been marked dead by
@@ -159,31 +170,34 @@ impl Topology {
         self.n == 0
     }
 
+    /// Edge id of the directed link `from → to`, if it exists.
+    pub fn edge_id(&self, from: usize, to: usize) -> Option<usize> {
+        if from >= self.n {
+            return None;
+        }
+        let (lo, hi) = (self.row[from], self.row[from + 1]);
+        self.links[lo..hi]
+            .binary_search_by_key(&to, |&(_, b, _)| b)
+            .ok()
+            .map(|i| lo + i)
+    }
+
     /// Link kind of the directed edge `from → to`.
     ///
     /// # Panics
     ///
     /// Panics if the edge does not exist.
     pub fn link_kind(&self, from: usize, to: usize) -> LinkKind {
-        self.adj[from]
-            .iter()
-            .find(|(j, _)| *j == to)
-            .map(|(_, k)| *k)
-            .unwrap_or_else(|| panic!("no edge {from} -> {to}"))
+        match self.edge_id(from, to) {
+            Some(id) => self.links[id].2,
+            None => panic!("no edge {from} -> {to}"),
+        }
     }
 
-    /// All directed edges.
-    pub fn edges(&self) -> Vec<(usize, usize, LinkKind)> {
-        self.edge_iter().collect()
-    }
-
-    /// All directed edges in [`Topology::edges`] order, without
-    /// collecting them.
-    pub(crate) fn edge_iter(&self) -> impl Iterator<Item = (usize, usize, LinkKind)> + '_ {
-        self.adj
-            .iter()
-            .enumerate()
-            .flat_map(|(i, ns)| ns.iter().map(move |&(j, k)| (i, j, k)))
+    /// All directed links, sorted by `(from, to)`; a link's position is
+    /// its edge id ([`Edge::id`]).
+    pub fn edges(&self) -> &[(usize, usize, LinkKind)] {
+        &self.links
     }
 
     /// Minimal route from `src` to `dst` as the sequence of edges (empty
@@ -197,11 +211,14 @@ impl Topology {
     }
 
     /// The edges of [`Topology::route`]`(src, dst)`, walked over the
-    /// next-hop table without allocating.
+    /// routing table without allocating.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is out of range or a dead node.
+    // Inlinable across crates: `bottleneck_phase` is generic over its
+    // flows, so it is compiled in its callers' crates.
+    #[inline]
     pub fn route_edges(&self, src: usize, dst: usize) -> impl Iterator<Item = Edge> + '_ {
         assert!(src < self.n && dst < self.n, "route endpoints out of range");
         assert!(
@@ -211,9 +228,10 @@ impl Topology {
         let mut cur = src;
         std::iter::from_fn(move || {
             (cur != dst).then(|| {
-                let from = cur;
-                cur = self.next_hop[from * self.n + dst];
-                Edge { from, to: cur }
+                let id = self.next_edge[cur * self.n + dst];
+                let (from, to, _) = self.links[id];
+                cur = to;
+                Edge { from, to, id }
             })
         })
     }
@@ -276,9 +294,11 @@ impl Topology {
     }
 }
 
-fn compute_next_hops(
+/// The `next_edge` routing table of `links` (row offsets `row`).
+fn compute_next_edges(
     n: usize,
-    adj: &[Vec<(usize, LinkKind)>],
+    links: &[(usize, usize, LinkKind)],
+    row: &[usize],
     alive: &[bool],
 ) -> Result<Vec<usize>, String> {
     // Minimal-hop BFS with lowest-index tie-breaking. The host node
@@ -294,15 +314,15 @@ fn compute_next_hops(
             continue;
         }
         let mut dist = vec![usize::MAX; n];
-        let mut first = vec![usize::MAX; n]; // first hop from src toward node
+        let mut first = vec![usize::MAX; n]; // first link from src toward node
         dist[src] = 0;
         let mut q = std::collections::VecDeque::new();
         q.push_back(src);
         while let Some(u) = q.pop_front() {
-            for &(v, _) in &adj[u] {
+            for (id, &(_, v, _)) in links.iter().enumerate().take(row[u + 1]).skip(row[u]) {
                 if alive[v] && dist[v] == usize::MAX {
                     dist[v] = dist[u] + 1;
-                    first[v] = if u == src { v } else { first[u] };
+                    first[v] = if u == src { id } else { first[u] };
                     q.push_back(v);
                 }
             }

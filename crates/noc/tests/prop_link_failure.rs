@@ -51,7 +51,7 @@ fn assert_all_pairs_ok(t: &Topology) {
 fn undirected_links(t: &Topology) -> Vec<(usize, usize)> {
     let mut seen = HashSet::new();
     let mut out = Vec::new();
-    for (a, b, _) in t.edges() {
+    for &(a, b, _) in t.edges() {
         let key = (a.min(b), a.max(b));
         if seen.insert(key) {
             out.push(key);

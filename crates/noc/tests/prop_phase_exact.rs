@@ -1,5 +1,6 @@
-//! The closed-form phase model walks routes over the next-hop table into
-//! a dense link-load array, and cluster fabrics are memoized per `N_g`.
+//! The closed-form phase model walks routes over the routing table into
+//! link loads indexed by edge id, and cluster fabrics are memoized per
+//! `N_g`.
 //! Both are pure speedups: this file holds [`bottleneck_phase`] bitwise
 //! to a frozen copy of the original `HashMap`-of-link-loads body that
 //! allocated one route per flow, and the memoized fabrics to fresh
@@ -109,7 +110,7 @@ fn gen_topology(c: &mut Case) -> Topology {
         0 => None,
         1 => {
             let edges = base.edges();
-            let &(a, b, _) = c.pick(&edges);
+            let &(a, b, _) = c.pick(edges);
             base.without_links(&[(a, b)]).ok()
         }
         _ => base.without_nodes(&[c.size(0, base.len() - 1)]).ok(),

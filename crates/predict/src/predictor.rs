@@ -54,13 +54,6 @@ pub struct TilePrediction {
     pub rows_dead: Vec<bool>,
 }
 
-impl TilePrediction {
-    /// Number of dead rows.
-    pub fn dead_row_count(&self) -> usize {
-        self.rows_dead.iter().filter(|d| **d).count()
-    }
-}
-
 /// The activation predictor: a transform plus a quantizer.
 ///
 /// # Examples

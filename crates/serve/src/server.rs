@@ -138,9 +138,10 @@ impl JobStatus {
     }
 }
 
-/// A queued job's request body plus the provenance the lifecycle trace
-/// needs at dispatch time.
+/// A queued job: its key and request body plus the provenance the
+/// lifecycle trace needs at dispatch time.
 struct PendingJob {
+    key: u128,
     req: SimRequest,
     /// Request id of the submission that enqueued it.
     rid: u64,
@@ -151,12 +152,10 @@ struct PendingJob {
 }
 
 struct State {
-    queue: VecDeque<u128>,
+    queue: VecDeque<PendingJob>,
     /// Every job ever submitted (including cache-hit phantoms), by
     /// content hash.
     jobs: HashMap<u128, JobStatus>,
-    /// Request bodies of queued jobs, consumed at dispatch.
-    pending: HashMap<u128, PendingJob>,
     cache: ResultCache,
     metrics: MetricRegistry,
     evictions_seen: u64,
@@ -268,7 +267,6 @@ impl Server {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 jobs: HashMap::new(),
-                pending: HashMap::new(),
                 cache: ResultCache::new(config.cache_bytes),
                 metrics: MetricRegistry::new(),
                 evictions_seen: 0,
@@ -404,7 +402,7 @@ fn worker_loop(shared: &Shared, jobs: usize, widx: usize, run: Runner) {
     let pool = ParPool::new(jobs.max(1));
     let track = format!("worker{widx}");
     loop {
-        let (key, job) = {
+        let job = {
             let mut st = shared.state.lock().expect("state lock");
             loop {
                 // Drain overrides pause; an empty queue during shutdown
@@ -418,11 +416,11 @@ fn worker_loop(shared: &Shared, jobs: usize, widx: usize, run: Runner) {
                 }
                 st = shared.work_cv.wait(st).expect("state lock");
             }
-            let key = st.queue.pop_front().expect("queue non-empty");
-            let job = st.pending.remove(&key).expect("pending request");
-            st.jobs.insert(key, JobStatus::Running);
-            (key, job)
+            let job = st.queue.pop_front().expect("queue non-empty");
+            st.jobs.insert(job.key, JobStatus::Running);
+            job
         };
+        let key = job.key;
         let dequeued_us = shared.now_us().max(job.enqueued_us);
         let queue_wait_us = dequeued_us - job.enqueued_us;
         shared.log.event(
@@ -581,16 +579,14 @@ fn submit(shared: &Shared, req: &SimRequest, queue_depth: usize, rid: u64) -> Su
         };
     }
     st.metrics.inc(MetricKey::ServeCacheMisses, 1);
-    st.queue.push_back(key);
-    st.pending.insert(
+    let enqueued_us = shared.now_us();
+    st.queue.push_back(PendingJob {
         key,
-        PendingJob {
-            req: req.clone(),
-            rid,
-            kind: req.kind(),
-            enqueued_us: shared.now_us(),
-        },
-    );
+        req: req.clone(),
+        rid,
+        kind: req.kind(),
+        enqueued_us,
+    });
     st.jobs.insert(key, JobStatus::Queued);
     drop(st);
     shared.work_cv.notify_all();
@@ -761,25 +757,147 @@ fn handle(
     }
 }
 
-/// Appends a submission's lifecycle record: the outer span over
-/// `[accepted, responded)` tiled by the four contiguous stages whose
-/// boundary timestamps the caller measured. Contiguity is structural —
-/// each stage starts where the previous ended — so stage durations sum
-/// to the request's latency exactly.
-#[allow(clippy::too_many_arguments)]
-fn push_request_record(
+/// How `handle_submit` answers a submission: the logged outcome and
+/// job, the lifecycle track, and the response.
+struct Answer {
+    outcome: &'static str,
+    key: Option<u128>,
+    track: &'static str,
+    code: u16,
+    content_type: &'static str,
+    body: Vec<u8>,
+}
+
+impl Answer {
+    fn json(
+        outcome: &'static str,
+        key: u128,
+        track: &'static str,
+        code: u16,
+        body: Vec<u8>,
+    ) -> Self {
+        Answer {
+            outcome,
+            key: Some(key),
+            track,
+            code,
+            content_type: "application/json; charset=utf-8",
+            body,
+        }
+    }
+
+    fn text(outcome: &'static str, track: &'static str, code: u16, msg: String) -> Self {
+        Answer {
+            outcome,
+            key: None,
+            track,
+            code,
+            content_type: "text/plain",
+            body: msg.into_bytes(),
+        }
+    }
+}
+
+fn handle_submit(
     shared: &Shared,
-    track: &str,
-    kind: &str,
+    stream: &mut TcpStream,
+    req: &Request,
+    queue_depth: usize,
     rid: u64,
     accepted_us: u64,
-    parsed_us: u64,
-    decided_us: u64,
-    ready_us: u64,
-    responded_us: u64,
 ) {
+    let rid_text = format!("r{rid}");
+    let headers: [(&str, &str); 1] = [("X-Request-Id", rid_text.as_str())];
+    let parse = || -> Result<SimRequest, String> {
+        let body =
+            std::str::from_utf8(&req.body).map_err(|_| "body must be UTF-8 JSON\n".to_string())?;
+        let parsed = json::parse(body).map_err(|e| format!("bad JSON: {e}\n"))?;
+        SimRequest::from_json(&parsed).map_err(|e| format!("bad request: {e}\n"))
+    };
+    let parsed = parse();
+    let parsed_us = shared.now_us();
+    let (kind, decided_us, answer) = match parsed {
+        Err(msg) => {
+            shared.log.event(
+                Level::Warn,
+                "reject",
+                Some(rid),
+                &[("status", num(400.0)), ("error", s(msg.trim_end()))],
+            );
+            // Parse failed: the lookup stage is a zero-length point.
+            (
+                "invalid",
+                parsed_us,
+                Answer::text("invalid", "error", 400, msg),
+            )
+        }
+        Ok(sim_req) => {
+            let decision = submit(shared, &sim_req, queue_depth, rid);
+            let decided_us = shared.now_us();
+            let answer = match decision {
+                Submit::Hit(key) => {
+                    let body = status_body(key, &JobStatus::Done, true);
+                    Answer::json("hit", key, "hit", 200, body)
+                }
+                Submit::Coalesced(key) | Submit::Enqueued(key) => {
+                    let enqueued = matches!(decision, Submit::Enqueued(_));
+                    let outcome = if enqueued { "miss" } else { "coalesced" };
+                    if req.query_flag("wait") {
+                        let status = wait_terminal(shared, key);
+                        let code = if matches!(status, JobStatus::Done) {
+                            200
+                        } else {
+                            500
+                        };
+                        let track = if enqueued { "executed" } else { "coalesced" };
+                        Answer::json(outcome, key, track, code, status_body(key, &status, false))
+                    } else {
+                        let st = shared.state.lock().expect("state lock");
+                        let status = st.jobs.get(&key).cloned().unwrap_or(JobStatus::Queued);
+                        drop(st);
+                        let track = if enqueued { "queued" } else { "coalesced" };
+                        Answer::json(outcome, key, track, 202, status_body(key, &status, false))
+                    }
+                }
+                Submit::Overloaded { depth } => Answer::text(
+                    "rejected_overload",
+                    "rejected",
+                    429,
+                    format!("queue full ({depth} jobs pending); retry later\n"),
+                ),
+                Submit::ShuttingDown => Answer::text(
+                    "rejected_shutdown",
+                    "rejected",
+                    503,
+                    "shutting down\n".to_string(),
+                ),
+            };
+            let mut fields = vec![
+                ("kind", s(sim_req.kind())),
+                ("outcome", s(answer.outcome)),
+                ("status", num(answer.code as f64)),
+            ];
+            if let Some(key) = answer.key {
+                fields.push(("job", s(&hash_hex(key))));
+            }
+            shared.log.event(Level::Info, "submit", Some(rid), &fields);
+            (sim_req.kind(), decided_us, answer)
+        }
+    };
+    let ready_us = shared.now_us();
+    write_response_with(
+        stream,
+        answer.code,
+        answer.content_type,
+        &headers,
+        &answer.body,
+    );
+    let responded_us = shared.now_us();
+    // The outer span over `[accepted, responded)` is tiled by four
+    // contiguous stages: each starts where the previous ended, so stage
+    // durations sum to the request's latency exactly.
     let record = LifeRecord {
-        track: track.to_string(),
+        track: answer.track.to_string(),
         name: format!("{kind}#r{rid}"),
         start_us: accepted_us,
         end_us: responded_us,
@@ -812,191 +930,6 @@ fn push_request_record(
         .expect("state lock")
         .lifecycle
         .push(record);
-}
-
-fn handle_submit(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    req: &Request,
-    queue_depth: usize,
-    rid: u64,
-    accepted_us: u64,
-) {
-    let rid_text = format!("r{rid}");
-    let headers: [(&str, &str); 1] = [("X-Request-Id", rid_text.as_str())];
-    let parse = || -> Result<SimRequest, String> {
-        let body =
-            std::str::from_utf8(&req.body).map_err(|_| "body must be UTF-8 JSON\n".to_string())?;
-        let parsed = json::parse(body).map_err(|e| format!("bad JSON: {e}\n"))?;
-        SimRequest::from_json(&parsed).map_err(|e| format!("bad request: {e}\n"))
-    };
-    let sim_req = match parse() {
-        Ok(r) => r,
-        Err(msg) => {
-            let parsed_us = shared.now_us();
-            shared.log.event(
-                Level::Warn,
-                "reject",
-                Some(rid),
-                &[("status", num(400.0)), ("error", s(msg.trim_end()))],
-            );
-            write_response_with(stream, 400, "text/plain", &headers, msg.as_bytes());
-            let responded_us = shared.now_us();
-            // Parse failed: the remaining stages are zero-length points.
-            push_request_record(
-                shared,
-                "error",
-                "invalid",
-                rid,
-                accepted_us,
-                parsed_us,
-                parsed_us,
-                parsed_us,
-                responded_us,
-            );
-            return;
-        }
-    };
-    let parsed_us = shared.now_us();
-    let kind = sim_req.kind();
-    let wait = req.query_flag("wait");
-    let decision = submit(shared, &sim_req, queue_depth, rid);
-    let decided_us = shared.now_us();
-    let log_submit = |outcome: &str, key: Option<u128>, status: u16| {
-        let mut fields = vec![
-            ("kind", s(kind)),
-            ("outcome", s(outcome)),
-            ("status", num(status as f64)),
-        ];
-        let hex = key.map(hash_hex);
-        if let Some(hex) = &hex {
-            fields.push(("job", s(hex)));
-        }
-        shared.log.event(Level::Info, "submit", Some(rid), &fields);
-    };
-    match decision {
-        Submit::Hit(key) => {
-            log_submit("hit", Some(key), 200);
-            let body = status_body(key, &JobStatus::Done, true);
-            let ready_us = shared.now_us();
-            write_response_with(
-                stream,
-                200,
-                "application/json; charset=utf-8",
-                &headers,
-                &body,
-            );
-            let responded_us = shared.now_us();
-            push_request_record(
-                shared,
-                "hit",
-                kind,
-                rid,
-                accepted_us,
-                parsed_us,
-                decided_us,
-                ready_us,
-                responded_us,
-            );
-        }
-        Submit::Coalesced(key) | Submit::Enqueued(key) => {
-            let enqueued = matches!(decision, Submit::Enqueued(_));
-            let outcome = if enqueued { "miss" } else { "coalesced" };
-            if wait {
-                let status = wait_terminal(shared, key);
-                let code = if matches!(status, JobStatus::Done) {
-                    200
-                } else {
-                    500
-                };
-                log_submit(outcome, Some(key), code);
-                let body = status_body(key, &status, false);
-                let ready_us = shared.now_us();
-                write_response_with(
-                    stream,
-                    code,
-                    "application/json; charset=utf-8",
-                    &headers,
-                    &body,
-                );
-                let responded_us = shared.now_us();
-                let track = if enqueued { "executed" } else { "coalesced" };
-                push_request_record(
-                    shared,
-                    track,
-                    kind,
-                    rid,
-                    accepted_us,
-                    parsed_us,
-                    decided_us,
-                    ready_us,
-                    responded_us,
-                );
-            } else {
-                log_submit(outcome, Some(key), 202);
-                let st = shared.state.lock().expect("state lock");
-                let status = st.jobs.get(&key).cloned().unwrap_or(JobStatus::Queued);
-                drop(st);
-                let body = status_body(key, &status, false);
-                let ready_us = shared.now_us();
-                write_response_with(
-                    stream,
-                    202,
-                    "application/json; charset=utf-8",
-                    &headers,
-                    &body,
-                );
-                let responded_us = shared.now_us();
-                let track = if enqueued { "queued" } else { "coalesced" };
-                push_request_record(
-                    shared,
-                    track,
-                    kind,
-                    rid,
-                    accepted_us,
-                    parsed_us,
-                    decided_us,
-                    ready_us,
-                    responded_us,
-                );
-            }
-        }
-        Submit::Overloaded { depth } => {
-            log_submit("rejected_overload", None, 429);
-            let msg = format!("queue full ({depth} jobs pending); retry later\n");
-            let ready_us = shared.now_us();
-            write_response_with(stream, 429, "text/plain", &headers, msg.as_bytes());
-            let responded_us = shared.now_us();
-            push_request_record(
-                shared,
-                "rejected",
-                kind,
-                rid,
-                accepted_us,
-                parsed_us,
-                decided_us,
-                ready_us,
-                responded_us,
-            );
-        }
-        Submit::ShuttingDown => {
-            log_submit("rejected_shutdown", None, 503);
-            let ready_us = shared.now_us();
-            write_response_with(stream, 503, "text/plain", &headers, b"shutting down\n");
-            let responded_us = shared.now_us();
-            push_request_record(
-                shared,
-                "rejected",
-                kind,
-                rid,
-                accepted_us,
-                parsed_us,
-                decided_us,
-                ready_us,
-                responded_us,
-            );
-        }
-    }
 }
 
 fn handle_job_get(shared: &Shared, stream: &mut TcpStream, rest: &str) {

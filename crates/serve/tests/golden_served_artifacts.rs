@@ -1,16 +1,19 @@
 //! Pins the exact bytes of every artifact the server serves for one
 //! request per execution path: a layer sweep, a single-config layer, a
 //! single-config network (per-layer streaming), a two-config network
-//! sweep, a host plan, an auto-searched plan and two flit-level `noc`
-//! sweeps. Each artifact is reduced to its `canonical_hash` digest, so
+//! sweep, a host plan, an auto-searched plan, two flit-level `noc`
+//! sweeps and a `faults` run of every scenario. Each artifact is reduced to its `canonical_hash` digest, so
 //! any change to a report, trace, metrics document or SVG timeline — one
 //! byte anywhere — fails here. A refactor of the simulation stack must
 //! leave every digest as it is; a deliberate change to the output
 //! updates them in the same commit.
 
+use wmpt_fault::Scenario;
 use wmpt_obs::json::s;
 use wmpt_par::ParPool;
-use wmpt_serve::{canonical_hash, hash_hex, run_request, SimRequest};
+use wmpt_serve::{
+    canonical_hash, hash_hex, run_request, SimRequest, DEFAULT_FAULT_ITERS, DEFAULT_FAULT_SEED,
+};
 
 /// `(artifact, digest)` for every artifact the request produces, in
 /// report, trace, metrics, svg order; absent artifacts are skipped.
@@ -121,4 +124,59 @@ fn fbfly_noc_report_is_pinned() {
         SimRequest::noc("fbfly", "hotspot").unwrap(),
         &[("report", "b044878baeb3926ba45e3dad196d5dac")],
     );
+}
+
+#[test]
+fn faults_artifacts_are_pinned() {
+    let expect: [(Scenario, [(&str, &str); 2]); 6] = [
+        (
+            Scenario::SingleLink,
+            [
+                ("report", "ce67b7fccc0cdb7bb5f3b8f575637bb4"),
+                ("metrics", "ceeeb6f5d6894468351ab18add14f60f"),
+            ],
+        ),
+        (
+            Scenario::DeadWorker,
+            [
+                ("report", "d74c2207d18fa6f7c08ca2bd47471790"),
+                ("metrics", "6e2b05bfb2d68f8908cd88cfb1b0fa96"),
+            ],
+        ),
+        (
+            Scenario::BitFlip,
+            [
+                ("report", "942d167de9518568f6fdccd5fcfc9e1f"),
+                ("metrics", "ba69a3bbeb83b88d95224613cf7cb026"),
+            ],
+        ),
+        (
+            Scenario::Straggler,
+            [
+                ("report", "23c172748cf74f6f3473afc2e5e215ec"),
+                ("metrics", "4f908a24e0475214652fce55b3278eb7"),
+            ],
+        ),
+        (
+            Scenario::HostFlap,
+            [
+                ("report", "26a0ef0fcc983b73342fe6a1e21aecb8"),
+                ("metrics", "4f908a24e0475214652fce55b3278eb7"),
+            ],
+        ),
+        (
+            Scenario::Chaos,
+            [
+                ("report", "029b602e8890240d62e59f990709b3f6"),
+                ("metrics", "dc9904769613d144330d02b39c18071b"),
+            ],
+        ),
+    ];
+    assert_eq!(expect.map(|(sc, _)| sc), Scenario::ALL);
+    for (sc, digests) in expect {
+        check(
+            SimRequest::faults(sc.name(), DEFAULT_FAULT_SEED, DEFAULT_FAULT_ITERS).unwrap(),
+            &digests,
+        );
+    }
 }

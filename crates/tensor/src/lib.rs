@@ -43,7 +43,7 @@ pub mod tensor;
 pub use fp16::{f16_bits_to_f32, f32_to_f16, f32_to_f16_bits, quantize_tensor_f16};
 pub use gen::DataGen;
 pub use matrix::Matrix;
-pub use ops::{gemm_f32_par, par_map_slice};
+pub use ops::gemm_f32_par;
 pub use rng::Rng64;
 pub use shape::Shape4;
 pub use tensor::Tensor4;

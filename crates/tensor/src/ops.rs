@@ -56,9 +56,6 @@ use wmpt_par::ParPool;
 /// [`MC`] so each band is one cache block of the blocked kernel.
 pub const GEMM_ROW_CHUNK: usize = 64;
 
-/// Elements per element-wise-map chunk (same fixed-boundary rule).
-pub const MAP_CHUNK: usize = 4096;
-
 /// Register-tile rows of the inner microkernel.
 pub const MR: usize = 4;
 
@@ -563,20 +560,6 @@ pub fn gemm_f32_par(
     });
 }
 
-/// Applies `f` to every element of `data` in place, in fixed
-/// [`MAP_CHUNK`]-element chunks across the pool. Element-wise maps touch
-/// each slot independently, so the result is the same for any job count.
-pub fn par_map_slice<F>(pool: &ParPool, data: &mut [f32], f: F)
-where
-    F: Fn(f32) -> f32 + Sync,
-{
-    pool.for_each_chunk_mut(data, MAP_CHUNK, |_, chunk| {
-        for v in chunk.iter_mut() {
-            *v = f(*v);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -761,20 +744,5 @@ mod tests {
         let b = [1.0f32; 4];
         let mut out = [0.0f32; 3]; // should be 2x2 = 4
         gemm_f32_ref(&a, 2, 2, &b, 2, &mut out, false, false);
-    }
-
-    #[test]
-    fn par_map_is_bit_identical_for_any_jobs() {
-        let base = random(10_000, 4);
-        let mut serial = base.clone();
-        for v in serial.iter_mut() {
-            *v = v.max(0.0) * 1.7 + 0.3;
-        }
-        for jobs in [1, 2, 7] {
-            let pool = ParPool::new(jobs);
-            let mut par = base.clone();
-            par_map_slice(&pool, &mut par, |v| v.max(0.0) * 1.7 + 0.3);
-            assert_eq!(bits(&serial), bits(&par), "jobs={jobs} diverged");
-        }
     }
 }

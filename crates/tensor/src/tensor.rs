@@ -95,16 +95,6 @@ impl Tensor4 {
         }
     }
 
-    /// [`Self::map_inplace`] for a `Sync` map, over a
-    /// [`wmpt_par::ParPool`]; the same bits for any job count (see
-    /// [`crate::ops::par_map_slice`]).
-    pub fn par_map_inplace<F>(&mut self, pool: &wmpt_par::ParPool, f: F)
-    where
-        F: Fn(f32) -> f32 + Sync,
-    {
-        crate::ops::par_map_slice(pool, &mut self.data, f);
-    }
-
     /// Element-wise sum with another tensor of identical shape.
     ///
     /// # Panics
