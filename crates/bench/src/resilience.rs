@@ -80,20 +80,6 @@ pub fn run() -> String {
     let cfg = ResilienceConfig::small(iters);
     let small = GridShape::small();
     let (x, t) = demo_dataset(77, 8);
-    let clean = {
-        let mut net = WinogradNet::new(55, 2, &[4], true);
-        let mut obs = Observer::new();
-        train_resilient(
-            &mut net,
-            &x,
-            &t,
-            small,
-            &FaultPlan::empty(cfg.horizon()),
-            &cfg,
-            &mut obs,
-        )
-        .expect("fault-free run")
-    };
     out.push_str("\nscenario recovery (8-worker functional grid, 6 iterations, seed 7)\n");
     out.push_str(&row(
         "scenario",
@@ -118,7 +104,7 @@ pub fn run() -> String {
             .histogram(MetricKey::HistRecoveryCycles)
             .map(|h| (h.percentile(0.5), h.percentile(0.95)))
             .unwrap_or((0.0, 0.0));
-        let identical = rep.final_checkpoint == clean.final_checkpoint;
+        let identical = rep.final_checkpoint == rep.fault_free_checkpoint;
         assert_eq!(
             identical,
             sc.keeps_grid(),

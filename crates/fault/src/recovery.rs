@@ -22,6 +22,14 @@
 //! Fault-free and single-link-failure runs end with bit-identical weights
 //! — `crates/fault/tests/resilience_e2e.rs` asserts it on the rendered
 //! checkpoints.
+//!
+//! The report also carries the fault-free run's final checkpoint, without
+//! a second run: up to the first event that touches the weights or the
+//! grid (link-down, worker-down, bit-flip), the faulty run issues exactly
+//! the fault-free run's SGD steps — stragglers and host flaps only move
+//! the clock. The executor clones the net just before that event lands
+//! and, after the loop, trains the clone through the remaining
+//! iterations on the initial grid.
 
 use crate::event::{FaultEvent, FaultState};
 use crate::plan::{FaultPlan, GridShape};
@@ -101,6 +109,9 @@ pub struct ResilienceReport {
     /// Rendered [`checkpoint_net`] document of the final state — compare
     /// these strings to assert bit-identical outcomes.
     pub final_checkpoint: String,
+    /// The same document for the fault-free run of the same net, data and
+    /// config (forked at the first weight- or grid-touching event).
+    pub fault_free_checkpoint: String,
 }
 
 impl ResilienceReport {
@@ -173,6 +184,9 @@ pub fn train_resilient(
 
     let events = plan.events();
     let mut cursor = 0usize;
+    // The fault-free run, forked before the first event that touches the
+    // weights or the grid, with the steps it has done.
+    let mut fork: Option<(WinogradNet, usize)> = None;
 
     for it in 0..cfg.iters {
         let t0 = clock;
@@ -188,6 +202,9 @@ pub fn train_resilient(
             cursor += 1;
             report_injected += 1;
             obs.metrics.inc(MetricKey::FaultEventsInjected, 1);
+            if fork.is_none() && ev.is_disruptive() {
+                fork = Some((net.clone(), it + 1));
+            }
             state.apply(ev);
 
             // Link and worker loss and bit flips roll back and replay;
@@ -279,6 +296,17 @@ pub fn train_resilient(
         }
     }
 
+    let final_checkpoint = checkpoint_net(cfg.iters as u64, net).render();
+    let fault_free_checkpoint = match fork {
+        None => final_checkpoint.clone(),
+        Some((mut clean, done)) => {
+            for _ in done..cfg.iters {
+                clean.train_step_with(x, targets, cfg.lr, Some(cfg.grid), &ParPool::serial());
+            }
+            checkpoint_net(cfg.iters as u64, &clean).render()
+        }
+    };
+
     obs.metrics.inc(MetricKey::FaultRollbacks, report_rollbacks);
     obs.metrics
         .inc(MetricKey::FaultReplayedIterations, report_replayed);
@@ -299,7 +327,8 @@ pub fn train_resilient(
         extra_ring_hops: extra_hops,
         final_grid: cur_grid,
         grid_changed,
-        final_checkpoint: checkpoint_net(cfg.iters as u64, net).render(),
+        final_checkpoint,
+        fault_free_checkpoint,
     })
 }
 
