@@ -56,7 +56,7 @@ pub use config::{PredictionSavings, SystemConfig};
 pub use exec::{
     simulate_layer, simulate_layer_with, CollectiveParams, LayerResult, PhaseResult, SystemModel,
 };
-pub use net_trainer::{Activations, Stage, WinogradNet};
+pub use net_trainer::{Stage, WinogradNet};
 pub use network_eval::{simulate_network, speedup_vs_single, NetworkResult};
 pub use observe::{
     simulate_layer_observed, simulate_layer_with_observed, simulate_network_observed,

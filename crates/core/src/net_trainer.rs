@@ -8,13 +8,18 @@
 //! applies the MPT partitioning *per layer* and is verified to match
 //! centralized SGD step for step.
 
+use std::fmt;
+
 use wmpt_noc::ClusterConfig;
 use wmpt_par::ParPool;
 use wmpt_predict::{ActivationPredictor, PredictMode, QuantizerConfig};
+use wmpt_tensor::ops::PackedB;
 use wmpt_tensor::{DataGen, Shape4, Tensor4};
 use wmpt_winograd::{
-    elementwise_gemm_par, elementwise_gemm_wgrad_par, output_grad_to_winograd_par, relu,
-    relu_backward, to_winograd_input_par, Pool2x2, PoolKind, WgTensor, WinogradLayer,
+    elementwise_gemm_bprop_into, elementwise_gemm_into, elementwise_gemm_par,
+    elementwise_gemm_wgrad_into, from_winograd_output_into, input_grad_to_spatial_into,
+    output_grad_to_winograd_into, relu_backward_into, relu_into, to_winograd_input_into,
+    to_winograd_input_par, Pool2x2, PoolKind, WgTensor, WgWeights, WinogradLayer,
     WinogradTransform,
 };
 
@@ -30,27 +35,172 @@ pub struct Stage {
 }
 
 /// A small sequential CNN of Winograd layers with a linear readout.
-#[derive(Debug, Clone)]
+///
+/// The net owns the buffers of its training step (activations,
+/// Winograd-domain tensors, gradients, packed weight panels), sized on
+/// the first step and reused by every later one, so a warm step
+/// allocates nothing. A [`Clone`] starts with no buffers;
+/// [`Clone::clone_from`] copies the stages and the readout and keeps the
+/// target's buffers.
 pub struct WinogradNet {
     stages: Vec<Stage>,
     /// Readout weights over the mean-pooled final feature vector.
     readout: Vec<f32>,
+    /// The training step's buffers (empty until the first step).
+    ws: StepWorkspace,
 }
 
-/// Cached activations of one forward pass (needed for backward).
-#[derive(Debug)]
-pub struct Activations {
-    /// Winograd-domain input of each stage: the forward's transform,
-    /// reused by the weight-gradient phase.
-    wg_inputs: Vec<WgTensor>,
-    /// Pre-ReLU conv outputs of each stage.
-    pre_relu: Vec<Tensor4>,
-    /// Post-ReLU (pre-pool) outputs of each stage.
-    post_relu: Vec<Tensor4>,
-    /// Final feature map.
-    features: Tensor4,
-    /// Per-image scores.
-    pub scores: Vec<f32>,
+impl Clone for WinogradNet {
+    fn clone(&self) -> Self {
+        Self {
+            stages: self.stages.clone(),
+            readout: self.readout.clone(),
+            ws: StepWorkspace::default(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.stages.clone_from(&source.stages);
+        self.readout.clone_from(&source.readout);
+    }
+}
+
+impl fmt::Debug for WinogradNet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WinogradNet")
+            .field("stages", &self.stages)
+            .field("readout", &self.readout)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The buffers of one training step, sized for one input shape and
+/// architecture on first use. Each stage keeps what its backward pass
+/// reads; the transients — the element-GEMM output before the inverse
+/// transform (the output gradient's transform reuses it), the bprop
+/// element-GEMM output, the spatial gradients and the packed weight
+/// panels — are shared by all stages, sized for the largest.
+#[derive(Default)]
+struct StepWorkspace {
+    /// The input shape the buffers are sized for.
+    input: Option<Shape4>,
+    stages: Vec<StageBuffers>,
+    /// Winograd-domain conv output (forward) or output gradient (backward).
+    wy: Vec<f32>,
+    /// Winograd-domain input gradient.
+    wdx: Vec<f32>,
+    /// Gradient w.r.t. a stage's output (the pooled map).
+    dout: Vec<f32>,
+    /// Gradient w.r.t. a pooling stage's conv output.
+    dconv: Vec<f32>,
+    /// One packed weight panel set per tile element.
+    packed: Vec<PackedB>,
+    /// Per-image scores and their loss gradients.
+    scores: Vec<f32>,
+    dscore: Vec<f32>,
+    /// Readout weight gradient.
+    d_readout: Vec<f32>,
+}
+
+/// What one stage's backward pass reads, plus its weight gradient.
+struct StageBuffers {
+    /// Output tile size of the stage's transform.
+    m: usize,
+    /// Winograd-domain input: the forward's transform, reused by the
+    /// weight gradient.
+    wx: WgTensor,
+    /// Pre-ReLU conv output.
+    pre: Tensor4,
+    /// Post-ReLU (pre-pool) output.
+    post: Tensor4,
+    /// Pooled output; without pooling, `post` is the stage output.
+    pooled: Option<Tensor4>,
+    /// Winograd-domain weight gradient.
+    grad: WgWeights,
+}
+
+impl StageBuffers {
+    /// The stage's output: the next stage's input, or the features.
+    fn out(&self) -> &Tensor4 {
+        self.pooled.as_ref().unwrap_or(&self.post)
+    }
+}
+
+impl StepWorkspace {
+    /// Whether the buffers are sized for `stages` on inputs of shape `x`.
+    fn fits(&self, stages: &[Stage], x: Shape4) -> bool {
+        self.input == Some(x)
+            && self.stages.len() == stages.len()
+            && self.stages.iter().zip(stages).all(|(b, st)| {
+                let w = st.conv.weights();
+                b.m == st.conv.transform().m()
+                    && (b.grad.elems, b.grad.in_chans, b.grad.out_chans)
+                        == (w.elems, w.in_chans, w.out_chans)
+                    && b.pooled.is_some() == st.pool.is_some()
+            })
+    }
+
+    /// Buffers for `stages` on inputs of shape `x`.
+    fn sized_for(stages: &[Stage], x: Shape4) -> Self {
+        let mut ws = StepWorkspace {
+            input: Some(x),
+            ..StepWorkspace::default()
+        };
+        let (mut wy, mut wdx, mut dout, mut dconv) = (0, 0, 0, 0);
+        let mut s = x;
+        for (k, st) in stages.iter().enumerate() {
+            let w = st.conv.weights();
+            let wx = WgTensor::for_map(st.conv.transform(), s);
+            let conv = Shape4::new(s.n, w.out_chans, s.h, s.w);
+            wy = wy.max(wx.elems * wx.tiles * w.out_chans);
+            if k > 0 {
+                // The input gradient, handed to the stage before.
+                wdx = wdx.max(wx.data.len());
+            }
+            let pooled = st.pool.map(|p| Tensor4::zeros(p.output_shape(conv)));
+            if pooled.is_some() {
+                dconv = dconv.max(conv.len());
+            }
+            s = pooled.as_ref().map_or(conv, Tensor4::shape);
+            dout = dout.max(s.len());
+            ws.stages.push(StageBuffers {
+                m: st.conv.transform().m(),
+                wx,
+                pre: Tensor4::zeros(conv),
+                post: Tensor4::zeros(conv),
+                pooled,
+                grad: WgWeights::zeros(w.elems, w.in_chans, w.out_chans),
+            });
+        }
+        ws.wy = vec![0.0; wy];
+        ws.wdx = vec![0.0; wdx];
+        ws.dout = vec![0.0; dout];
+        ws.dconv = vec![0.0; dconv];
+        ws.scores = vec![0.0; x.n];
+        ws.dscore = vec![0.0; x.n];
+        ws.d_readout = vec![0.0; s.c];
+        ws
+    }
+}
+
+/// Mean-pooled channel features dotted with the readout weights, one
+/// score per image into `out`.
+fn score_into(readout: &[f32], features: &Tensor4, out: &mut [f32]) {
+    let s = features.shape();
+    let per = (s.h * s.w) as f32;
+    for (b, score) in out.iter_mut().enumerate() {
+        let mut acc = 0.0f32;
+        for c in 0..s.c {
+            let mut m = 0.0f32;
+            for h in 0..s.h {
+                for w in 0..s.w {
+                    m += features[(b, c, h, w)];
+                }
+            }
+            acc += readout[c] * m / per;
+        }
+        *score = acc;
+    }
 }
 
 impl WinogradNet {
@@ -71,7 +221,7 @@ impl WinogradNet {
             prev = w;
         }
         let readout = (0..prev).map(|_| g.normal(0.0, 0.3) as f32).collect();
-        Self { stages, readout }
+        Self::from_parts(stages, readout)
     }
 
     /// Number of conv stages.
@@ -105,60 +255,42 @@ impl WinogradNet {
         assert!(!stages.is_empty(), "net needs at least one stage");
         let last = stages.last().expect("nonempty").conv.weights().out_chans;
         assert_eq!(readout.len(), last, "readout width must match last stage");
-        Self { stages, readout }
+        Self {
+            stages,
+            readout,
+            ws: StepWorkspace::default(),
+        }
     }
 
     /// Forward pass over a host thread pool, each conv's phases fanned out
-    /// across `pool`; the bits are the same for any job count. MPT runs
-    /// the same forward: worker `(g, c)`'s share of a conv is one block
-    /// (its cluster's tiles × its group's elements) of the batched element
-    /// GEMM, so the partitioning changes no bit.
-    pub fn forward_with(&self, x: &Tensor4, pool: &ParPool) -> Activations {
-        let mut wg_inputs = Vec::with_capacity(self.stages.len());
-        let mut pre_relu = Vec::with_capacity(self.stages.len());
-        let mut post_relu = Vec::with_capacity(self.stages.len());
-        let mut cur = x.clone();
-        for st in &self.stages {
-            let wx = to_winograd_input_par(pool, &cur, st.conv.transform());
-            let pre = st.conv.fprop_wg_par(pool, &wx, cur.shape());
-            wg_inputs.push(wx);
-            let post = relu(&pre);
-            pre_relu.push(pre);
-            post_relu.push(post.clone());
-            cur = match &st.pool {
-                Some(p) => p.forward(&post),
-                None => post,
-            };
+    /// across `pool`; returns the per-image scores. The activations stay
+    /// in the net's step buffers. The bits are the same for any job count.
+    /// MPT runs the same forward: worker `(g, c)`'s share of a conv is one
+    /// block (its cluster's tiles × its group's elements) of the batched
+    /// element GEMM, so the partitioning changes no bit.
+    pub fn forward_with(&mut self, x: &Tensor4, pool: &ParPool) -> &[f32] {
+        if !self.ws.fits(&self.stages, x.shape()) {
+            self.ws = StepWorkspace::sized_for(&self.stages, x.shape());
         }
-        let scores = self.score(&cur);
-        Activations {
-            wg_inputs,
-            pre_relu,
-            post_relu,
-            features: cur,
-            scores,
+        let ws = &mut self.ws;
+        for (k, st) in self.stages.iter().enumerate() {
+            let (done, rest) = ws.stages.split_at_mut(k);
+            let input = done.last().map_or(x, StageBuffers::out);
+            let b = &mut rest[0];
+            let tf = st.conv.transform();
+            let (w, tiles) = (st.conv.weights(), b.wx.tiles);
+            to_winograd_input_into(pool, input.as_slice(), input.shape(), tf, &mut b.wx.data);
+            let wy = &mut ws.wy[..w.elems * tiles * w.out_chans];
+            elementwise_gemm_into(pool, &b.wx.data, tiles, w, &mut ws.packed, wy);
+            from_winograd_output_into(pool, wy, tf, b.pre.shape(), b.pre.as_mut_slice());
+            relu_into(b.pre.as_slice(), b.post.as_mut_slice());
+            if let (Some(p), Some(pooled)) = (&st.pool, &mut b.pooled) {
+                p.forward_into(&b.post, pooled.as_mut_slice());
+            }
         }
-    }
-
-    /// Mean-pooled channel features dotted with the readout weights.
-    fn score(&self, features: &Tensor4) -> Vec<f32> {
-        let s = features.shape();
-        let per = (s.h * s.w) as f32;
-        (0..s.n)
-            .map(|b| {
-                let mut acc = 0.0f32;
-                for c in 0..s.c {
-                    let mut m = 0.0f32;
-                    for h in 0..s.h {
-                        for w in 0..s.w {
-                            m += features[(b, c, h, w)];
-                        }
-                    }
-                    acc += self.readout[c] * m / per;
-                }
-                acc
-            })
-            .collect()
+        let features = ws.stages.last().expect("nonempty").out();
+        score_into(&self.readout, features, &mut ws.scores);
+        &ws.scores
     }
 
     /// One SGD step on MSE(score, target); returns the batch loss.
@@ -172,7 +304,8 @@ impl WinogradNet {
     /// one transform of the output gradient feeds both the input and the
     /// weight gradient. The forward, input-gradient and weight-gradient
     /// phases all fan out across `pool`; the bits are the same for any
-    /// job count.
+    /// job count. Every phase writes into the net's step buffers, so a
+    /// step on the input shape of the last one allocates nothing.
     ///
     /// # Panics
     ///
@@ -193,66 +326,84 @@ impl WinogradNet {
             0,
             "batch {batch} must divide across {n_c} clusters"
         );
-        let acts = self.forward_with(x, pool);
-        let s = acts.features.shape();
+        self.forward_with(x, pool);
+        let Self {
+            stages,
+            readout,
+            ws,
+        } = self;
+        let features = ws.stages.last().expect("nonempty").out();
+        let s = features.shape();
         assert_eq!(targets.len(), s.n, "target count must match batch");
         let per = (s.h * s.w) as f32;
         let n = s.n as f32;
 
         // dL/dscore and loss.
         let mut loss = 0.0f64;
-        let dscore: Vec<f32> = acts
-            .scores
-            .iter()
-            .zip(targets)
-            .map(|(sc, t)| {
-                let e = sc - t;
-                loss += 0.5 * (e as f64).powi(2);
-                e / n
-            })
-            .collect();
+        for ((d, sc), t) in ws.dscore.iter_mut().zip(&ws.scores).zip(targets) {
+            let e = sc - t;
+            loss += 0.5 * (e as f64).powi(2);
+            *d = e / n;
+        }
         loss /= s.n as f64;
 
         // Readout gradient + gradient into the feature map.
-        let mut d_readout = vec![0.0f32; self.readout.len()];
-        let mut dfeat = Tensor4::zeros(s);
+        ws.d_readout.fill(0.0);
+        let plane = s.h * s.w;
+        let dfeat = &mut ws.dout[..s.len()];
         for b in 0..s.n {
             for c in 0..s.c {
                 let mut m = 0.0f32;
                 for h in 0..s.h {
                     for w in 0..s.w {
-                        m += acts.features[(b, c, h, w)];
+                        m += features[(b, c, h, w)];
                     }
                 }
-                d_readout[c] += dscore[b] * m / per;
-                let g = dscore[b] * self.readout[c] / per;
-                for h in 0..s.h {
-                    for w in 0..s.w {
-                        dfeat[(b, c, h, w)] = g;
-                    }
-                }
+                ws.d_readout[c] += ws.dscore[b] * m / per;
+                let g = ws.dscore[b] * readout[c] / per;
+                dfeat[(b * s.c + c) * plane..][..plane].fill(g);
             }
         }
 
-        // Backward through the stages.
-        let mut dcur = dfeat;
-        for k in (0..self.stages.len()).rev() {
-            let st = &mut self.stages[k];
-            let d_post = match &st.pool {
-                Some(p) => p.backward(&acts.post_relu[k], &dcur),
-                None => dcur,
+        // Backward through the stages; `dout` holds the gradient w.r.t.
+        // stage `k`'s output.
+        for k in (0..stages.len()).rev() {
+            let st = &mut stages[k];
+            let in_shape = (k > 0).then(|| ws.stages[k - 1].out().shape());
+            let b = &mut ws.stages[k];
+            let conv = b.pre.shape();
+            let d_pre = match (&st.pool, &b.pooled) {
+                (Some(p), Some(pooled)) => {
+                    let d = &mut ws.dconv[..conv.len()];
+                    p.backward_into(&b.post, &ws.dout[..pooled.shape().len()], d);
+                    d
+                }
+                _ => &mut ws.dout[..conv.len()],
             };
-            let d_pre = relu_backward(&acts.pre_relu[k], &d_post);
-            let wdy = output_grad_to_winograd_par(pool, &d_pre, st.conv.transform());
+            relu_backward_into(b.pre.as_slice(), d_pre);
+            let tf = st.conv.transform();
+            let tiles = b.wx.tiles;
+            let wdy = &mut ws.wy[..b.wx.elems * tiles * conv.c];
+            output_grad_to_winograd_into(pool, d_pre, conv, tf, wdy);
             // Input gradient for the next (earlier) stage, through the
             // weights before this step's update.
-            let dx = (k > 0).then(|| st.conv.bprop_wg_par(pool, &wdy, d_pre.shape()));
-            let g = elementwise_gemm_wgrad_par(pool, &acts.wg_inputs[k], &wdy, n_c);
-            st.conv.apply_grad(&g, lr);
-            let Some(dx) = dx else { break };
-            dcur = dx;
+            if let Some(in_shape) = in_shape {
+                let wdx = &mut ws.wdx[..b.wx.data.len()];
+                elementwise_gemm_bprop_into(
+                    pool,
+                    wdy,
+                    tiles,
+                    st.conv.weights(),
+                    &mut ws.packed,
+                    wdx,
+                );
+                let dx = &mut ws.dout[..in_shape.len()];
+                input_grad_to_spatial_into(pool, wdx, tf, in_shape, dx);
+            }
+            elementwise_gemm_wgrad_into(pool, &b.wx.data, wdy, tiles, n_c, &mut b.grad);
+            st.conv.apply_grad(&b.grad, lr);
         }
-        for (w, g) in self.readout.iter_mut().zip(&d_readout) {
+        for (w, g) in readout.iter_mut().zip(&ws.d_readout) {
             *w -= lr * g;
         }
         loss
@@ -283,7 +434,9 @@ impl WinogradNet {
                 None => post,
             };
         }
-        (self.score(&cur), saved)
+        let mut scores = vec![0.0; cur.shape().n];
+        score_into(&self.readout, &cur, &mut scores);
+        (scores, saved)
     }
 
     /// Maximum absolute weight difference to another net of identical
@@ -335,12 +488,12 @@ mod tests {
 
     #[test]
     fn forward_shapes_flow_through_pooling() {
-        let net = WinogradNet::new(1, 2, &[4, 6], true);
+        let mut net = WinogradNet::new(1, 2, &[4, 6], true);
         let (x, _) = dataset(2, 4);
-        let acts = net.forward_with(&x, &ParPool::serial());
+        assert_eq!(net.forward_with(&x, &ParPool::serial()).len(), 4);
         // 8x8 -> conv -> pool 4x4 -> conv -> pool 2x2.
-        assert_eq!(acts.features.shape(), Shape4::new(4, 6, 2, 2));
-        assert_eq!(acts.scores.len(), 4);
+        let features = net.ws.stages.last().expect("two stages").out();
+        assert_eq!(features.shape(), Shape4::new(4, 6, 2, 2));
     }
 
     #[test]
@@ -403,10 +556,10 @@ mod tests {
 
     #[test]
     fn prediction_gated_inference_is_exact_and_saves_traffic() {
-        let net = WinogradNet::new(11, 2, &[4, 4], true);
+        let mut net = WinogradNet::new(11, 2, &[4, 4], true);
         let (x, _) = dataset(12, 8);
         // Plain forward: scores after ReLU chain.
-        let plain = net.forward_with(&x, &ParPool::serial()).scores;
+        let plain = net.forward_with(&x, &ParPool::serial()).to_vec();
         let (gated, saved) = net.scores_with_prediction(&x, 64);
         for (a, b) in plain.iter().zip(&gated) {
             assert_eq!(a, b, "prediction changed an output score");

@@ -353,7 +353,7 @@ fn rollback_and_replay(
     let doc = json::parse(ckpt_text).map_err(|e| format!("checkpoint parse: {e}"))?;
     let (saved_iter, restored) = restore_net(&doc)?;
     debug_assert_eq!(saved_iter as usize, ckpt_iter);
-    *net = restored;
+    net.clone_from(&restored);
     let mut spent = cfg.restore_cycles;
     for loss in losses.iter_mut().take(it + 1).skip(ckpt_iter) {
         *loss = net.train_step_with(x, targets, cfg.lr, Some(grid), &ParPool::serial());

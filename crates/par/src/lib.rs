@@ -331,6 +331,26 @@ impl ParPool {
             .collect()
     }
 
+    /// Runs `f(0), f(1), …, f(n-1)` across the pool, each index once,
+    /// claimed through an atomic cursor, and allocates nothing: the
+    /// primitive for work that writes through its own synchronization.
+    pub fn for_each_index<F>(&self, n: usize, f: F)
+    where
+        F: Fn(usize) + Sync,
+    {
+        if self.jobs.min(n) <= 1 {
+            return (0..n).for_each(f);
+        }
+        let cursor = AtomicUsize::new(0);
+        self.broadcast(&|| loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            f(i);
+        });
+    }
+
     /// Splits `items` into `⌈len/chunk⌉` contiguous chunks — boundaries
     /// fixed by `items.len()` and `chunk` alone — maps each chunk with
     /// `f(chunk_index, chunk)`, and returns the per-chunk results in
@@ -500,6 +520,23 @@ mod tests {
             });
             for (k, v) in data.iter().enumerate() {
                 assert_eq!(*v, 1 + (k / 10) as u32, "slot {k} under jobs={jobs}");
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_index_runs_every_index_once() {
+        for jobs in [1, 2, 7] {
+            let hits: Vec<AtomicUsize> = (0..53).map(|_| AtomicUsize::new(0)).collect();
+            ParPool::new(jobs).for_each_index(hits.len(), |i| {
+                hits[i].fetch_add(i + 1, Ordering::Relaxed);
+            });
+            for (i, h) in hits.iter().enumerate() {
+                assert_eq!(
+                    h.load(Ordering::Relaxed),
+                    i + 1,
+                    "index {i} under jobs={jobs}"
+                );
             }
         }
     }

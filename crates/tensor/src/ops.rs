@@ -131,6 +131,9 @@ pub fn gemm_f32_ref(
 /// strided `b[l*n + j]` (or `b[j*k + l]`) walks of the naive kernel into
 /// unit-stride streams, lets all row bands share one packed copy, and
 /// pays the (exact) f32 → f64 widening of `B` once instead of per tile.
+/// [`pack_b_into`] re-packs into an existing `PackedB`, reusing its
+/// storage.
+#[derive(Debug, Clone, Default)]
 pub struct PackedB {
     /// Inner dimension (rows of the logical `B`).
     pub k: usize,
@@ -151,21 +154,36 @@ impl PackedB {
 /// Packs `b` (`k × n`, or `n × k` read transposed when `tb`) into
 /// [`NR`]-column f64 panels.
 pub fn pack_b(b: &[f32], k: usize, n: usize, tb: bool) -> PackedB {
+    let mut bp = PackedB::default();
+    pack_b_into(&mut bp, b, k, n, tb);
+    bp
+}
+
+/// [`pack_b`] into `bp`, whose storage only ever grows: every lane of
+/// the packed panels is written, the zero padding included, so a
+/// re-pack allocates nothing once `bp` has held a `B` this large.
+pub fn pack_b_into(bp: &mut PackedB, b: &[f32], k: usize, n: usize, tb: bool) {
     let panels = n.div_ceil(NR);
-    let mut data = vec![0.0f64; panels * k * NR];
+    if bp.data.len() < panels * k * NR {
+        bp.data.resize(panels * k * NR, 0.0);
+    }
+    bp.k = k;
+    bp.n = n;
     for q in 0..panels {
-        let dst = &mut data[q * k * NR..(q + 1) * k * NR];
+        let dst = &mut bp.data[q * k * NR..(q + 1) * k * NR];
         for l in 0..k {
             for c in 0..NR {
                 let j = q * NR + c;
-                if j < n {
-                    let v = if tb { b[j * k + l] } else { b[l * n + j] };
-                    dst[l * NR + c] = f64::from(v);
-                }
+                dst[l * NR + c] = if j >= n {
+                    0.0
+                } else if tb {
+                    f64::from(b[j * k + l])
+                } else {
+                    f64::from(b[l * n + j])
+                };
             }
         }
     }
-    PackedB { k, n, data }
 }
 
 /// Which instantiation of the one kernel body runs the blocked GEMM.
@@ -547,6 +565,29 @@ pub fn gemm_f32_par(
     ta: bool,
     tb: bool,
 ) {
+    gemm_f32_into(pool, a, ar, ac, b, bc, out, ta, tb, &mut PackedB::default());
+}
+
+/// [`gemm_f32_par`] packing `B` into the caller's `bp` (see
+/// [`pack_b_into`]), so a caller that keeps `bp` across calls allocates
+/// nothing.
+///
+/// # Panics
+///
+/// Panics if `out.len() != m * bc`.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_f32_into(
+    pool: &ParPool,
+    a: &[f32],
+    ar: usize,
+    ac: usize,
+    b: &[f32],
+    bc: usize,
+    out: &mut [f32],
+    ta: bool,
+    tb: bool,
+    bp: &mut PackedB,
+) {
     let (m, k) = if ta { (ac, ar) } else { (ar, ac) };
     assert_eq!(
         out.len(),
@@ -554,9 +595,10 @@ pub fn gemm_f32_par(
         "gemm_f32_par: out length {} does not match {m}x{bc} product",
         out.len()
     );
-    let bp = pack_b(b, k, bc, tb);
+    pack_b_into(bp, b, k, bc, tb);
+    let bp = &*bp;
     pool.for_each_chunk_mut(out, GEMM_ROW_CHUNK * bc, |ci, band| {
-        gemm_f32_packed_rows(a, ar, ac, ta, &bp, band, ci * GEMM_ROW_CHUNK);
+        gemm_f32_packed_rows(a, ar, ac, ta, bp, band, ci * GEMM_ROW_CHUNK);
     });
 }
 

@@ -172,14 +172,28 @@ impl DirectConv {
     }
 }
 
-/// Rectified linear unit applied element-wise, returning a new tensor.
+/// Rectified linear unit applied element-wise, returning a new tensor:
+/// the allocating form of [`relu_into`].
 pub fn relu(x: &Tensor4) -> Tensor4 {
-    let mut y = x.clone();
-    y.map_inplace(|v| v.max(0.0));
+    let mut y = Tensor4::zeros(x.shape());
+    relu_into(x.as_slice(), y.as_mut_slice());
     y
 }
 
-/// Derivative mask of ReLU at `x` applied to `dy`: `dy ⊙ [x > 0]`.
+/// `out = max(x, 0)` element-wise, writing every value of `out`.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn relu_into(x: &[f32], out: &mut [f32]) {
+    assert_eq!(x.len(), out.len(), "relu length mismatch");
+    for (y, v) in out.iter_mut().zip(x) {
+        *y = v.max(0.0);
+    }
+}
+
+/// Derivative mask of ReLU at `x` applied to `dy`: `dy ⊙ [x > 0]` (the
+/// allocating form of [`relu_backward_into`]).
 ///
 /// # Panics
 ///
@@ -187,12 +201,23 @@ pub fn relu(x: &Tensor4) -> Tensor4 {
 pub fn relu_backward(x: &Tensor4, dy: &Tensor4) -> Tensor4 {
     assert_eq!(x.shape(), dy.shape(), "relu_backward shape mismatch");
     let mut dx = dy.clone();
+    relu_backward_into(x.as_slice(), dx.as_mut_slice());
+    dx
+}
+
+/// Masks the caller's gradient `d` in place by the ReLU derivative at
+/// `x`: `d ⊙ [x > 0]`.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn relu_backward_into(x: &[f32], d: &mut [f32]) {
+    assert_eq!(x.len(), d.len(), "relu_backward shape mismatch");
     // A select, not a branch: the sign of `x` is data, and a branch on it
     // mispredicts about once per element on fresh activations.
-    for (d, v) in dx.as_mut_slice().iter_mut().zip(x.as_slice()) {
+    for (d, v) in d.iter_mut().zip(x) {
         *d = if *v <= 0.0 { 0.0 } else { *d };
     }
-    dx
 }
 
 #[cfg(test)]

@@ -10,8 +10,10 @@
 //!   group-partitioned weight storage possible (each group only ever
 //!   touches its own tile elements `W_(u,v)`).
 
+use std::cell::RefCell;
+
 use wmpt_par::ParPool;
-use wmpt_tensor::ops::{gemm_f32_packed_rows, gemm_f32_par, pack_b, PackedB, GEMM_ROW_CHUNK};
+use wmpt_tensor::ops::{gemm_f32_into, gemm_f32_packed_rows, pack_b_into, PackedB, GEMM_ROW_CHUNK};
 use wmpt_tensor::{Shape4, Tensor4};
 
 use crate::tiling::{
@@ -22,9 +24,10 @@ use crate::transform::TileScratch;
 use crate::WinogradTransform;
 
 /// Distributes the batched element-wise GEMM across the pool in global
-/// [`GEMM_ROW_CHUNK`]-row bands over the *whole* output (all `T²`
-/// element matrices concatenated), against per-element pre-packed `B`
-/// panels.
+/// [`GEMM_ROW_CHUNK`]-row bands over the *whole* output `out` (all `T²`
+/// element matrices of `tiles × n` concatenated), against per-element
+/// pre-packed `B` panels; `a` holds the `T²` element matrices of
+/// `tiles × chans`.
 ///
 /// Chunk boundaries depend only on the output shape — never the element
 /// grid — so a band may straddle element boundaries; each band dispatches
@@ -35,20 +38,28 @@ use crate::WinogradTransform;
 /// blocked kernel's reference reduction order, so each element matrix is
 /// bit-identical to [`gemm_f32_ref`](wmpt_tensor::ops::gemm_f32_ref) on
 /// that element, for any job count.
-fn batched_elem_gemm_par(pool: &ParPool, a: &WgTensor, packed: &[PackedB], n: usize) -> WgTensor {
-    let mut out = WgTensor::zeros(a.elems, a.tiles, n);
-    pool.for_each_chunk_mut(&mut out.data, GEMM_ROW_CHUNK * n, |ci, band| {
+fn batched_elem_gemm(
+    pool: &ParPool,
+    a: &[f32],
+    tiles: usize,
+    chans: usize,
+    packed: &[PackedB],
+    out: &mut [f32],
+) {
+    let n = packed.first().map_or(0, |p| p.n);
+    let elem = tiles * chans;
+    pool.for_each_chunk_mut(out, GEMM_ROW_CHUNK * n, |ci, band| {
         let mut row = ci * GEMM_ROW_CHUNK;
         let end = row + band.len() / n;
         let mut off = 0;
         while row < end {
-            let e = row / a.tiles;
-            let local = row % a.tiles;
-            let take = (a.tiles - local).min(end - row);
+            let e = row / tiles;
+            let local = row % tiles;
+            let take = (tiles - local).min(end - row);
             gemm_f32_packed_rows(
-                a.elem_matrix(e),
-                a.tiles,
-                a.chans,
+                &a[e * elem..(e + 1) * elem],
+                tiles,
+                chans,
                 false,
                 &packed[e],
                 &mut band[off * n..(off + take) * n],
@@ -58,17 +69,29 @@ fn batched_elem_gemm_par(pool: &ParPool, a: &WgTensor, packed: &[PackedB], n: us
             off += take;
         }
     });
-    out
+}
+
+/// Packs every element matrix of `w` (transposed when `tw`) into the
+/// first `T²` entries of `packed`, growing it when it is shorter.
+fn pack_elems<'p>(packed: &'p mut Vec<PackedB>, w: &WgWeights, tw: bool) -> &'p [PackedB] {
+    if packed.len() < w.elems {
+        packed.resize_with(w.elems, PackedB::default);
+    }
+    let (k, n) = if tw {
+        (w.out_chans, w.in_chans)
+    } else {
+        (w.in_chans, w.out_chans)
+    };
+    for (e, bp) in packed[..w.elems].iter_mut().enumerate() {
+        pack_b_into(bp, w.elem_matrix(e), k, n, tw);
+    }
+    &packed[..w.elems]
 }
 
 /// Element-wise batched GEMM over tile elements: `Y_e = X_e · W_e` for
 /// every `e ∈ 0..T²` (the paper's Eq. 2). `X_e` is `tiles × I`, `W_e` is
-/// `I × J`, `Y_e` is `tiles × J`.
-///
-/// The `T²` element GEMMs run as one batched fat GEMM: the weights are
-/// packed once per element, and the concatenated output fans out across
-/// the pool in fixed global row bands, all `T²` elements in one pool
-/// scope. The bits are the same for any job count.
+/// `I × J`, `Y_e` is `tiles × J`: the allocating form of
+/// [`elementwise_gemm_into`].
 ///
 /// # Panics
 ///
@@ -76,14 +99,46 @@ fn batched_elem_gemm_par(pool: &ParPool, a: &WgTensor, packed: &[PackedB], n: us
 pub fn elementwise_gemm_par(pool: &ParPool, x: &WgTensor, w: &WgWeights) -> WgTensor {
     assert_eq!(x.elems, w.elems, "tile-element count mismatch");
     assert_eq!(x.chans, w.in_chans, "channel mismatch");
-    let packed: Vec<PackedB> = (0..x.elems)
-        .map(|e| pack_b(w.elem_matrix(e), x.chans, w.out_chans, false))
-        .collect();
-    batched_elem_gemm_par(pool, x, &packed, w.out_chans)
+    let mut out = WgTensor::zeros(x.elems, x.tiles, w.out_chans);
+    elementwise_gemm_into(pool, &x.data, x.tiles, w, &mut Vec::new(), &mut out.data);
+    out
 }
 
-/// Element-wise `∂X_e = ∂Y_e · W_eᵀ` (same batched contract as
-/// [`elementwise_gemm_par`]; the weights are packed transposed).
+/// `Y_e = X_e · W_e` for every element `e` of `w`, with `x` and `out` the
+/// element-major matrices of `tiles` rows (as in [`WgTensor::data`]),
+/// writing every value of `out`. The weights are packed into `packed`
+/// (reused across calls), and the `T²` element GEMMs run as one batched
+/// fat GEMM: the concatenated output fans out across the pool in fixed
+/// global row bands, all `T²` elements in one pool scope. The bits are
+/// the same for any job count.
+///
+/// # Panics
+///
+/// Panics if `x` or `out` does not have the length `tiles` and `w` imply.
+pub fn elementwise_gemm_into(
+    pool: &ParPool,
+    x: &[f32],
+    tiles: usize,
+    w: &WgWeights,
+    packed: &mut Vec<PackedB>,
+    out: &mut [f32],
+) {
+    assert_eq!(
+        x.len(),
+        w.elems * tiles * w.in_chans,
+        "input length mismatch"
+    );
+    assert_eq!(
+        out.len(),
+        w.elems * tiles * w.out_chans,
+        "output length mismatch"
+    );
+    let packed = pack_elems(packed, w, false);
+    batched_elem_gemm(pool, x, tiles, w.in_chans, packed, out);
+}
+
+/// Element-wise `∂X_e = ∂Y_e · W_eᵀ`: the allocating form of
+/// [`elementwise_gemm_bprop_into`].
 ///
 /// # Panics
 ///
@@ -91,25 +146,56 @@ pub fn elementwise_gemm_par(pool: &ParPool, x: &WgTensor, w: &WgWeights) -> WgTe
 pub fn elementwise_gemm_bprop_par(pool: &ParPool, dy: &WgTensor, w: &WgWeights) -> WgTensor {
     assert_eq!(dy.elems, w.elems, "tile-element count mismatch");
     assert_eq!(dy.chans, w.out_chans, "channel mismatch");
+    let mut out = WgTensor::zeros(dy.elems, dy.tiles, w.in_chans);
+    elementwise_gemm_bprop_into(pool, &dy.data, dy.tiles, w, &mut Vec::new(), &mut out.data);
+    out
+}
+
+/// `∂X_e = ∂Y_e · W_eᵀ` for every element `e` of `w` (same batched
+/// contract as [`elementwise_gemm_into`]; the weights are packed
+/// transposed).
+///
+/// # Panics
+///
+/// Panics if `dy` or `out` does not have the length `tiles` and `w` imply.
+pub fn elementwise_gemm_bprop_into(
+    pool: &ParPool,
+    dy: &[f32],
+    tiles: usize,
+    w: &WgWeights,
+    packed: &mut Vec<PackedB>,
+    out: &mut [f32],
+) {
+    assert_eq!(
+        dy.len(),
+        w.elems * tiles * w.out_chans,
+        "input length mismatch"
+    );
+    assert_eq!(
+        out.len(),
+        w.elems * tiles * w.in_chans,
+        "output length mismatch"
+    );
     // dX (tiles x I) = dY (tiles x J) * W^T (J x I): pack W_e transposed.
-    let packed: Vec<PackedB> = (0..dy.elems)
-        .map(|e| pack_b(w.elem_matrix(e), dy.chans, w.in_chans, true))
-        .collect();
-    batched_elem_gemm_par(pool, dy, &packed, w.in_chans)
+    let packed = pack_elems(packed, w, true);
+    batched_elem_gemm(pool, dy, tiles, w.out_chans, packed, out);
+}
+
+/// Per-thread buffers of the weight-gradient GEMMs: a later cluster's
+/// partial sum and the packed `∂Y` panels.
+#[derive(Default)]
+struct WgradScratch {
+    part: Vec<f32>,
+    packed: PackedB,
+}
+
+thread_local! {
+    static WGRAD: RefCell<WgradScratch> = RefCell::new(WgradScratch::default());
 }
 
 /// Element-wise weight gradient `∇W_e = Σ_c X_e[c]ᵀ · ∂Y_e[c]` of the
-/// `updateGrad` phase, with the tile rows split into `n_c` equal
-/// contiguous clusters (`X_e[c]` is cluster `c`'s rows of `X_e`).
-///
-/// The `T²` elements fan out across the pool, one `I × J` output chunk
-/// each. Within an element, the `n_c` cluster GEMMs run on the claiming
-/// thread, and their f32 results are summed in ascending `c`: the
-/// order in which each MPT group's ring reduction visits its clusters.
-/// Cluster `0` writes the total directly, so `n_c = 1` is the
-/// centralized gradient, bit-identical to
-/// [`gemm_f32_ref`](wmpt_tensor::ops::gemm_f32_ref) on each element. The
-/// bits are the same for any job count.
+/// `updateGrad` phase over `n_c` clusters: the allocating form of
+/// [`elementwise_gemm_wgrad_into`].
 ///
 /// # Panics
 ///
@@ -123,32 +209,73 @@ pub fn elementwise_gemm_wgrad_par(
 ) -> WgWeights {
     assert_eq!(x.elems, dy.elems, "tile-element count mismatch");
     assert_eq!(x.tiles, dy.tiles, "tile count mismatch");
-    assert!(
-        n_c > 0 && x.tiles.is_multiple_of(n_c),
-        "{} tiles must divide across {n_c} clusters",
-        x.tiles
+    let mut dw = WgWeights::zeros(x.elems, x.chans, dy.chans);
+    elementwise_gemm_wgrad_into(pool, &x.data, &dy.data, x.tiles, n_c, &mut dw);
+    dw
+}
+
+/// Element-wise weight gradient `∇W_e = Σ_c X_e[c]ᵀ · ∂Y_e[c]` into `dw`
+/// (every value written), with `x` and `dy` the element-major matrices
+/// of `tiles` rows and the tile rows split into `n_c` equal contiguous
+/// clusters (`X_e[c]` is cluster `c`'s rows of `X_e`).
+///
+/// The `T²` elements fan out across the pool, one `I × J` output chunk
+/// each. Within an element, the `n_c` cluster GEMMs run on the claiming
+/// thread, and their f32 results are summed in ascending `c`: the
+/// order in which each MPT group's ring reduction visits its clusters.
+/// Cluster `0` writes the total directly, so `n_c = 1` is the
+/// centralized gradient, bit-identical to
+/// [`gemm_f32_ref`](wmpt_tensor::ops::gemm_f32_ref) on each element. The
+/// bits are the same for any job count.
+///
+/// # Panics
+///
+/// Panics if `x` or `dy` does not have the length `tiles` and `dw`
+/// imply, or if the tiles do not divide into `n_c` clusters.
+pub fn elementwise_gemm_wgrad_into(
+    pool: &ParPool,
+    x: &[f32],
+    dy: &[f32],
+    tiles: usize,
+    n_c: usize,
+    dw: &mut WgWeights,
+) {
+    let (i_ch, j_ch) = (dw.in_chans, dw.out_chans);
+    assert_eq!(x.len(), dw.elems * tiles * i_ch, "input length mismatch");
+    assert_eq!(
+        dy.len(),
+        dw.elems * tiles * j_ch,
+        "gradient length mismatch"
     );
-    let (i_ch, j_ch) = (x.chans, dy.chans);
-    let rows = x.tiles / n_c;
-    let mut dw = WgWeights::zeros(x.elems, i_ch, j_ch);
+    assert!(
+        n_c > 0 && tiles.is_multiple_of(n_c),
+        "{tiles} tiles must divide across {n_c} clusters"
+    );
+    let rows = tiles / n_c;
     pool.for_each_chunk_mut(&mut dw.data, (i_ch * j_ch).max(1), |e, total| {
         let serial = ParPool::serial();
-        let (xe, dye) = (x.elem_matrix(e), dy.elem_matrix(e));
-        let mut part = vec![0.0f32; if n_c > 1 { total.len() } else { 0 }];
-        for c in 0..n_c {
-            // dW[c] (I x J) = X[c]^T (I x rows) * dY[c] (rows x J).
-            let xc = &xe[c * rows * i_ch..(c + 1) * rows * i_ch];
-            let dyc = &dye[c * rows * j_ch..(c + 1) * rows * j_ch];
-            let out = if c == 0 { &mut *total } else { &mut part[..] };
-            gemm_f32_par(&serial, xc, rows, i_ch, dyc, j_ch, out, true, false);
-            if c > 0 {
-                for (t, p) in total.iter_mut().zip(&part) {
-                    *t += p;
+        let xe = &x[e * tiles * i_ch..(e + 1) * tiles * i_ch];
+        let dye = &dy[e * tiles * j_ch..(e + 1) * tiles * j_ch];
+        WGRAD.with(|scratch| {
+            let WgradScratch { part, packed } = &mut *scratch.borrow_mut();
+            if n_c > 1 && part.len() < total.len() {
+                part.resize(total.len(), 0.0);
+            }
+            let part = &mut part[..if n_c > 1 { total.len() } else { 0 }];
+            for c in 0..n_c {
+                // dW[c] (I x J) = X[c]^T (I x rows) * dY[c] (rows x J).
+                let xc = &xe[c * rows * i_ch..(c + 1) * rows * i_ch];
+                let dyc = &dye[c * rows * j_ch..(c + 1) * rows * j_ch];
+                let out = if c == 0 { &mut *total } else { &mut *part };
+                gemm_f32_into(&serial, xc, rows, i_ch, dyc, j_ch, out, true, false, packed);
+                if c > 0 {
+                    for (t, p) in total.iter_mut().zip(part.iter()) {
+                        *t += p;
+                    }
                 }
             }
-        }
+        });
     });
-    dw
 }
 
 /// Winograd convolution with spatial-domain weights (paper Fig 2(a)).
@@ -312,15 +439,13 @@ impl WinogradLayer {
     /// for any job count (the `wmpt-par` determinism contract).
     pub fn fprop_par(&self, pool: &ParPool, x: &Tensor4) -> Tensor4 {
         let wx = to_winograd_input_par(pool, x, &self.tf);
-        self.fprop_wg_par(pool, &wx, x.shape())
-    }
-
-    /// [`Self::fprop_par`] from an already transformed input `wx` of the
-    /// spatial input shape `x_shape`: the element GEMMs and the inverse
-    /// transform.
-    pub fn fprop_wg_par(&self, pool: &ParPool, wx: &WgTensor, x_shape: Shape4) -> Tensor4 {
-        let wy = elementwise_gemm_par(pool, wx, &self.weights);
-        let out_shape = Shape4::new(x_shape.n, self.weights.out_chans, x_shape.h, x_shape.w);
+        let wy = elementwise_gemm_par(pool, &wx, &self.weights);
+        let out_shape = Shape4::new(
+            x.shape().n,
+            self.weights.out_chans,
+            x.shape().h,
+            x.shape().w,
+        );
         from_winograd_output_par(pool, &wy, &self.tf, out_shape)
     }
 
@@ -328,15 +453,9 @@ impl WinogradLayer {
     /// w.r.t. `x` (same determinism contract).
     pub fn bprop_par(&self, pool: &ParPool, dy: &Tensor4) -> Tensor4 {
         let wdy = output_grad_to_winograd_par(pool, dy, &self.tf);
-        self.bprop_wg_par(pool, &wdy, dy.shape())
-    }
-
-    /// [`Self::bprop_par`] from an already transformed output gradient
-    /// `wdy` of the spatial shape `dy_shape`: the element GEMMs and the
-    /// adjoint input transform.
-    pub fn bprop_wg_par(&self, pool: &ParPool, wdy: &WgTensor, dy_shape: Shape4) -> Tensor4 {
-        let wdx = elementwise_gemm_bprop_par(pool, wdy, &self.weights);
-        let in_shape = Shape4::new(dy_shape.n, self.weights.in_chans, dy_shape.h, dy_shape.w);
+        let wdx = elementwise_gemm_bprop_par(pool, &wdy, &self.weights);
+        let s = dy.shape();
+        let in_shape = Shape4::new(s.n, self.weights.in_chans, s.h, s.w);
         input_grad_to_spatial_par(pool, &wdx, &self.tf, in_shape)
     }
 

@@ -17,10 +17,13 @@
 //! * [`WinogradLayer`] — weights resident and updated in the Winograd
 //!   domain (Fig 2(b)), the layer type MPT trains.
 //!
-//! The transforms, the element-wise GEMMs and the layer phases each have
-//! one implementation, which takes a `wmpt_par::ParPool` and returns the
-//! same bits for any job count; pass `ParPool::serial()` to run on the
-//! caller's thread.
+//! The transforms, the element-wise GEMMs, ReLU and pooling each have
+//! one implementation, which writes into a caller's buffer (the `_into`
+//! forms; a training step keeps its buffers and allocates nothing), takes
+//! a `wmpt_par::ParPool` where it fans out, and returns the same bits for
+//! any job count; pass `ParPool::serial()` to run on the caller's thread.
+//! The `_par` forms and [`relu`], [`relu_backward`] and [`Pool2x2`]'s
+//! `forward`/`backward` allocate their output and call that body.
 //!
 //! # Quickstart
 //!
@@ -49,18 +52,21 @@ pub mod stability;
 pub mod tiling;
 pub mod transform;
 
-pub use conv::{relu, relu_backward, DirectConv};
+pub use conv::{relu, relu_backward, relu_backward_into, relu_into, DirectConv};
 pub use conv1d::{direct_conv1d, winograd_conv1d};
 pub use im2col::{conv_gemm, im2col};
 pub use layer::{
-    elementwise_gemm_bprop_par, elementwise_gemm_par, elementwise_gemm_wgrad_par, WinogradConv,
+    elementwise_gemm_bprop_into, elementwise_gemm_bprop_par, elementwise_gemm_into,
+    elementwise_gemm_par, elementwise_gemm_wgrad_into, elementwise_gemm_wgrad_par, WinogradConv,
     WinogradLayer,
 };
 pub use optimizer::MomentumSgd;
 pub use pool::{Pool2x2, PoolKind};
 pub use stability::{amplification_factor, empirical_error, stability_sweep, StabilityPoint};
 pub use tiling::{
-    from_winograd_output_par, input_grad_to_spatial_par, output_grad_to_winograd_par,
-    to_spatial_tiles, to_winograd_input_par, weights_to_winograd, Tiling, WgTensor, WgWeights,
+    from_winograd_output_into, from_winograd_output_par, input_grad_to_spatial_into,
+    input_grad_to_spatial_par, output_grad_to_winograd_into, output_grad_to_winograd_par,
+    to_spatial_tiles, to_winograd_input_into, to_winograd_input_par, weights_to_winograd, Tiling,
+    WgTensor, WgWeights,
 };
 pub use transform::{TileScratch, TransformBuildError, WinogradTransform};

@@ -58,73 +58,99 @@ impl Pool2x2 {
         Shape4::new(s.n, s.c, s.h / 2, s.w / 2)
     }
 
-    /// Forward pass.
+    /// Forward pass: the allocating form of [`Self::forward_into`].
     pub fn forward(&self, x: &Tensor4) -> Tensor4 {
+        let mut y = Tensor4::zeros(self.output_shape(x.shape()));
+        self.forward_into(x, y.as_mut_slice());
+        y
+    }
+
+    /// Forward pass into `y` (NCHW, the pooled shape), writing every
+    /// value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` does not have the pooled length.
+    pub fn forward_into(&self, x: &Tensor4, y: &mut [f32]) {
         let s = x.shape();
         let os = self.output_shape(s);
-        let mut y = Tensor4::zeros(os);
-        for b in 0..s.n {
-            for c in 0..s.c {
-                for oy in 0..os.h {
-                    for ox in 0..os.w {
-                        let vals = [
-                            x[(b, c, 2 * oy, 2 * ox)],
-                            x[(b, c, 2 * oy, 2 * ox + 1)],
-                            x[(b, c, 2 * oy + 1, 2 * ox)],
-                            x[(b, c, 2 * oy + 1, 2 * ox + 1)],
-                        ];
-                        y[(b, c, oy, ox)] = match self.kind {
-                            PoolKind::Max => vals.iter().copied().fold(f32::MIN, f32::max),
-                            PoolKind::Avg => vals.iter().sum::<f32>() / 4.0,
-                        };
-                    }
-                }
+        assert_eq!(y.len(), os.len(), "pooled output length mismatch");
+        let x = x.as_slice();
+        for (plane, out) in y.chunks_exact_mut((os.h * os.w).max(1)).enumerate() {
+            let at = |h: usize, w: usize| x[(plane * s.h + h) * s.w + w];
+            for (o, v) in out.iter_mut().enumerate() {
+                let (oy, ox) = (o / os.w, o % os.w);
+                let vals = [
+                    at(2 * oy, 2 * ox),
+                    at(2 * oy, 2 * ox + 1),
+                    at(2 * oy + 1, 2 * ox),
+                    at(2 * oy + 1, 2 * ox + 1),
+                ];
+                *v = match self.kind {
+                    PoolKind::Max => vals.iter().copied().fold(f32::MIN, f32::max),
+                    PoolKind::Avg => vals.iter().sum::<f32>() / 4.0,
+                };
             }
         }
-        y
     }
 
     /// Backward pass: routes `dy` to the max location (max pooling) or
     /// spreads it evenly (average pooling). Needs the forward input for
-    /// max routing.
+    /// max routing. The allocating form of [`Self::backward_into`].
     ///
     /// # Panics
     ///
     /// Panics if shapes are inconsistent.
     pub fn backward(&self, x: &Tensor4, dy: &Tensor4) -> Tensor4 {
+        assert_eq!(
+            dy.shape(),
+            self.output_shape(x.shape()),
+            "dy must have the pooled shape"
+        );
+        let mut dx = Tensor4::zeros(x.shape());
+        self.backward_into(x, dy.as_slice(), dx.as_mut_slice());
+        dx
+    }
+
+    /// Backward pass into `dx` (NCHW, the shape of `x`): `dx` is zeroed,
+    /// then every pooled gradient of `dy` accumulates into its window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dy` does not have the pooled length or `dx` the length
+    /// of `x`.
+    pub fn backward_into(&self, x: &Tensor4, dy: &[f32], dx: &mut [f32]) {
         let s = x.shape();
         let os = self.output_shape(s);
-        assert_eq!(dy.shape(), os, "dy must have the pooled shape");
-        let mut dx = Tensor4::zeros(s);
-        for b in 0..s.n {
-            for c in 0..s.c {
-                for oy in 0..os.h {
-                    for ox in 0..os.w {
-                        let g = dy[(b, c, oy, ox)];
-                        match self.kind {
-                            PoolKind::Avg => {
-                                for (u, v) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-                                    dx[(b, c, 2 * oy + u, 2 * ox + v)] += g / 4.0;
-                                }
-                            }
-                            PoolKind::Max => {
-                                let mut best = (0usize, 0usize);
-                                let mut best_v = f32::MIN;
-                                for (u, v) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-                                    let val = x[(b, c, 2 * oy + u, 2 * ox + v)];
-                                    if val > best_v {
-                                        best_v = val;
-                                        best = (u, v);
-                                    }
-                                }
-                                dx[(b, c, 2 * oy + best.0, 2 * ox + best.1)] += g;
+        assert_eq!(dy.len(), os.len(), "dy must have the pooled shape");
+        assert_eq!(dx.len(), s.len(), "dx must have the input shape");
+        dx.fill(0.0);
+        let x = x.as_slice();
+        for (plane, grads) in dy.chunks_exact((os.h * os.w).max(1)).enumerate() {
+            let at = |h: usize, w: usize| (plane * s.h + h) * s.w + w;
+            for (o, &g) in grads.iter().enumerate() {
+                let (oy, ox) = (o / os.w, o % os.w);
+                match self.kind {
+                    PoolKind::Avg => {
+                        for (u, v) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                            dx[at(2 * oy + u, 2 * ox + v)] += g / 4.0;
+                        }
+                    }
+                    PoolKind::Max => {
+                        let mut best = (0usize, 0usize);
+                        let mut best_v = f32::MIN;
+                        for (u, v) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                            let val = x[at(2 * oy + u, 2 * ox + v)];
+                            if val > best_v {
+                                best_v = val;
+                                best = (u, v);
                             }
                         }
+                        dx[at(2 * oy + best.0, 2 * ox + best.1)] += g;
                     }
                 }
             }
         }
-        dx
     }
 }
 

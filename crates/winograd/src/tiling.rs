@@ -15,8 +15,14 @@
 //! row's `T²` (or `m²`) positions as contiguous lane runs, make one call
 //! to the lane kernel of [`crate::transform`], and move each position's
 //! run to or from its destination: a row's tiles are consecutive in a
-//! [`WgTensor`], so on that side each run is one copy. Per image they
-//! allocate three buffers, never one per row or tile.
+//! [`WgTensor`], so on that side each run is one copy. Each kernel has
+//! one body that writes into a caller's buffer (the `_into` forms, which
+//! a training step calls on buffers it keeps); the `_par` forms allocate
+//! the output and call it. The row buffers are per-thread and reused, so
+//! a warm kernel allocates nothing.
+
+use std::cell::RefCell;
+use std::sync::{Mutex, PoisonError};
 
 use wmpt_par::ParPool;
 use wmpt_tensor::{Shape4, Tensor4};
@@ -119,6 +125,13 @@ impl WgTensor {
             chans,
             data: vec![0.0; elems * tiles * chans],
         }
+    }
+
+    /// A zeroed tensor holding the tiles of an NCHW map of shape `s`
+    /// under `tf`.
+    pub fn for_map(tf: &WinogradTransform, s: Shape4) -> Self {
+        let tl = Tiling::new(tf, s.h, s.w);
+        Self::zeros(tl.t * tl.t, s.n * tl.tiles_per_image(), s.c)
     }
 
     /// Linear index of `(elem, tile, chan)`.
@@ -231,35 +244,12 @@ impl WgWeights {
     }
 }
 
-/// Builds an element-major tensor of `images × tl.tiles_per_image()`
-/// tiles image by image across the pool. Image `b`'s tiles of element
-/// `e` form one contiguous `tiles_per_image × chans` run, so every image
-/// owns `T²` disjoint runs and `fill(b, runs)` writes them in place: the
-/// value of local tile `tile`, channel `c`, element `e` goes to
-/// `runs[e][tile * chans + c]`. Which thread fills an image changes no
-/// bit.
-fn fill_per_image<F>(pool: &ParPool, tl: &Tiling, images: usize, chans: usize, fill: F) -> WgTensor
-where
-    F: Fn(usize, &mut [&mut [f32]]) + Sync,
-{
-    let tpi = tl.tiles_per_image();
-    let mut out = WgTensor::zeros(tl.t * tl.t, images * tpi, chans);
-    let mut runs: Vec<Vec<&mut [f32]>> = (0..images)
-        .map(|_| Vec::with_capacity(tl.t * tl.t))
-        .collect();
-    // Runs come in (element, image) order.
-    for (i, run) in out.data.chunks_mut((tpi * chans).max(1)).enumerate() {
-        runs[i % images].push(run);
-    }
-    pool.for_each_chunk_mut(&mut runs, 1, |b, img| fill(b, &mut img[0]));
-    out
-}
-
 /// Where each tile's `k×k` spatial window sits in an NCHW image of
 /// `chans × h × w`: tile `(ty, tx)`'s window starts at
 /// `(ty·m − off, tx·m − off)` — the input tile (`k = T`, `off = pad`) or
 /// the output tile (`k = m`, `off = 0`).
 struct Windows {
+    images: usize,
     m: usize,
     k: usize,
     off: usize,
@@ -282,6 +272,7 @@ impl Windows {
 
     fn new(tl: &Tiling, k: usize, off: usize, shape: Shape4) -> Self {
         Self {
+            images: shape.n,
             m: tl.m,
             k,
             off,
@@ -340,98 +331,167 @@ impl Windows {
     }
 }
 
-/// Gathers, transforms and stores every tile row of image `b` of `src`
-/// into the image's element runs (see [`fill_per_image`]) — the per-image
-/// work unit of [`to_winograd_input_par`], [`output_grad_to_winograd_par`]
-/// and [`to_spatial_tiles`].
-fn image_windows_into<T>(
-    src: &Tensor4,
-    b: usize,
+/// Per-thread tile-row buffers of the tiling kernels: one row's gathered
+/// windows (or Winograd-domain values) on the way in, its transformed
+/// values on the way out, and the lane kernel's scratch. They grow to the
+/// largest row a thread has seen and are reused by every later call, so
+/// a warm kernel allocates nothing.
+#[derive(Default)]
+struct RowScratch {
+    src: Vec<f32>,
+    dst: Vec<f32>,
+    tile: TileScratch,
+}
+
+thread_local! {
+    static ROWS: RefCell<RowScratch> = RefCell::new(RowScratch::default());
+}
+
+/// The first `n` values of `v`, growing it (zero-filled, once) when it
+/// is shorter.
+fn prefix(v: &mut Vec<f32>, n: usize) -> &mut [f32] {
+    if v.len() < n {
+        v.resize(n, 0.0);
+    }
+    &mut v[..n]
+}
+
+/// Gathers, transforms and stores every tile row of every image of the
+/// NCHW map `src` into the element-major `out` (`T²` element matrices of
+/// `images · tiles_per_image` tiles × `chans`) — the body of
+/// [`to_winograd_input_into`], [`output_grad_to_winograd_into`] and
+/// [`to_spatial_tiles`]. Images are claimed across the pool. A tile row's
+/// tiles are consecutive in each element matrix, so every element of a
+/// transformed row is one copy into `out`; the copies of a row happen
+/// under one lock on `out`, and the rows of different images never
+/// overlap, so which thread fills an image changes no bit.
+fn windows_to_winograd<T>(
+    pool: &ParPool,
+    src: &[f32],
     win: &Windows,
     tl: &Tiling,
     transform: T,
-    runs: &mut [&mut [f32]],
+    out: &mut [f32],
 ) where
-    T: Fn(&[f32], usize, &mut TileScratch, &mut [f32]),
+    T: Fn(&[f32], usize, &mut TileScratch, &mut [f32]) + Sync,
 {
-    let lanes = win.lanes();
-    let len = win.chans * win.h * win.w;
-    let img = &src.as_slice()[b * len..(b + 1) * len];
-    let mut row = vec![0.0f32; win.k * win.k * lanes];
-    let mut wg = vec![0.0f32; tl.t * tl.t * lanes];
-    let mut scratch = TileScratch::default();
-    for ty in 0..tl.tiles_h {
-        win.gather_row(img, ty, &mut row);
-        transform(&row, lanes, &mut scratch, &mut wg);
-        let at = ty * lanes;
-        for (e, run) in runs.iter_mut().enumerate() {
-            run[at..at + lanes].copy_from_slice(&wg[e * lanes..(e + 1) * lanes]);
-        }
-    }
+    let (images, chans, lanes, t2) = (win.images, win.chans, win.lanes(), tl.t * tl.t);
+    let len = chans * win.h * win.w;
+    let tiles = images * tl.tiles_per_image();
+    assert_eq!(src.len(), images * len, "input length mismatch");
+    assert_eq!(out.len(), t2 * tiles * chans, "output length mismatch");
+    let out = Mutex::new(out);
+    pool.for_each_index(images, |b| {
+        let img = &src[b * len..(b + 1) * len];
+        ROWS.with(|rows| {
+            let rows = &mut *rows.borrow_mut();
+            let row = prefix(&mut rows.src, win.k * win.k * lanes);
+            let wg = prefix(&mut rows.dst, t2 * lanes);
+            for ty in 0..tl.tiles_h {
+                win.gather_row(img, ty, row);
+                transform(row, lanes, &mut rows.tile, wg);
+                let first = (b * tl.tiles_per_image() + ty * tl.tiles_w) * chans;
+                let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
+                for (e, vals) in wg.chunks_exact(lanes).enumerate() {
+                    let at = e * tiles * chans + first;
+                    out[at..at + lanes].copy_from_slice(vals);
+                }
+            }
+        });
+    });
 }
 
-/// Transforms every tile row of image `b` of `wg` and combines each
-/// result position into the image's contiguous NCHW slice `img` through
-/// `put` (positions outside the map are dropped). Tiles are combined in
-/// `(ty, tx)` order, so every location combines its contributions in a
-/// fixed order — the per-image work unit of [`from_winograd_output_par`]
-/// and [`input_grad_to_spatial_par`].
-fn image_tiles_into<T, P>(
-    wg: &WgTensor,
-    b: usize,
+/// Transforms every tile row of the element-major `wg` (`T²` matrices of
+/// `images · tiles_per_image` tiles × `chans`) and combines each result
+/// position into the NCHW map `out` through `put` (positions outside the
+/// map are dropped) — the body of [`from_winograd_output_into`] and
+/// [`input_grad_to_spatial_into`]. Images fan out across the pool into
+/// disjoint contiguous slices of `out`; within an image, tiles are
+/// combined in `(ty, tx)` order, so every location combines its
+/// contributions in a fixed order.
+fn winograd_to_windows<T, P>(
+    pool: &ParPool,
+    wg: &[f32],
     win: &Windows,
     tl: &Tiling,
     transform: T,
     put: P,
-    img: &mut [f32],
+    out: &mut [f32],
 ) where
-    T: Fn(&[f32], usize, &mut TileScratch, &mut [f32]),
-    P: Fn(&mut f32, f32),
+    T: Fn(&[f32], usize, &mut TileScratch, &mut [f32]) + Sync,
+    P: Fn(&mut f32, f32) + Sync,
 {
-    let (chans, plane, lanes) = (wg.chans, win.h * win.w, win.lanes());
-    let tpi = tl.tiles_per_image();
-    let mut row = vec![0.0f32; wg.elems * lanes];
-    let mut sp = vec![0.0f32; win.k * win.k * lanes];
-    let mut scratch = TileScratch::default();
-    for ty in 0..tl.tiles_h {
-        let first = (b * tpi + ty * tl.tiles_w) * chans;
-        for e in 0..wg.elems {
-            let at = e * wg.tiles * chans + first;
-            row[e * lanes..(e + 1) * lanes].copy_from_slice(&wg.data[at..at + lanes]);
-        }
-        transform(&row, lanes, &mut scratch, &mut sp);
-        for tx in 0..tl.tiles_w {
-            win.for_each(ty, tx, |uv, at| {
-                if let Some(at) = at {
-                    let vals = &sp[uv * lanes + tx * chans..][..chans];
-                    for (c, v) in vals.iter().enumerate() {
-                        put(&mut img[c * plane + at], *v);
-                    }
+    let (chans, plane, lanes, t2) = (win.chans, win.h * win.w, win.lanes(), tl.t * tl.t);
+    let (images, len) = (win.images, chans * plane);
+    let tiles = images * tl.tiles_per_image();
+    assert_eq!(out.len(), images * len, "output length mismatch");
+    assert_eq!(
+        wg.len(),
+        t2 * tiles * chans,
+        "Winograd-domain length mismatch"
+    );
+    pool.for_each_chunk_mut(out, len, |b, img| {
+        ROWS.with(|rows| {
+            let rows = &mut *rows.borrow_mut();
+            let row = prefix(&mut rows.src, t2 * lanes);
+            let sp = prefix(&mut rows.dst, win.k * win.k * lanes);
+            for ty in 0..tl.tiles_h {
+                let first = (b * tl.tiles_per_image() + ty * tl.tiles_w) * chans;
+                for (e, vals) in row.chunks_exact_mut(lanes).enumerate() {
+                    let at = e * tiles * chans + first;
+                    vals.copy_from_slice(&wg[at..at + lanes]);
                 }
-            });
-        }
-    }
+                transform(row, lanes, &mut rows.tile, sp);
+                for tx in 0..tl.tiles_w {
+                    win.for_each(ty, tx, |uv, at| {
+                        if let Some(at) = at {
+                            let vals = &sp[uv * lanes + tx * chans..][..chans];
+                            for (c, v) in vals.iter().enumerate() {
+                                put(&mut img[c * plane + at], *v);
+                            }
+                        }
+                    });
+                }
+            }
+        });
+    });
 }
 
 /// Transforms a spatial feature map into the Winograd domain
-/// (tile extraction + 2-D input transform, `Bᵀ x B` per tile). Images are
-/// extracted and transformed independently across the pool, each writing
-/// its own tiles of the batch-wide element-major tensor; the bits are the
-/// same for any job count.
+/// (tile extraction + 2-D input transform, `Bᵀ x B` per tile): the
+/// allocating form of [`to_winograd_input_into`].
 pub fn to_winograd_input_par(pool: &ParPool, x: &Tensor4, tf: &WinogradTransform) -> WgTensor {
-    let s = x.shape();
+    let mut out = WgTensor::for_map(tf, x.shape());
+    to_winograd_input_into(pool, x.as_slice(), x.shape(), tf, &mut out.data);
+    out
+}
+
+/// Transforms the NCHW map `x` of shape `s` into the Winograd domain,
+/// writing every value of `out` (`T² × tiles × s.c`, element-major, as in
+/// [`WgTensor::data`]). Images are extracted and transformed
+/// independently across the pool; the bits are the same for any job
+/// count.
+///
+/// # Panics
+///
+/// Panics if `x` or `out` does not have the length `s` implies.
+pub fn to_winograd_input_into(
+    pool: &ParPool,
+    x: &[f32],
+    s: Shape4,
+    tf: &WinogradTransform,
+    out: &mut [f32],
+) {
     let tl = Tiling::new(tf, s.h, s.w);
     let win = Windows::input(&tl, s);
-    fill_per_image(pool, &tl, s.n, s.c, |b, runs| {
-        image_windows_into(
-            x,
-            b,
-            &win,
-            &tl,
-            |x, l, s, o| tf.input_lanes(x, l, s, o),
-            runs,
-        )
-    })
+    windows_to_winograd(
+        pool,
+        x,
+        &win,
+        &tl,
+        |x, l, s, o| tf.input_lanes(x, l, s, o),
+        out,
+    );
 }
 
 /// Extracts *untransformed* spatial tiles in the same element-major layout
@@ -442,9 +502,16 @@ pub fn to_spatial_tiles(x: &Tensor4, tf: &WinogradTransform) -> WgTensor {
     let s = x.shape();
     let tl = Tiling::new(tf, s.h, s.w);
     let win = Windows::input(&tl, s);
-    fill_per_image(&ParPool::serial(), &tl, s.n, s.c, |b, runs| {
-        image_windows_into(x, b, &win, &tl, |x, _, _, o| o.copy_from_slice(x), runs)
-    })
+    let mut out = WgTensor::for_map(tf, s);
+    windows_to_winograd(
+        &ParPool::serial(),
+        x.as_slice(),
+        &win,
+        &tl,
+        |x, _, _, o| o.copy_from_slice(x),
+        &mut out.data,
+    );
+    out
 }
 
 /// Transforms spatial weights `(J, I, r, r)` into Winograd-domain weights
@@ -477,9 +544,8 @@ pub fn weights_to_winograd(w: &Tensor4, tf: &WinogradTransform) -> WgWeights {
 
 /// Inverse-transforms a Winograd-domain output (`tiles × J` per element)
 /// back to a spatial feature map of shape `out_shape` (`Aᵀ Y A` per tile +
-/// tile assembly; edge tiles are cropped). Each image writes a disjoint
-/// contiguous NCHW slice, fanned out across the pool; the bits are the
-/// same for any job count.
+/// tile assembly; edge tiles are cropped): the allocating form of
+/// [`from_winograd_output_into`].
 ///
 /// # Panics
 ///
@@ -490,58 +556,84 @@ pub fn from_winograd_output_par(
     tf: &WinogradTransform,
     out_shape: Shape4,
 ) -> Tensor4 {
-    let tl = Tiling::new(tf, out_shape.h, out_shape.w);
-    let tpi = tl.tiles_per_image();
-    assert_eq!(y.tiles, out_shape.n * tpi, "tile count mismatch");
-    assert_eq!(y.chans, out_shape.c, "channel count mismatch");
-    assert_eq!(y.elems, tl.t * tl.t, "element count mismatch");
+    check_geometry(y, tf, out_shape);
     let mut out = Tensor4::zeros(out_shape);
-    let win = Windows::output(&tl, out_shape);
-    let stride = out_shape.c * out_shape.h * out_shape.w;
-    pool.for_each_chunk_mut(out.as_mut_slice(), stride, |b, img| {
-        image_tiles_into(
-            y,
-            b,
-            &win,
-            &tl,
-            |x, l, s, o| tf.inverse_lanes(x, l, s, o),
-            |d, v| *d = v,
-            img,
-        );
-    });
+    from_winograd_output_into(pool, &y.data, tf, out_shape, out.as_mut_slice());
     out
 }
 
+/// Inverse-transforms the element-major `y` into the NCHW map `out` of
+/// shape `out_shape`, writing every value of `out`. Each image writes a
+/// disjoint contiguous slice, fanned out across the pool; the bits are
+/// the same for any job count.
+///
+/// # Panics
+///
+/// Panics if `y` or `out` does not have the length `out_shape` implies.
+pub fn from_winograd_output_into(
+    pool: &ParPool,
+    y: &[f32],
+    tf: &WinogradTransform,
+    out_shape: Shape4,
+    out: &mut [f32],
+) {
+    let tl = Tiling::new(tf, out_shape.h, out_shape.w);
+    let win = Windows::output(&tl, out_shape);
+    winograd_to_windows(
+        pool,
+        y,
+        &win,
+        &tl,
+        |x, l, s, o| tf.inverse_lanes(x, l, s, o),
+        |d, v| *d = v,
+        out,
+    );
+}
+
 /// Pushes a spatial output gradient into the Winograd domain (`A ∂y Aᵀ`
-/// per tile — the adjoint of [`from_winograd_output_par`]). Images fan
-/// out across the pool, each writing its own tiles; the bits are the
-/// same for any job count.
+/// per tile — the adjoint of [`from_winograd_output_par`]): the
+/// allocating form of [`output_grad_to_winograd_into`].
 pub fn output_grad_to_winograd_par(
     pool: &ParPool,
     dy: &Tensor4,
     tf: &WinogradTransform,
 ) -> WgTensor {
-    let s = dy.shape();
+    let mut out = WgTensor::for_map(tf, dy.shape());
+    output_grad_to_winograd_into(pool, dy.as_slice(), dy.shape(), tf, &mut out.data);
+    out
+}
+
+/// Pushes the NCHW gradient `dy` of shape `s` into the Winograd domain,
+/// writing every value of `out` (element-major). Images fan out across
+/// the pool, each writing its own tiles; the bits are the same for any
+/// job count.
+///
+/// # Panics
+///
+/// Panics if `dy` or `out` does not have the length `s` implies.
+pub fn output_grad_to_winograd_into(
+    pool: &ParPool,
+    dy: &[f32],
+    s: Shape4,
+    tf: &WinogradTransform,
+    out: &mut [f32],
+) {
     let tl = Tiling::new(tf, s.h, s.w);
     let win = Windows::output(&tl, s);
-    fill_per_image(pool, &tl, s.n, s.c, |b, runs| {
-        image_windows_into(
-            dy,
-            b,
-            &win,
-            &tl,
-            |x, l, s, o| tf.inverse_grad_lanes(x, l, s, o),
-            runs,
-        )
-    })
+    windows_to_winograd(
+        pool,
+        dy,
+        &win,
+        &tl,
+        |x, l, s, o| tf.inverse_grad_lanes(x, l, s, o),
+        out,
+    );
 }
 
 /// Pushes a Winograd-domain input gradient back to the spatial domain
 /// (`B ∂X Bᵀ` per tile + overlapped accumulation — the adjoint of
-/// [`to_winograd_input_par`]). Tiles only ever overlap within one image,
-/// so each image's overlapped accumulation stays on one thread, in a
-/// fixed `(ty, tx)` addition order; images fan out across the pool into
-/// disjoint NCHW slices, so the bits are the same for any job count.
+/// [`to_winograd_input_par`]): the allocating form of
+/// [`input_grad_to_spatial_into`].
 ///
 /// # Panics
 ///
@@ -552,25 +644,53 @@ pub fn input_grad_to_spatial_par(
     tf: &WinogradTransform,
     in_shape: Shape4,
 ) -> Tensor4 {
-    let tl = Tiling::new(tf, in_shape.h, in_shape.w);
-    let tpi = tl.tiles_per_image();
-    assert_eq!(dx.tiles, in_shape.n * tpi, "tile count mismatch");
-    assert_eq!(dx.chans, in_shape.c, "channel count mismatch");
+    check_geometry(dx, tf, in_shape);
     let mut out = Tensor4::zeros(in_shape);
-    let win = Windows::input(&tl, in_shape);
-    let stride = in_shape.c * in_shape.h * in_shape.w;
-    pool.for_each_chunk_mut(out.as_mut_slice(), stride, |b, img| {
-        image_tiles_into(
-            dx,
-            b,
-            &win,
-            &tl,
-            |x, l, s, o| tf.input_grad_lanes(x, l, s, o),
-            |d, v| *d += v,
-            img,
-        );
-    });
+    input_grad_to_spatial_into(pool, &dx.data, tf, in_shape, out.as_mut_slice());
     out
+}
+
+/// Pushes the element-major gradient `dx` back to the NCHW map `out` of
+/// shape `in_shape`: `out` is zeroed, then every tile accumulates into
+/// it. Tiles only ever overlap within one image, so each image's
+/// overlapped accumulation stays on one thread, in a fixed `(ty, tx)`
+/// addition order; images fan out across the pool into disjoint NCHW
+/// slices, so the bits are the same for any job count.
+///
+/// # Panics
+///
+/// Panics if `dx` or `out` does not have the length `in_shape` implies.
+pub fn input_grad_to_spatial_into(
+    pool: &ParPool,
+    dx: &[f32],
+    tf: &WinogradTransform,
+    in_shape: Shape4,
+    out: &mut [f32],
+) {
+    let tl = Tiling::new(tf, in_shape.h, in_shape.w);
+    let win = Windows::input(&tl, in_shape);
+    out.fill(0.0);
+    winograd_to_windows(
+        pool,
+        dx,
+        &win,
+        &tl,
+        |x, l, s, o| tf.input_grad_lanes(x, l, s, o),
+        |d, v| *d += v,
+        out,
+    );
+}
+
+/// Asserts that `wg` holds the tiles of a map of `shape` under `tf`.
+fn check_geometry(wg: &WgTensor, tf: &WinogradTransform, shape: Shape4) {
+    let tl = Tiling::new(tf, shape.h, shape.w);
+    assert_eq!(
+        wg.tiles,
+        shape.n * tl.tiles_per_image(),
+        "tile count mismatch"
+    );
+    assert_eq!(wg.chans, shape.c, "channel count mismatch");
+    assert_eq!(wg.elems, tl.t * tl.t, "element count mismatch");
 }
 
 #[cfg(test)]
