@@ -76,23 +76,23 @@ impl fmt::Debug for WinogradNet {
 
 /// The buffers of one training step, sized for one input shape and
 /// architecture on first use. Each stage keeps what its backward pass
-/// reads; the transients — the element-GEMM output before the inverse
-/// transform (the output gradient's transform reuses it), the bprop
-/// element-GEMM output, the spatial gradients and the packed weight
-/// panels — are shared by all stages, sized for the largest.
+/// reads. The transients are shared by all stages, in one buffer sized
+/// for the stage that needs most at once: its front holds the element
+/// GEMM's output before the inverse transform (forward) or the output
+/// gradient's transform (backward), and before either, a pooling stage's
+/// post-ReLU map (recomputed in backward for the max routing); its back
+/// holds a pooling stage's pre-ReLU gradient and then the bprop element
+/// GEMM's output.
 #[derive(Default)]
 struct StepWorkspace {
     /// The input shape the buffers are sized for.
     input: Option<Shape4>,
     stages: Vec<StageBuffers>,
-    /// Winograd-domain conv output (forward) or output gradient (backward).
-    wy: Vec<f32>,
-    /// Winograd-domain input gradient.
-    wdx: Vec<f32>,
-    /// Gradient w.r.t. a stage's output (the pooled map).
+    /// The shared transients (see above).
+    wg: Vec<f32>,
+    /// Gradient w.r.t. a stage's output (a non-pooling stage's pre-ReLU
+    /// gradient too).
     dout: Vec<f32>,
-    /// Gradient w.r.t. a pooling stage's conv output.
-    dconv: Vec<f32>,
     /// One packed weight panel set per tile element.
     packed: Vec<PackedB>,
     /// Per-image scores and their loss gradients.
@@ -106,23 +106,25 @@ struct StepWorkspace {
 struct StageBuffers {
     /// Output tile size of the stage's transform.
     m: usize,
+    /// Whether the stage pools.
+    pooled: bool,
     /// Winograd-domain input: the forward's transform, reused by the
     /// weight gradient.
     wx: WgTensor,
     /// Pre-ReLU conv output.
     pre: Tensor4,
-    /// Post-ReLU (pre-pool) output.
-    post: Tensor4,
-    /// Pooled output; without pooling, `post` is the stage output.
-    pooled: Option<Tensor4>,
+    /// The stage output (pooled, or post-ReLU without pooling): the next
+    /// stage's input, or the features.
+    out: Tensor4,
     /// Winograd-domain weight gradient.
     grad: WgWeights,
 }
 
 impl StageBuffers {
-    /// The stage's output: the next stage's input, or the features.
-    fn out(&self) -> &Tensor4 {
-        self.pooled.as_ref().unwrap_or(&self.post)
+    /// Length of the front of [`StepWorkspace::wg`] this stage uses: its
+    /// element-GEMM output, or its conv map if that were longer.
+    fn front(&self) -> usize {
+        (self.wx.elems * self.wx.tiles * self.grad.out_chans).max(self.pre.shape().len())
     }
 }
 
@@ -136,7 +138,7 @@ impl StepWorkspace {
                 b.m == st.conv.transform().m()
                     && (b.grad.elems, b.grad.in_chans, b.grad.out_chans)
                         == (w.elems, w.in_chans, w.out_chans)
-                    && b.pooled.is_some() == st.pool.is_some()
+                    && b.pooled == st.pool.is_some()
             })
     }
 
@@ -146,36 +148,32 @@ impl StepWorkspace {
             input: Some(x),
             ..StepWorkspace::default()
         };
-        let (mut wy, mut wdx, mut dout, mut dconv) = (0, 0, 0, 0);
+        let (mut wg, mut dout) = (0, 0);
         let mut s = x;
         for (k, st) in stages.iter().enumerate() {
             let w = st.conv.weights();
             let wx = WgTensor::for_map(st.conv.transform(), s);
             let conv = Shape4::new(s.n, w.out_chans, s.h, s.w);
-            wy = wy.max(wx.elems * wx.tiles * w.out_chans);
-            if k > 0 {
-                // The input gradient, handed to the stage before.
-                wdx = wdx.max(wx.data.len());
-            }
-            let pooled = st.pool.map(|p| Tensor4::zeros(p.output_shape(conv)));
-            if pooled.is_some() {
-                dconv = dconv.max(conv.len());
-            }
-            s = pooled.as_ref().map_or(conv, Tensor4::shape);
-            dout = dout.max(s.len());
-            ws.stages.push(StageBuffers {
+            let out = st.pool.map_or(conv, |p| p.output_shape(conv));
+            let b = StageBuffers {
                 m: st.conv.transform().m(),
-                wx,
+                pooled: st.pool.is_some(),
                 pre: Tensor4::zeros(conv),
-                post: Tensor4::zeros(conv),
-                pooled,
+                out: Tensor4::zeros(out),
                 grad: WgWeights::zeros(w.elems, w.in_chans, w.out_chans),
-            });
+                wx,
+            };
+            // The back: a pooling stage's pre-ReLU gradient, then the
+            // input gradient handed to the stage before.
+            let d_pre = if b.pooled { conv.len() } else { 0 };
+            let wdx = if k > 0 { b.wx.data.len() } else { 0 };
+            wg = wg.max(b.front() + d_pre.max(wdx));
+            dout = dout.max(out.len());
+            ws.stages.push(b);
+            s = out;
         }
-        ws.wy = vec![0.0; wy];
-        ws.wdx = vec![0.0; wdx];
+        ws.wg = vec![0.0; wg];
         ws.dout = vec![0.0; dout];
-        ws.dconv = vec![0.0; dconv];
         ws.scores = vec![0.0; x.n];
         ws.dscore = vec![0.0; x.n];
         ws.d_readout = vec![0.0; s.c];
@@ -275,20 +273,25 @@ impl WinogradNet {
         let ws = &mut self.ws;
         for (k, st) in self.stages.iter().enumerate() {
             let (done, rest) = ws.stages.split_at_mut(k);
-            let input = done.last().map_or(x, StageBuffers::out);
+            let input = done.last().map_or(x, |b| &b.out);
             let b = &mut rest[0];
             let tf = st.conv.transform();
             let (w, tiles) = (st.conv.weights(), b.wx.tiles);
             to_winograd_input_into(pool, input.as_slice(), input.shape(), tf, &mut b.wx.data);
-            let wy = &mut ws.wy[..w.elems * tiles * w.out_chans];
+            let wy = &mut ws.wg[..w.elems * tiles * w.out_chans];
             elementwise_gemm_into(pool, &b.wx.data, tiles, w, &mut ws.packed, wy);
-            from_winograd_output_into(pool, wy, tf, b.pre.shape(), b.pre.as_mut_slice());
-            relu_into(b.pre.as_slice(), b.post.as_mut_slice());
-            if let (Some(p), Some(pooled)) = (&st.pool, &mut b.pooled) {
-                p.forward_into(&b.post, pooled.as_mut_slice());
+            let conv = b.pre.shape();
+            from_winograd_output_into(pool, wy, tf, conv, b.pre.as_mut_slice());
+            match &st.pool {
+                Some(p) => {
+                    let post = &mut ws.wg[..conv.len()];
+                    relu_into(b.pre.as_slice(), post);
+                    p.forward_into(post, conv, b.out.as_mut_slice());
+                }
+                None => relu_into(b.pre.as_slice(), b.out.as_mut_slice()),
             }
         }
-        let features = ws.stages.last().expect("nonempty").out();
+        let features = &ws.stages.last().expect("nonempty").out;
         score_into(&self.readout, features, &mut ws.scores);
         &ws.scores
     }
@@ -332,7 +335,7 @@ impl WinogradNet {
             readout,
             ws,
         } = self;
-        let features = ws.stages.last().expect("nonempty").out();
+        let features = &ws.stages.last().expect("nonempty").out;
         let s = features.shape();
         assert_eq!(targets.len(), s.n, "target count must match batch");
         let per = (s.h * s.w) as f32;
@@ -369,34 +372,31 @@ impl WinogradNet {
         // stage `k`'s output.
         for k in (0..stages.len()).rev() {
             let st = &mut stages[k];
-            let in_shape = (k > 0).then(|| ws.stages[k - 1].out().shape());
+            let in_shape = (k > 0).then(|| ws.stages[k - 1].out.shape());
             let b = &mut ws.stages[k];
             let conv = b.pre.shape();
-            let d_pre = match (&st.pool, &b.pooled) {
-                (Some(p), Some(pooled)) => {
-                    let d = &mut ws.dconv[..conv.len()];
-                    p.backward_into(&b.post, &ws.dout[..pooled.shape().len()], d);
+            let (front, back) = ws.wg.split_at_mut(b.front());
+            let d_pre = match &st.pool {
+                Some(p) => {
+                    let post = &mut front[..conv.len()];
+                    relu_into(b.pre.as_slice(), post);
+                    let d = &mut back[..conv.len()];
+                    p.backward_into(post, conv, &ws.dout[..b.out.shape().len()], d);
                     d
                 }
-                _ => &mut ws.dout[..conv.len()],
+                None => &mut ws.dout[..conv.len()],
             };
             relu_backward_into(b.pre.as_slice(), d_pre);
             let tf = st.conv.transform();
             let tiles = b.wx.tiles;
-            let wdy = &mut ws.wy[..b.wx.elems * tiles * conv.c];
+            let wdy = &mut front[..b.wx.elems * tiles * conv.c];
             output_grad_to_winograd_into(pool, d_pre, conv, tf, wdy);
             // Input gradient for the next (earlier) stage, through the
             // weights before this step's update.
             if let Some(in_shape) = in_shape {
-                let wdx = &mut ws.wdx[..b.wx.data.len()];
-                elementwise_gemm_bprop_into(
-                    pool,
-                    wdy,
-                    tiles,
-                    st.conv.weights(),
-                    &mut ws.packed,
-                    wdx,
-                );
+                let wdx = &mut back[..b.wx.data.len()];
+                let w = st.conv.weights();
+                elementwise_gemm_bprop_into(pool, wdy, tiles, w, &mut ws.packed, wdx);
                 let dx = &mut ws.dout[..in_shape.len()];
                 input_grad_to_spatial_into(pool, wdx, tf, in_shape, dx);
             }
@@ -492,7 +492,7 @@ mod tests {
         let (x, _) = dataset(2, 4);
         assert_eq!(net.forward_with(&x, &ParPool::serial()).len(), 4);
         // 8x8 -> conv -> pool 4x4 -> conv -> pool 2x2.
-        let features = net.ws.stages.last().expect("two stages").out();
+        let features = &net.ws.stages.last().expect("two stages").out;
         assert_eq!(features.shape(), Shape4::new(4, 6, 2, 2));
     }
 

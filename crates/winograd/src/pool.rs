@@ -61,21 +61,20 @@ impl Pool2x2 {
     /// Forward pass: the allocating form of [`Self::forward_into`].
     pub fn forward(&self, x: &Tensor4) -> Tensor4 {
         let mut y = Tensor4::zeros(self.output_shape(x.shape()));
-        self.forward_into(x, y.as_mut_slice());
+        self.forward_into(x.as_slice(), x.shape(), y.as_mut_slice());
         y
     }
 
-    /// Forward pass into `y` (NCHW, the pooled shape), writing every
-    /// value.
+    /// Forward pass of the NCHW map `x` of shape `s` into `y` (NCHW, the
+    /// pooled shape), writing every value.
     ///
     /// # Panics
     ///
-    /// Panics if `y` does not have the pooled length.
-    pub fn forward_into(&self, x: &Tensor4, y: &mut [f32]) {
-        let s = x.shape();
+    /// Panics if `x` or `y` does not have the length its shape implies.
+    pub fn forward_into(&self, x: &[f32], s: Shape4, y: &mut [f32]) {
         let os = self.output_shape(s);
+        assert_eq!(x.len(), s.len(), "pool input length mismatch");
         assert_eq!(y.len(), os.len(), "pooled output length mismatch");
-        let x = x.as_slice();
         for (plane, out) in y.chunks_exact_mut((os.h * os.w).max(1)).enumerate() {
             let at = |h: usize, w: usize| x[(plane * s.h + h) * s.w + w];
             for (o, v) in out.iter_mut().enumerate() {
@@ -108,24 +107,24 @@ impl Pool2x2 {
             "dy must have the pooled shape"
         );
         let mut dx = Tensor4::zeros(x.shape());
-        self.backward_into(x, dy.as_slice(), dx.as_mut_slice());
+        self.backward_into(x.as_slice(), x.shape(), dy.as_slice(), dx.as_mut_slice());
         dx
     }
 
-    /// Backward pass into `dx` (NCHW, the shape of `x`): `dx` is zeroed,
-    /// then every pooled gradient of `dy` accumulates into its window.
+    /// Backward pass at the NCHW map `x` of shape `s` into `dx` (NCHW,
+    /// shape `s`): `dx` is zeroed, then every pooled gradient of `dy`
+    /// accumulates into its window.
     ///
     /// # Panics
     ///
-    /// Panics if `dy` does not have the pooled length or `dx` the length
-    /// of `x`.
-    pub fn backward_into(&self, x: &Tensor4, dy: &[f32], dx: &mut [f32]) {
-        let s = x.shape();
+    /// Panics if `x` or `dx` does not have the length of `s`, or `dy` the
+    /// pooled length.
+    pub fn backward_into(&self, x: &[f32], s: Shape4, dy: &[f32], dx: &mut [f32]) {
         let os = self.output_shape(s);
+        assert_eq!(x.len(), s.len(), "pool input length mismatch");
         assert_eq!(dy.len(), os.len(), "dy must have the pooled shape");
         assert_eq!(dx.len(), s.len(), "dx must have the input shape");
         dx.fill(0.0);
-        let x = x.as_slice();
         for (plane, grads) in dy.chunks_exact((os.h * os.w).max(1)).enumerate() {
             let at = |h: usize, w: usize| (plane * s.h + h) * s.w + w;
             for (o, &g) in grads.iter().enumerate() {
