@@ -42,6 +42,14 @@ impl PacketNetwork {
         }
     }
 
+    /// Returns to the state of a fresh [`PacketNetwork::new`] over the
+    /// same topology — every link idle, no bytes on the wire — without
+    /// rebuilding the topology's routes.
+    pub fn reset(&mut self) {
+        self.links.fill(ResourceTimeline::default());
+        self.bytes_on_wire = 0;
+    }
+
     /// The underlying topology.
     pub fn topology(&self) -> &Topology {
         &self.topo

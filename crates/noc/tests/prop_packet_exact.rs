@@ -2,10 +2,11 @@
 //! over the routing table. That is a pure re-indexing: this file holds
 //! [`PacketNetwork`] bitwise to a frozen copy of the original body, which
 //! kept its timelines in a `HashMap` keyed by `(from, to)`, allocated one
-//! route per transfer and looked each hop's link kind up by pair. It
-//! also checks the link numbering itself: every route edge's id names
-//! that edge in [`Topology::edges`], and [`Topology::edge_id`] inverts
-//! the list.
+//! route per transfer and looked each hop's link kind up by pair; a
+//! network that carried other traffic and was then reset must match it
+//! like a fresh one. It also checks the link numbering itself: every
+//! route edge's id names that edge in [`Topology::edges`], and
+//! [`Topology::edge_id`] inverts the list.
 //!
 //! Cases run on the `wmpt-check` harness (seeded generators, shrinking,
 //! `WMPT_CHECK_REPLAY` failure replay). Topologies cover rings, 2-D
@@ -183,7 +184,8 @@ fn gen_transfers(c: &mut Case, topo: &Topology) -> Vec<Transfer> {
 
 /// Every returned time, every link's busy cycles (also of pairs that
 /// are not links), `bytes_hops` and `total_link_busy` equal the frozen
-/// oracle's exactly.
+/// oracle's exactly — also on a network that carried other traffic and
+/// was then reset.
 #[test]
 fn packet_network_matches_frozen_oracle() {
     let params = NocParams::paper();
@@ -191,6 +193,12 @@ fn packet_network_matches_frozen_oracle() {
         let topo = gen_topology(c);
         let transfers = gen_transfers(c, &topo);
         let mut net = PacketNetwork::new(topo.clone(), params);
+        if c.bool() {
+            for &(src, dst, bytes, ready, real, sim) in &gen_transfers(c, &topo) {
+                net.transfer(src, dst, bytes, ready, real, sim);
+            }
+            net.reset();
+        }
         let mut oracle = OracleNetwork::new(&topo, params);
         for (i, &(src, dst, bytes, ready, real, sim)) in transfers.iter().enumerate() {
             assert_eq!(

@@ -113,7 +113,9 @@ fn link_for_bandwidth(bw: f64) -> LinkKind {
 /// Layers and plan steps are zipped in order (the plan was built from
 /// these layers). Identical collectives — same ring length, capped
 /// message and link kind — are simulated once and shared, so validating
-/// a 16-layer VGG stage costs a handful of event runs, not sixteen.
+/// a 16-layer VGG stage costs a handful of event runs, not sixteen. Each
+/// ring fabric (its routes) is built once per ring length and link kind;
+/// every simulation on it starts from a reset network.
 pub fn validate_plan(
     model: &SystemModel,
     sys: SystemConfig,
@@ -128,6 +130,7 @@ pub fn validate_plan(
     );
     let mut report = ValidationReport::default();
     let mut simulated: HashMap<(usize, u64, LinkKind), f64> = HashMap::new();
+    let mut rings: HashMap<(usize, LinkKind), PacketNetwork> = HashMap::new();
     for (layer, step) in layers.iter().zip(&plan.steps) {
         let eval = cache.evaluate(model, sys, layer, step.cluster, step.batch_split);
         let coll = eval.collective;
@@ -140,10 +143,12 @@ pub fn validate_plan(
         let sim_cycles = *simulated
             .entry((coll.ring_len, msg, kind))
             .or_insert_with(|| {
-                let topo = Topology::ring(coll.ring_len, kind);
-                let mut net = PacketNetwork::new(topo, model.noc);
+                let net = rings.entry((coll.ring_len, kind)).or_insert_with(|| {
+                    PacketNetwork::new(Topology::ring(coll.ring_len, kind), model.noc)
+                });
+                net.reset();
                 let ring: Vec<usize> = (0..coll.ring_len).collect();
-                simulate_ring_reduce_broadcast(&mut net, &ring, msg, 0) as f64
+                simulate_ring_reduce_broadcast(net, &ring, msg, 0) as f64
             });
         let model_cycles =
             ring_collective_cycles(msg, coll.ring_len, kind.bytes_per_cycle(), &model.noc, 0);

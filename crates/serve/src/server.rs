@@ -441,18 +441,8 @@ fn worker_loop(shared: &Shared, jobs: usize, widx: usize, run: Runner) {
             Ok(_) => "done",
             Err(_) => "failed",
         };
-        let mut st = shared.state.lock().expect("state lock");
-        st.metrics.inc(MetricKey::ServeJobsExecuted, 1);
-        if panicked {
-            st.metrics.inc(MetricKey::ServeJobPanics, 1);
-        }
-        st.metrics
-            .observe(MetricKey::HistServeLatencyUs, latency_us);
-        st.metrics
-            .observe(MetricKey::HistServeQueueWaitUs, queue_wait_us as f64);
-        st.lat_window.observe(latency_us);
-        st.qwait_window.observe(queue_wait_us as f64);
-        st.lifecycle.push(LifeRecord {
+        // Built before taking `state`: only the push happens under it.
+        let record = LifeRecord {
             track: track.clone(),
             name: format!("{}.job#r{}", job.kind, job.rid),
             start_us: job.enqueued_us,
@@ -469,7 +459,19 @@ fn worker_loop(shared: &Shared, jobs: usize, widx: usize, run: Runner) {
                     end_us: done_us,
                 },
             ],
-        });
+        };
+        let mut st = shared.state.lock().expect("state lock");
+        st.metrics.inc(MetricKey::ServeJobsExecuted, 1);
+        if panicked {
+            st.metrics.inc(MetricKey::ServeJobPanics, 1);
+        }
+        st.metrics
+            .observe(MetricKey::HistServeLatencyUs, latency_us);
+        st.metrics
+            .observe(MetricKey::HistServeQueueWaitUs, queue_wait_us as f64);
+        st.lat_window.observe(latency_us);
+        st.qwait_window.observe(queue_wait_us as f64);
+        st.lifecycle.push(record);
         match outcome {
             Ok(result) => {
                 st.cache.insert(key, Arc::new(result));
