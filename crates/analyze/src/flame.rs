@@ -27,6 +27,8 @@ use std::fmt::Write as _;
 use wmpt_obs::trace::Span;
 use wmpt_obs::Tracer;
 
+use crate::svg::SvgWriter;
+
 /// Strips a trailing `#r<digits>` request-id suffix so per-request
 /// spans aggregate across requests.
 fn normalize(name: &str) -> &str {
@@ -156,12 +158,6 @@ fn flame_color(name: &str) -> &'static str {
     PALETTE[(h % PALETTE.len() as u64) as usize]
 }
 
-fn escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-}
-
 const FLAME_W: f64 = 1000.0;
 const FLAME_ROW_H: f64 = 17.0;
 const FLAME_MARGIN: f64 = 8.0;
@@ -170,35 +166,45 @@ fn depth_of(node: &Node) -> usize {
     1 + node.children.values().map(depth_of).max().unwrap_or(0)
 }
 
-fn draw(out: &mut String, node: &Node, label: &str, x: f64, width: f64, depth: usize, total: u64) {
+fn draw(w: &mut SvgWriter, node: &Node, label: &str, x: f64, width: f64, depth: usize, total: u64) {
     let y = FLAME_MARGIN + depth as f64 * FLAME_ROW_H;
     let pct = 100.0 * node.value as f64 / total.max(1) as f64;
-    let _ = writeln!(
-        out,
-        r##"<rect x="{x:.2}" y="{y:.1}" width="{width:.2}" height="{:.1}" fill="{}" stroke="#ffffff" stroke-width="0.5"><title>{} — {} ({pct:.1}%)</title></rect>"##,
-        FLAME_ROW_H,
-        flame_color(label),
-        escape(label),
-        node.value,
-    );
+    w.lit(r##"<rect x=""##)
+        .fixed(x, 2)
+        .lit(r##"" y=""##)
+        .fixed(y, 1)
+        .lit(r##"" width=""##)
+        .fixed(width, 2)
+        .lit(r##"" height=""##)
+        .fixed(FLAME_ROW_H, 1)
+        .lit(r##"" fill=""##)
+        .lit(flame_color(label))
+        .lit(r##"" stroke="#ffffff" stroke-width="0.5"><title>"##)
+        .text(label)
+        .lit(" — ")
+        .int(node.value)
+        .lit(" (")
+        .fixed(pct, 1)
+        .lit("%)</title></rect>\n");
     // Label only frames wide enough to hold any text.
     if width >= 40.0 {
+        let chars = (width / 7.0) as usize;
         let shown = label
-            .chars()
-            .take((width / 7.0) as usize)
-            .collect::<String>();
-        let _ = writeln!(
-            out,
-            r##"<text x="{:.2}" y="{:.1}" fill="#3b1f00">{}</text>"##,
-            x + 3.0,
-            y + FLAME_ROW_H * 0.72,
-            escape(&shown)
-        );
+            .char_indices()
+            .nth(chars)
+            .map_or(label, |(i, _)| &label[..i]);
+        w.lit(r##"<text x=""##)
+            .fixed(x + 3.0, 2)
+            .lit(r##"" y=""##)
+            .fixed(y + FLAME_ROW_H * 0.72, 1)
+            .lit(r##"" fill="#3b1f00">"##)
+            .text(shown)
+            .lit("</text>\n");
     }
     let mut cx = x;
     for (name, child) in &node.children {
         let cw = width * child.value as f64 / node.value.max(1) as f64;
-        draw(out, child, name, cx, cw, depth + 1, total);
+        draw(w, child, name, cx, cw, depth + 1, total);
         cx += cw;
     }
 }
@@ -215,29 +221,21 @@ pub fn flame_svg(trace: &Tracer) -> String {
     };
     let width = FLAME_W + 2.0 * FLAME_MARGIN;
     let height = FLAME_MARGIN * 2.0 + (depth as f64 + 1.0) * FLAME_ROW_H + 14.0;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        r##"<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0}" height="{height:.0}" font-family="monospace" font-size="10">"##
-    );
-    let _ = writeln!(
-        out,
-        r##"<rect x="0" y="0" width="{width:.0}" height="{height:.0}" fill="#ffffff"/>"##
-    );
+    let mut w = SvgWriter::begin(width, height, 10, 400 + 300 * collapsed.lines().count());
     let mut cx = FLAME_MARGIN;
     for (name, child) in &root.children {
         let cw = FLAME_W * child.value as f64 / root.value.max(1) as f64;
-        draw(&mut out, child, name, cx, cw, 0, root.value);
+        draw(&mut w, child, name, cx, cw, 0, root.value);
         cx += cw;
     }
-    let _ = writeln!(
-        out,
-        r##"<text x="{FLAME_MARGIN:.0}" y="{:.1}" fill="#666666">{} total</text>"##,
-        height - FLAME_MARGIN,
-        root.value
-    );
-    let _ = writeln!(out, "</svg>");
-    out
+    w.lit(r##"<text x=""##)
+        .fixed(FLAME_MARGIN, 0)
+        .lit(r##"" y=""##)
+        .fixed(height - FLAME_MARGIN, 1)
+        .lit(r##"" fill="#666666">"##)
+        .int(root.value)
+        .lit(" total</text>\n");
+    w.finish()
 }
 
 #[cfg(test)]

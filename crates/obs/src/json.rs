@@ -2,8 +2,10 @@
 //!
 //! The workspace builds hermetically (no crates.io access), so `serde` /
 //! `serde_json` are unavailable; this module covers the slice the
-//! observability layer needs — serializing metric registries and Chrome
-//! `trace_event` files, and parsing them back in round-trip tests
+//! observability layer needs — serializing metric registries and other
+//! small documents, parsing traces and requests back, and the number
+//! and string writers the chrome-event writer (`trace.rs`) calls
+//! directly, so trace files are written without a [`Value`] tree
 //! (DESIGN.md, substitution "JSON without serde").
 //!
 //! Object key order is preserved (insertion order), which keeps emitted
@@ -131,7 +133,10 @@ pub fn s(v: &str) -> Value {
     Value::Str(v.to_string())
 }
 
-fn write_num(n: f64, out: &mut String) {
+/// Appends the compact JSON text of a number: integral values below
+/// 9e15 in magnitude as integers, other finite values in Rust's
+/// shortest round-trip form, non-finite values as `null`.
+pub(crate) fn write_num(n: f64, out: &mut String) {
     if !n.is_finite() {
         // JSON has no NaN/Inf; clamp to null, matching serde_json.
         out.push_str("null");
@@ -142,7 +147,9 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
-fn write_str(v: &str, out: &mut String) {
+/// Appends a quoted JSON string, escaping `"`, `\` and the control
+/// characters below 0x20.
+pub(crate) fn write_str(v: &str, out: &mut String) {
     out.push('"');
     for c in v.chars() {
         match c {

@@ -32,6 +32,14 @@
 //! [`SpanSink::append_offset`] is written once, on top of `track` and
 //! `span`.
 //!
+//! Every trace byte comes from one event writer: a private pair of
+//! functions that append a track's `thread_name` event and a span's
+//! complete event, as compact JSON, straight into the caller's buffer.
+//! [`ChromeTrace::render`] (what [`Tracer::chrome_trace`] returns), the
+//! streaming sink's JSONL lines and [`jsonl_to_chrome`] all call it, so
+//! they cannot disagree on a byte. [`json::Value`] trees are for parsing
+//! traces back and for small documents, never for writing events.
+//!
 //! Spans still open when a trace is exported ([`Tracer::chrome_trace`])
 //! or finished ([`StreamingTracer::finish`]) are *auto-closed*: each is
 //! closed at the last timestamp (the maximum over closed ends and open
@@ -121,7 +129,8 @@
 //! obs.trace.span(worker, "ndp", "fwd.gemm", 0, 1200);
 //! obs.metrics.inc(MetricKey::FlitsInjected(TrafficClass::TileScatter), 64);
 //!
-//! let doc = obs.trace.chrome_trace(); // loadable in chrome://tracing
+//! let text = obs.trace.chrome_trace().render(); // loadable in chrome://tracing
+//! let doc = wmpt_obs::json::parse(&text).expect("valid JSON");
 //! assert!(doc.get("traceEvents").is_some());
 //! assert!(obs.metrics.render_table().contains("noc.flits_injected.tile_scatter"));
 //! ```
@@ -146,7 +155,7 @@ pub use stream::{
     detect_format, jsonl_events, jsonl_to_chrome, read_trace_auto, StreamStats, StreamingTracer,
     TraceFormat,
 };
-pub use trace::{parse_trace_event, Span, SpanSink, TraceEvent, Tracer, TrackId};
+pub use trace::{parse_trace_event, ChromeTrace, Span, SpanSink, TraceEvent, Tracer, TrackId};
 pub use window::RollingWindow;
 
 /// A metric registry and a span sink bundled together — the single

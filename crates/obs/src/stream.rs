@@ -34,8 +34,8 @@
 use crate::json;
 use crate::metrics::{MetricKey, MetricRegistry};
 use crate::trace::{
-    parse_trace_event, replay, span_complete_event, track_meta_event, Span, SpanBook, SpanSink,
-    TraceEvent, Tracer, TrackId,
+    parse_trace_event, replay, write_span_event, write_track_event, Span, SpanBook, SpanSink,
+    TraceEvent, Tracer, TrackId, CHROME_HEAD, CHROME_TAIL,
 };
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -84,6 +84,8 @@ pub struct StreamingTracer<W: Write> {
     path: Option<PathBuf>,
     budget: usize,
     buf: String,
+    /// The event being emitted, written in place and reused per line.
+    line: String,
     book: SpanBook,
     stats: StreamStats,
     io_error: Option<io::Error>,
@@ -140,6 +142,7 @@ impl<W: Write> StreamingTracer<W> {
             path: None,
             budget,
             buf: String::new(),
+            line: String::new(),
             book: SpanBook::default(),
             stats: StreamStats::default(),
             io_error: None,
@@ -185,29 +188,32 @@ impl<W: Write> StreamingTracer<W> {
     }
 
     fn emit_span(&mut self, sp: &Span) {
-        self.emit_line(&span_complete_event(sp).render());
+        self.line.clear();
+        write_span_event(sp, &mut self.line);
+        self.emit_line();
         self.stats.spans_emitted += 1;
     }
 
-    fn emit_line(&mut self, line: &str) {
+    /// Emits the event in `self.line` as one JSONL line.
+    fn emit_line(&mut self) {
         // Flush-before-append keeps the pending buffer strictly within
         // budget; a single line larger than the whole budget bypasses
         // the buffer entirely.
-        if !self.buf.is_empty() && self.buf.len() + line.len() + 1 > self.budget {
+        if !self.buf.is_empty() && self.buf.len() + self.line.len() + 1 > self.budget {
             self.flush_buf();
         }
-        if line.len() + 1 > self.budget {
+        if self.line.len() + 1 > self.budget {
             self.stats.flushes += 1;
             let r = self
                 .out
-                .write_all(line.as_bytes())
+                .write_all(self.line.as_bytes())
                 .and_then(|()| self.out.write_all(b"\n"));
             if let Err(e) = r {
                 self.io_error.get_or_insert(e);
             }
             return;
         }
-        self.buf.push_str(line);
+        self.buf.push_str(&self.line);
         self.buf.push('\n');
         self.stats.peak_buffer_bytes = self.stats.peak_buffer_bytes.max(self.buf.len());
     }
@@ -228,7 +234,9 @@ impl<W: Write> SpanSink for StreamingTracer<W> {
     fn track(&mut self, name: &str) -> TrackId {
         let (track, new) = self.book.track(name);
         if new {
-            self.emit_line(&track_meta_event(track.index(), name).render());
+            self.line.clear();
+            write_track_event(track.index(), name, &mut self.line);
+            self.emit_line();
         }
         track
     }
@@ -353,19 +361,16 @@ pub fn jsonl_to_chrome(jsonl: &Path, chrome: &Path) -> io::Result<()> {
     }
 
     let mut w = BufWriter::new(File::create(chrome)?);
-    w.write_all(b"{\"traceEvents\":[")?;
-    let mut first = true;
-    let sep = |w: &mut BufWriter<File>, first: &mut bool| -> io::Result<()> {
-        if *first {
-            *first = false;
-            Ok(())
-        } else {
-            w.write_all(b",")
-        }
-    };
+    w.write_all(CHROME_HEAD.as_bytes())?;
+    // Each event is written into `text` behind its separator, then
+    // copied out; the first event has none.
+    let mut text = String::new();
+    let mut sep = "";
     for (tid, name) in &tracks {
-        sep(&mut w, &mut first)?;
-        w.write_all(track_meta_event(*tid, name).render().as_bytes())?;
+        text.clear();
+        text.push_str(std::mem::replace(&mut sep, ","));
+        write_track_event(*tid, name, &mut text);
+        w.write_all(text.as_bytes())?;
     }
     for ev in jsonl_events(jsonl)? {
         if let TraceEvent::Span {
@@ -386,11 +391,13 @@ pub fn jsonl_to_chrome(jsonl: &Path, chrome: &Path) -> io::Result<()> {
                 start,
                 end,
             };
-            sep(&mut w, &mut first)?;
-            w.write_all(span_complete_event(&sp).render().as_bytes())?;
+            text.clear();
+            text.push_str(std::mem::replace(&mut sep, ","));
+            write_span_event(&sp, &mut text);
+            w.write_all(text.as_bytes())?;
         }
     }
-    w.write_all(b"],\"displayTimeUnit\":\"ns\"}")?;
+    w.write_all(CHROME_TAIL.as_bytes())?;
     w.flush()
 }
 
@@ -436,7 +443,7 @@ mod tests {
         assert_eq!(stats.spans_emitted, 5);
         assert_eq!(stats.truncated_spans, 0);
         let text = String::from_utf8(bytes).expect("utf8");
-        let doc = mem.chrome_trace();
+        let doc = crate::json::parse(&mem.chrome_trace().render()).expect("parse");
         let events = doc
             .get("traceEvents")
             .and_then(crate::json::Value::as_arr)
@@ -507,7 +514,8 @@ mod tests {
             std::fs::remove_dir_all(&dir).ok();
             t
         };
-        let expect = Tracer::from_chrome_trace(&mem.chrome_trace()).expect("reparse");
+        let doc = crate::json::parse(&mem.chrome_trace().render()).expect("parse");
+        let expect = Tracer::from_chrome_trace(&doc).expect("reparse");
         assert_eq!(back.spans(), expect.spans());
         assert_eq!(back.tracks(), expect.tracks());
     }
@@ -575,22 +583,18 @@ mod tests {
 
     #[test]
     fn jsonl_readers_reject_duplicate_tids_and_overflowing_spans() {
-        use crate::trace::tests::OVERFLOW_SPAN;
+        use crate::trace::tests::{track_line, OVERFLOW_SPAN};
         let dir = std::env::temp_dir().join(format!("wmpt_stream_bad_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("scratch dir");
         let (jsonl, chrome) = (dir.join("t.jsonl"), dir.join("t.json"));
         let span = r#"{"ph":"X","name":"gemm","cat":"ndp","tid":0,"ts":0,"dur":1}"#;
         let cases = [
             (
-                vec![
-                    track_meta_event(0, "a").render(),
-                    track_meta_event(0, "b").render(),
-                    span.into(),
-                ],
+                vec![track_line(0, "a"), track_line(0, "b"), span.into()],
                 "duplicate",
             ),
             (
-                vec![track_meta_event(0, "a").render(), OVERFLOW_SPAN.into()],
+                vec![track_line(0, "a"), OVERFLOW_SPAN.into()],
                 "ends past the last cycle",
             ),
         ];

@@ -164,40 +164,87 @@ impl SpanBook {
     }
 }
 
-/// The `ph:"M"` `thread_name` metadata event naming a track.
+/// Appends the `ph:"M"` `thread_name` metadata event naming track
+/// `tid`, as compact JSON.
 ///
-/// Shared by [`Tracer::chrome_trace`] and the streaming sink so both
-/// paths render byte-identical documents.
-pub fn track_meta_event(tid: usize, name: &str) -> Value {
-    json::obj(vec![
-        ("ph", json::s("M")),
-        ("name", json::s("thread_name")),
-        ("pid", json::num(0.0)),
-        ("tid", json::num(tid as f64)),
-        ("args", json::obj(vec![("name", json::s(name))])),
-    ])
+/// With [`write_span_event`], the one writer of trace events: the
+/// in-memory export, the streaming sink's lines and the JSONL-to-chrome
+/// conversion all call it, so every path writes byte-identical events.
+pub(crate) fn write_track_event(tid: usize, name: &str, out: &mut String) {
+    out.push_str(r#"{"ph":"M","name":"thread_name","pid":0,"tid":"#);
+    json::write_num(tid as f64, out);
+    out.push_str(r#","args":{"name":"#);
+    json::write_str(name, out);
+    out.push_str("}}");
 }
 
-/// The `ph:"X"` complete event for one span. `ts`/`dur` are microseconds
-/// (cycles / 1000); the exact cycle payload rides in `args` so traces
-/// re-parse bit-exactly.
-pub fn span_complete_event(sp: &Span) -> Value {
-    json::obj(vec![
-        ("ph", json::s("X")),
-        ("name", json::s(&sp.name)),
-        ("cat", json::s(&sp.cat)),
-        ("pid", json::num(0.0)),
-        ("tid", json::num(sp.track.0 as f64)),
-        ("ts", json::num(sp.start as f64 / 1000.0)),
-        ("dur", json::num(sp.cycles() as f64 / 1000.0)),
-        (
-            "args",
-            json::obj(vec![
-                ("start_cycle", json::num(sp.start as f64)),
-                ("cycles", json::num(sp.cycles() as f64)),
-            ]),
-        ),
-    ])
+/// Appends the `ph:"X"` complete event of one span, as compact JSON.
+/// `ts`/`dur` are microseconds (cycles / 1000); the exact cycle payload
+/// rides in `args` so traces re-parse bit-exactly.
+pub(crate) fn write_span_event(sp: &Span, out: &mut String) {
+    out.push_str(r#"{"ph":"X","name":"#);
+    json::write_str(&sp.name, out);
+    out.push_str(r#","cat":"#);
+    json::write_str(&sp.cat, out);
+    out.push_str(r#","pid":0,"tid":"#);
+    json::write_num(sp.track.0 as f64, out);
+    out.push_str(r#","ts":"#);
+    json::write_num(sp.start as f64 / 1000.0, out);
+    out.push_str(r#","dur":"#);
+    json::write_num(sp.cycles() as f64 / 1000.0, out);
+    out.push_str(r#","args":{"start_cycle":"#);
+    json::write_num(sp.start as f64, out);
+    out.push_str(r#","cycles":"#);
+    json::write_num(sp.cycles() as f64, out);
+    out.push_str("}}");
+}
+
+/// The head and tail around a chrome-trace document's comma-separated
+/// events.
+pub(crate) const CHROME_HEAD: &str = r#"{"traceEvents":["#;
+pub(crate) const CHROME_TAIL: &str = r#"],"displayTimeUnit":"ns"}"#;
+
+/// A tracer's Chrome `trace_event` document, borrowed from the tracer
+/// and written straight into its output buffer by
+/// [`ChromeTrace::render`]. Returned by [`Tracer::chrome_trace`].
+#[derive(Debug, Clone, Copy)]
+pub struct ChromeTrace<'a> {
+    tracer: &'a Tracer,
+}
+
+impl ChromeTrace<'_> {
+    /// The document as compact JSON text (no trailing newline):
+    /// `{"traceEvents":[...],"displayTimeUnit":"ns"}`.
+    pub fn render(&self) -> String {
+        let t = self.tracer;
+        // Event framing is ~110 bytes a span and ~70 a track on top of
+        // the names, which `span_bytes` counts.
+        let mut out = String::with_capacity(
+            CHROME_HEAD.len()
+                + CHROME_TAIL.len()
+                + t.span_bytes
+                + 110 * t.spans.len()
+                + 70 * t.tracks().len(),
+        );
+        out.push_str(CHROME_HEAD);
+        for (tid, name) in t.tracks().iter().enumerate() {
+            write_track_event(tid, name, &mut out);
+            out.push(',');
+        }
+        for sp in &t.spans {
+            write_span_event(sp, &mut out);
+            out.push(',');
+        }
+        for sp in t.book.auto_closed() {
+            write_span_event(&sp, &mut out);
+            out.push(',');
+        }
+        if out.ends_with(',') {
+            out.pop();
+        }
+        out.push_str(CHROME_TAIL);
+        out
+    }
 }
 
 /// One decoded chrome-trace event, the unit both the JSONL stream and
@@ -435,31 +482,19 @@ impl Tracer {
         self.book.last_timestamp()
     }
 
-    /// Builds the Chrome `trace_event` document:
+    /// The Chrome `trace_event` document:
     /// `{"traceEvents": [...], "displayTimeUnit": "ns"}` with one `ph:"M"`
     /// `thread_name` metadata event per track and one `ph:"X"` complete
     /// event per span. `ts`/`dur` are microseconds (cycles / 1000).
+    /// Nothing is built until [`ChromeTrace::render`] writes the text.
     ///
     /// Spans still open (unbalanced [`Tracer::begin`]) are
     /// [auto-closed](crate#span-sinks) in the export — the document is
     /// always internally consistent instead of silently dropping them.
     /// Callers that care should check [`Tracer::open_spans`] first and
     /// account the count as `obs.truncated_spans`.
-    pub fn chrome_trace(&self) -> Value {
-        let mut events = Vec::new();
-        for (tid, name) in self.tracks().iter().enumerate() {
-            events.push(track_meta_event(tid, name));
-        }
-        for sp in &self.spans {
-            events.push(span_complete_event(sp));
-        }
-        for sp in self.book.auto_closed() {
-            events.push(span_complete_event(&sp));
-        }
-        json::obj(vec![
-            ("traceEvents", Value::Arr(events)),
-            ("displayTimeUnit", json::s("ns")),
-        ])
+    pub fn chrome_trace(&self) -> ChromeTrace<'_> {
+        ChromeTrace { tracer: self }
     }
 
     /// Writes [`Tracer::chrome_trace`] to `path`.
@@ -701,7 +736,8 @@ pub(crate) mod tests {
         let mut t = Tracer::new();
         let w = t.track("worker0");
         t.span(w, "ndp", "gemm", 1000, 3000);
-        let doc = t.chrome_trace();
+        let text = t.chrome_trace().render();
+        let doc = crate::json::parse(&text).expect("parse");
         let events = doc
             .get("traceEvents")
             .and_then(Value::as_arr)
@@ -714,8 +750,7 @@ pub(crate) mod tests {
         assert_eq!(x.get("ts").and_then(Value::as_f64), Some(1.0));
         assert_eq!(x.get("dur").and_then(Value::as_f64), Some(2.0));
         // The document round-trips through our own parser.
-        let text = doc.render();
-        assert_eq!(crate::json::parse(&text).expect("parse"), doc);
+        assert_eq!(doc.render(), text);
     }
 
     #[test]
@@ -764,13 +799,18 @@ pub(crate) mod tests {
         t.span(w0, "ndp", "gemm", 3, 7);
         t.span(noc, "noc", "scatter", 7, 1_000_007);
         t.span(w0, "ndp", "vector", 7, 7); // zero-length survives too
-        let back = Tracer::from_chrome_trace(&t.chrome_trace()).expect("reparse");
+                                           // Through a full render → parse text cycle.
+        let doc = crate::json::parse(&t.chrome_trace().render()).expect("parse");
+        let back = Tracer::from_chrome_trace(&doc).expect("reparse");
         assert_eq!(back.tracks(), t.tracks());
         assert_eq!(back.spans(), t.spans());
-        // And through a full render → parse text cycle.
-        let doc = crate::json::parse(&t.chrome_trace().render()).expect("parse");
-        let back2 = Tracer::from_chrome_trace(&doc).expect("reparse text");
-        assert_eq!(back2.spans(), t.spans());
+    }
+
+    /// One `thread_name` event, as the writer renders it.
+    pub(crate) fn track_line(tid: usize, name: &str) -> String {
+        let mut out = String::new();
+        write_track_event(tid, name, &mut out);
+        out
     }
 
     /// A span on tid 0 at `start_cycle = u64::MAX` lasting 5 cycles: its
@@ -790,17 +830,13 @@ pub(crate) mod tests {
         reject(std::slice::from_ref(&span), "unregistered tid 0");
         // Two registrations of one tid used to leave a phantom track.
         reject(
-            &[
-                track_meta_event(0, "a").render(),
-                track_meta_event(0, "b").render(),
-                span,
-            ],
+            &[track_line(0, "a"), track_line(0, "b"), span],
             "duplicate track registration for tid 0",
         );
         // An end past u64::MAX used to overflow (debug) or wrap into an
         // "ends before it starts" panic (release).
         reject(
-            &[track_meta_event(0, "a").render(), OVERFLOW_SPAN.to_string()],
+            &[track_line(0, "a"), OVERFLOW_SPAN.to_string()],
             "ends past the last cycle",
         );
     }
@@ -817,7 +853,8 @@ pub(crate) mod tests {
         assert_eq!(t.open_spans(), 2);
         assert_eq!(t.last_timestamp(), 100);
 
-        let back = Tracer::from_chrome_trace(&t.chrome_trace()).expect("reparse");
+        let doc = crate::json::parse(&t.chrome_trace().render()).expect("parse");
+        let back = Tracer::from_chrome_trace(&doc).expect("reparse");
         // Both open spans appear, closed at the last timestamp, innermost
         // first (the order matching end() calls would have produced).
         assert_eq!(back.spans().len(), 3);
@@ -840,7 +877,8 @@ pub(crate) mod tests {
         assert_eq!(t.last_timestamp(), 70);
         // An open span with no closed spans exports as zero-length at its
         // own start.
-        let back = Tracer::from_chrome_trace(&t.chrome_trace()).expect("reparse");
+        let doc = crate::json::parse(&t.chrome_trace().render()).expect("parse");
+        let back = Tracer::from_chrome_trace(&doc).expect("reparse");
         assert_eq!((back.spans()[0].start, back.spans()[0].end), (70, 70));
     }
 

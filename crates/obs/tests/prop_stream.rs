@@ -107,7 +107,8 @@ fn scratch(name: &str) -> PathBuf {
 /// The in-memory tracer as the chrome export round-trips it (auto-close
 /// applied) — the reference a streamed trace must reproduce exactly.
 fn exported(mem: &Tracer) -> Tracer {
-    Tracer::from_chrome_trace(&mem.chrome_trace()).expect("in-memory export re-parses")
+    let doc = json::parse(&mem.chrome_trace().render()).expect("valid JSON");
+    Tracer::from_chrome_trace(&doc).expect("in-memory export re-parses")
 }
 
 #[test]

@@ -215,7 +215,7 @@ mod tests {
         let mut lt = LifecycleTrace::new(4);
         lt.push(rec("hit", "plan#r7", 3, 40));
         let t = lt.to_tracer();
-        let doc = t.chrome_trace();
+        let doc = wmpt_obs::json::parse(&t.chrome_trace().render()).expect("parse");
         let back = Tracer::from_chrome_trace(&doc).expect("reparse");
         assert_eq!(back.spans().len(), t.spans().len());
         assert_eq!(back.tracks(), t.tracks());
