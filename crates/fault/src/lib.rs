@@ -14,7 +14,8 @@
 //!   checkpoints, ring re-forming via `wmpt_noc::DegradedMapping`,
 //!   degraded-grid remapping via `wmpt_core::degraded_grid`. Fault-free
 //!   and link-failure-with-recovery runs end with **bit-identical**
-//!   weights.
+//!   weights. The fault-free steps a run shares with every other run of
+//!   the same net, data and config are computed once per process.
 //! * [`iteration_under_faults`] — the steady-state performance model
 //!   pricing a degraded iteration (feeds the `resilience` bench table).
 //!
@@ -36,6 +37,7 @@ pub mod degraded;
 pub mod event;
 pub mod plan;
 pub mod recovery;
+mod trajectory;
 
 pub use degraded::{iteration_under_faults, DegradedIterCost};
 pub use event::{FaultEvent, FaultState};

@@ -23,16 +23,19 @@
 //! — `crates/fault/tests/resilience_e2e.rs` asserts it on the rendered
 //! checkpoints.
 //!
-//! The report also carries the fault-free run's final checkpoint, without
-//! a second run: up to the first event that touches the weights or the
-//! grid (link-down, worker-down, bit-flip), the faulty run issues exactly
-//! the fault-free run's SGD steps — stragglers and host flaps only move
-//! the clock. The executor clones the net just before that event lands
-//! and, after the loop, trains the clone through the remaining
-//! iterations on the initial grid.
+//! Up to the first event that touches the weights or the grid
+//! (link-down, worker-down, bit-flip), a run issues exactly the
+//! fault-free run's SGD steps — stragglers and host flaps only move the
+//! clock. So the executor reads those steps, their losses and the
+//! checkpoints of that prefix from the process-wide fault-free trajectory
+//! (see the `trajectory` module), and the report's fault-free checkpoint
+//! too. The live net takes the trajectory's weights when that event is
+//! drained, before a flip lands; every later step and every rollback
+//! replay is real computation.
 
 use crate::event::{FaultEvent, FaultState};
 use crate::plan::{FaultPlan, GridShape};
+use crate::trajectory::{self, Inputs};
 use wmpt_core::{checkpoint_net, degraded_grid, restore_net, WinogradNet};
 use wmpt_noc::{ClusterConfig, DegradedMapping, NocParams};
 use wmpt_obs::{json, MetricKey, Observer};
@@ -110,7 +113,7 @@ pub struct ResilienceReport {
     /// these strings to assert bit-identical outcomes.
     pub final_checkpoint: String,
     /// The same document for the fault-free run of the same net, data and
-    /// config (forked at the first weight- or grid-touching event).
+    /// config (read from the process-wide fault-free trajectory).
     pub fault_free_checkpoint: String,
 }
 
@@ -176,21 +179,37 @@ pub fn train_resilient(
         base.ceil() as u64 + extra_hops * params.hop_latency()
     };
 
-    // Initial checkpoint: iteration 0, pristine weights.
-    let mut ckpt_text = checkpoint_net(0, net).render();
+    // Initial checkpoint: iteration 0, pristine weights. It also keys the
+    // fault-free trajectory.
+    let ckpt0 = checkpoint_net(0, net).render();
+    let inputs = Inputs {
+        checkpoint: &ckpt0,
+        x,
+        targets,
+        lr: cfg.lr,
+        grid: cfg.grid,
+    };
+    let reference = trajectory::fault_free(&inputs, net, cfg.iters);
     let mut ckpt_iter = 0usize;
+    // The last checkpoint's text once the live net wrote it; before that,
+    // the reference's checkpoint at `ckpt_iter`.
+    let mut live_ckpt: Option<String> = None;
     checkpoints += 1;
     obs.metrics.inc(MetricKey::FaultCheckpoints, 1);
 
     let events = plan.events();
     let mut cursor = 0usize;
-    // The fault-free run, forked before the first event that touches the
-    // weights or the grid, with the steps it has done.
-    let mut fork: Option<(WinogradNet, usize)> = None;
+    // `net` holds the run's weights from the first event that touches the
+    // weights or the grid on; until then every step is the reference's.
+    let mut live = false;
 
     for it in 0..cfg.iters {
         let t0 = clock;
-        losses[it] = net.train_step_with(x, targets, cfg.lr, Some(cur_grid), &ParPool::serial());
+        losses[it] = if live {
+            net.train_step_with(x, targets, cfg.lr, Some(cur_grid), &ParPool::serial())
+        } else {
+            reference.loss(it)
+        };
         clock += iter_cycles(&state, extra_hops);
         obs.trace.span(train_track, "train", "iter", t0, clock);
 
@@ -202,8 +221,9 @@ pub fn train_resilient(
             cursor += 1;
             report_injected += 1;
             obs.metrics.inc(MetricKey::FaultEventsInjected, 1);
-            if fork.is_none() && ev.is_disruptive() {
-                fork = Some((net.clone(), it + 1));
+            if !live && ev.is_disruptive() {
+                net.clone_from(reference.net(it + 1));
+                live = true;
             }
             state.apply(ev);
 
@@ -265,7 +285,9 @@ pub fn train_resilient(
                     cur_grid,
                     &state,
                     extra_hops,
-                    &ckpt_text,
+                    live_ckpt
+                        .as_deref()
+                        .unwrap_or_else(|| reference.checkpoint(ckpt_iter)),
                     ckpt_iter,
                     it,
                     &mut losses,
@@ -289,22 +311,21 @@ pub fn train_resilient(
         // Checkpoint cadence (after event handling, so the checkpoint
         // always holds post-recovery state).
         if (it + 1) % cfg.checkpoint_every == 0 {
-            ckpt_text = checkpoint_net((it + 1) as u64, net).render();
             ckpt_iter = it + 1;
+            if live {
+                live_ckpt = Some(checkpoint_net(ckpt_iter as u64, net).render());
+            }
             checkpoints += 1;
             obs.metrics.inc(MetricKey::FaultCheckpoints, 1);
         }
     }
 
-    let final_checkpoint = checkpoint_net(cfg.iters as u64, net).render();
-    let fault_free_checkpoint = match fork {
-        None => final_checkpoint.clone(),
-        Some((mut clean, done)) => {
-            for _ in done..cfg.iters {
-                clean.train_step_with(x, targets, cfg.lr, Some(cfg.grid), &ParPool::serial());
-            }
-            checkpoint_net(cfg.iters as u64, &clean).render()
-        }
+    let fault_free_checkpoint = reference.checkpoint(cfg.iters).to_owned();
+    let final_checkpoint = if live {
+        checkpoint_net(cfg.iters as u64, net).render()
+    } else {
+        net.clone_from(reference.net(cfg.iters));
+        fault_free_checkpoint.clone()
     };
 
     obs.metrics.inc(MetricKey::FaultRollbacks, report_rollbacks);

@@ -1,14 +1,31 @@
 //! End-to-end resilience acceptance: a fault-free run and a
 //! single-link-failure-then-recover run of the functional MPT trainer
 //! produce **bit-identical** final weights, with nonzero recovery
-//! activity recorded — crossing fault, noc, core, and obs.
+//! activity recorded — crossing fault, noc, core, and obs. Both runs are
+//! also held to a direct oracle that never calls `train_resilient` (a
+//! `train_step_with` loop and `checkpoint_net`), since a fault-free
+//! resilient run is served from the same memoized trajectory the faulty
+//! one reads.
 
-use wmpt_core::WinogradNet;
+use wmpt_core::{checkpoint_net, WinogradNet};
 use wmpt_fault::{
     demo_dataset, train_resilient, FaultPlan, GridShape, ResilienceConfig, ResilienceReport,
     Scenario,
 };
 use wmpt_obs::{MetricKey, Observer};
+use wmpt_par::ParPool;
+
+/// The fault-free run, trained step by step: its losses and final
+/// checkpoint.
+fn direct(iters: usize) -> (Vec<f64>, String) {
+    let (x, t) = demo_dataset(77, 8);
+    let mut net = WinogradNet::new(55, 2, &[4], true);
+    let cfg = ResilienceConfig::small(iters);
+    let losses = (0..iters)
+        .map(|_| net.train_step_with(&x, &t, cfg.lr, Some(cfg.grid), &ParPool::serial()))
+        .collect();
+    (losses, checkpoint_net(iters as u64, &net).render())
+}
 
 fn run(plan: &FaultPlan, iters: usize) -> (ResilienceReport, Observer) {
     let (x, t) = demo_dataset(77, 8);
@@ -48,6 +65,23 @@ fn single_link_recovery_is_bit_identical_to_fault_free() {
     // And every recorded loss matches exactly, not approximately.
     for (i, (a, b)) in clean.losses.iter().zip(&faulty.losses).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "loss {i} diverged: {a} vs {b}");
+    }
+    // Both equal the direct loop, which no memo feeds.
+    let (direct_losses, direct_ckpt) = direct(iters);
+    assert_eq!(
+        clean.final_checkpoint, direct_ckpt,
+        "fault-free run diverged"
+    );
+    assert_eq!(
+        faulty.fault_free_checkpoint, direct_ckpt,
+        "reference diverged"
+    );
+    for (i, (a, b)) in direct_losses.iter().zip(&faulty.losses).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "loss {i} diverged from the direct loop"
+        );
     }
 
     // Metrics saw the episode.

@@ -144,9 +144,17 @@ pub fn write_response_with(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body);
+    let _ = stream.write_all(&message(head, body));
     let _ = stream.flush();
+}
+
+/// `head` and `body` as one buffer, so a message leaves in one write: a
+/// head written alone on a socket with Nagle's algorithm on can hold the
+/// body back until the peer's delayed ACK of the head.
+fn message(head: String, body: &[u8]) -> Vec<u8> {
+    let mut msg = head.into_bytes();
+    msg.extend_from_slice(body);
+    msg
 }
 
 /// A parsed response from [`http_request`].
@@ -179,8 +187,7 @@ pub fn http_request(addr: &str, method: &str, path: &str, body: &[u8]) -> Result
         body.len(),
     );
     stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body))
+        .write_all(&message(head, body))
         .map_err(|e| format!("send: {e}"))?;
 
     let mut reader = BufReader::new(stream);
