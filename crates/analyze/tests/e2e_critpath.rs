@@ -6,8 +6,8 @@
 
 use wmpt_analyze::{Analysis, Category};
 use wmpt_core::config::SystemConfig;
-use wmpt_core::exec::SystemModel;
-use wmpt_core::observe::{simulate_layer_with_observed, simulate_network_observed};
+use wmpt_core::exec::{simulate_layer_with, SystemModel};
+use wmpt_core::observe::{record_layer, simulate_network_observed};
 use wmpt_models::table2_layers;
 use wmpt_noc::ClusterConfig;
 use wmpt_obs::{json, Observer, Tracer};
@@ -18,13 +18,8 @@ fn critical_path_total_equals_simulated_cycles() {
     let m = SystemModel::paper();
     let l = &table2_layers()[2];
     let mut obs = Observer::new();
-    let res = simulate_layer_with_observed(
-        &m,
-        l,
-        SystemConfig::WMpP,
-        ClusterConfig::new(4, 4),
-        &mut obs,
-    );
+    let res = simulate_layer_with(&m, l, SystemConfig::WMpP, ClusterConfig::new(4, 4));
+    record_layer(&m, &res, &mut obs.trace, &mut obs.metrics);
     let cp = Analysis::of_trace(&obs.trace).critical_path;
     assert_eq!(cp.total, res.total_cycles().round() as u64);
     let attr = &cp.attribution;
@@ -43,13 +38,8 @@ fn analysis_survives_chrome_trace_round_trip() {
     let m = SystemModel::paper();
     let l = &table2_layers()[4];
     let mut obs = Observer::new();
-    simulate_layer_with_observed(
-        &m,
-        l,
-        SystemConfig::WMpPD,
-        ClusterConfig::new(16, 16),
-        &mut obs,
-    );
+    let r = simulate_layer_with(&m, l, SystemConfig::WMpPD, ClusterConfig::new(16, 16));
+    record_layer(&m, &r, &mut obs.trace, &mut obs.metrics);
     let text = obs.trace.chrome_trace().render();
     let back =
         Tracer::from_chrome_trace(&json::parse(&text).expect("parse")).expect("trace re-parses");

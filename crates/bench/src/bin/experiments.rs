@@ -39,7 +39,7 @@ use std::time::Instant;
 
 use wmpt_core::Heartbeat;
 use wmpt_obs::json::Value;
-use wmpt_obs::{MetricKey, MetricShards, Tracer};
+use wmpt_obs::{MetricKey, MetricRegistry, Tracer};
 use wmpt_par::{available_jobs, ParPool};
 
 /// Extracts `--jobs N` (0 = auto) and returns the worker-thread count.
@@ -170,17 +170,13 @@ fn main() {
         }
         sel
     };
-    // Run experiments concurrently; each records its host wall-clock into
-    // its own metric shard, and results print in submission order.
+    // Run experiments concurrently; results print in submission order.
     let pool = ParPool::new(jobs);
-    let shards = MetricShards::new(selected.len());
     let timed: Vec<(f64, wmpt_bench::Output)> = pool.map_indexed(selected.len(), |i| {
         let (_, runner) = *selected[i];
         let t0 = Instant::now();
         let out = runner();
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        shards.record(i, |r| r.observe(MetricKey::HistExperimentHostMs, ms));
-        (ms, out)
+        (t0.elapsed().as_secs_f64() * 1e3, out)
     });
     // The heartbeat ticks per completed experiment in submission order;
     // no span sink is attached at this level, so the simulated-state
@@ -207,7 +203,10 @@ fn main() {
     if let Some(hb) = &hb {
         eprintln!("{}", hb.line("experiment", &pulse));
     }
-    let mut metrics = shards.merge();
+    let mut metrics = MetricRegistry::new();
+    for (ms, _) in &timed {
+        metrics.observe(MetricKey::HistExperimentHostMs, *ms);
+    }
     metrics.set_gauge(MetricKey::ParJobs, pool.jobs() as f64);
     if let Some(h) = metrics.histogram(MetricKey::HistExperimentHostMs) {
         println!(

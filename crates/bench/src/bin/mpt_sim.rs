@@ -63,9 +63,9 @@
 //! `network <n> all` sweep on `n` host threads via the deterministic
 //! `wmpt-par` runtime (`0` or omitted = available parallelism); rows
 //! print in config order and are bit-identical for any `n` — including
-//! with sinks: each config records into its own observer, metrics merge
-//! in shard-index order, and traces concatenate in config order, so the
-//! written files match a serial run byte-for-byte.
+//! with sinks: the configs simulate on the pool and then record into
+//! the sinks in config order, so the written files match a serial run
+//! byte-for-byte.
 
 #![forbid(unsafe_code)]
 

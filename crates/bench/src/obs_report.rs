@@ -10,7 +10,7 @@
 //! into an exit code via the committed `baselines/`.
 
 use wmpt_analyze::Analysis;
-use wmpt_core::{simulate_layer_with_observed, LayerResult, SystemConfig, SystemModel};
+use wmpt_core::{record_layer, simulate_layer_with, LayerResult, SystemConfig, SystemModel};
 use wmpt_models::ConvLayerSpec;
 use wmpt_noc::ClusterConfig;
 use wmpt_obs::json::{num, obj, s, Value};
@@ -39,7 +39,8 @@ pub fn obs_report_observer() -> (Observer, LayerResult) {
     let layer = obs_report_layer();
     let cfg = ClusterConfig::new(4, 4);
     let mut obs = Observer::new();
-    let r = simulate_layer_with_observed(&model, &layer, OBS_REPORT_SYS, cfg, &mut obs);
+    let r = simulate_layer_with(&model, &layer, OBS_REPORT_SYS, cfg);
+    record_layer(&model, &r, &mut obs.trace, &mut obs.metrics);
     (obs, r)
 }
 

@@ -51,40 +51,42 @@ fn progress_lines(out: &Output) -> Vec<String> {
 #[test]
 fn parallel_sweep_with_sinks_is_bit_identical_to_serial() {
     let dir = scratch("par_sinks");
-    for (jobs, tag) in [("1", "a"), ("4", "b")] {
-        let out = mpt_sim(
-            &dir,
-            &[
-                "layer",
-                "Late-2",
-                "all",
+    for sweep in [["layer", "Late-2", "all"], ["network", "wrn", "all"]] {
+        for (jobs, tag) in [("1", "a"), ("4", "b")] {
+            let mut args = sweep.to_vec();
+            let (trace, metrics) = (format!("t_{tag}.json"), format!("m_{tag}.json"));
+            args.extend([
                 "--jobs",
                 jobs,
                 "--trace-out",
-                &format!("t_{tag}.json"),
+                &trace,
                 "--metrics-out",
-                &format!("m_{tag}.json"),
-            ],
-        );
-        assert!(
-            out.status.success(),
-            "--jobs {jobs} run failed:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        fs::write(dir.join(format!("out_{tag}.txt")), &out.stdout).unwrap();
-    }
-    for file in ["t", "m", "out"] {
-        let a = fs::read(dir.join(format!(
-            "{file}_a.{}",
-            if file == "out" { "txt" } else { "json" }
-        )))
-        .unwrap();
-        let b = fs::read(dir.join(format!(
-            "{file}_b.{}",
-            if file == "out" { "txt" } else { "json" }
-        )))
-        .unwrap();
-        assert_eq!(a, b, "{file} differs between --jobs 1 and --jobs 4");
+                &metrics,
+            ]);
+            let out = mpt_sim(&dir, &args);
+            assert!(
+                out.status.success(),
+                "{sweep:?} --jobs {jobs} run failed:\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            fs::write(dir.join(format!("out_{tag}.txt")), &out.stdout).unwrap();
+        }
+        for file in ["t", "m", "out"] {
+            let a = fs::read(dir.join(format!(
+                "{file}_a.{}",
+                if file == "out" { "txt" } else { "json" }
+            )))
+            .unwrap();
+            let b = fs::read(dir.join(format!(
+                "{file}_b.{}",
+                if file == "out" { "txt" } else { "json" }
+            )))
+            .unwrap();
+            assert_eq!(
+                a, b,
+                "{sweep:?}: {file} differs between --jobs 1 and --jobs 4"
+            );
+        }
     }
     fs::remove_dir_all(&dir).ok();
 }

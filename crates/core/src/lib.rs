@@ -58,10 +58,7 @@ pub use exec::{
 };
 pub use net_trainer::{Stage, WinogradNet};
 pub use network_eval::{simulate_network, speedup_vs_single, NetworkResult};
-pub use observe::{
-    simulate_layer_observed, simulate_layer_with_observed, simulate_network_observed,
-    simulate_network_observed_with,
-};
+pub use observe::{record_layer, simulate_layer_observed, simulate_network_observed};
 pub use pipeline::{pipelined_backward_cycles, pipelined_iteration_cycles, serial_backward_cycles};
 pub use progress::Heartbeat;
 pub use sweep::{batch_sweep, worker_sweep, BatchPoint, WorkerPoint};

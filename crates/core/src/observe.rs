@@ -2,10 +2,12 @@
 //! [`crate::exec`], plus structured metrics and a span trace of the
 //! iteration suitable for Chrome-trace export.
 //!
-//! Each entry point runs its un-observed twin once and then records the
-//! returned [`LayerResult`]: observation only *reads* the breakdown the
-//! execution carries on the result, so `simulate_layer(..)` and
-//! `simulate_layer_observed(..)` return the same value by construction.
+//! [`record_layer`] emits one layer's spans and metrics from a finished
+//! [`LayerResult`]: observation only *reads* the breakdown the execution
+//! carries on the result, so nothing is simulated twice, and
+//! `simulate_layer(..)` and `simulate_layer_observed(..)` (which runs the
+//! plain simulation, then records it) return the same value by
+//! construction.
 //!
 //! # Trace layout
 //!
@@ -22,11 +24,11 @@ use wmpt_ndp::{
     dram_stall_cycles, record_dram_profile, record_utilization, record_worker_cost, DramConfig,
 };
 use wmpt_ndp::{TaskGraph, TaskKind};
-use wmpt_noc::{all_to_all_flows, record_collective, record_flows, tile_pair_bytes, ClusterConfig};
-use wmpt_obs::{MetricKey, Observer, SpanSink, TrackId};
+use wmpt_noc::{all_to_all_flows, record_collective, record_flows, tile_pair_bytes};
+use wmpt_obs::{MetricKey, MetricRegistry, Observer, SpanSink, TrackId};
 
 use crate::config::SystemConfig;
-use crate::exec::{simulate_layer, simulate_layer_with, LayerResult, SystemModel};
+use crate::exec::{simulate_layer, LayerResult, SystemModel};
 use wmpt_models::ConvLayerSpec;
 
 /// Observed [`crate::exec::simulate_layer`]: the same search, then spans
@@ -39,55 +41,43 @@ pub fn simulate_layer_observed<S: SpanSink>(
     obs: &mut Observer<S>,
 ) -> LayerResult {
     let res = simulate_layer(model, layer, sys);
-    record_layer(model, &res, obs);
+    record_layer(model, &res, &mut obs.trace, &mut obs.metrics);
     res
 }
 
-/// Observed [`crate::exec::simulate_layer_with`]: identical result, plus
-/// spans and metrics. Spans start at the tracer's current
-/// `layer`-category extent, so successive layers of a network lay out
-/// back to back on the timeline.
-pub fn simulate_layer_with_observed<S: SpanSink>(
+/// Emits the spans and metrics of one simulated layer: spans into
+/// `trace`, starting at its current `layer`-category extent (so
+/// successive layers of a network lay out back to back on the
+/// timeline), and metrics into `metrics`. The result is only read, so
+/// any [`LayerResult`] — from [`simulate_layer`],
+/// [`crate::exec::simulate_layer_with`] or a pool of them — can be
+/// recorded after the fact.
+pub fn record_layer<S: SpanSink>(
     model: &SystemModel,
-    layer: &ConvLayerSpec,
-    sys: SystemConfig,
-    cfg: ClusterConfig,
-    obs: &mut Observer<S>,
-) -> LayerResult {
-    let res = simulate_layer_with(model, layer, sys, cfg);
-    record_layer(model, &res, obs);
-    res
-}
-
-/// Emits the spans and metrics of one simulated layer.
-fn record_layer<S: SpanSink>(model: &SystemModel, res: &LayerResult, obs: &mut Observer<S>) {
+    res: &LayerResult,
+    trace: &mut S,
+    metrics: &mut MetricRegistry,
+) {
     let det = &res.detail;
-    let base = obs.trace.category_cycles("layer");
+    let base = trace.category_cycles("layer");
     let fwd = res.forward.cycles.round() as u64;
     let total = res.total_cycles().round() as u64;
 
     // Phase windows: tile [base, base + total) exactly.
-    let t_iter = obs.trace.track("iter");
-    obs.trace.span(t_iter, "layer", "forward", base, base + fwd);
-    obs.trace
-        .span(t_iter, "layer", "backward", base + fwd, base + total);
+    let t_iter = trace.track("iter");
+    trace.span(t_iter, "layer", "forward", base, base + fwd);
+    trace.span(t_iter, "layer", "backward", base + fwd, base + total);
 
     // NDP compute stages, proportional within each phase window.
-    let t_worker = obs.trace.track("worker0");
-    lay_stages(&mut obs.trace, t_worker, base, fwd, &det.fwd_stages);
-    lay_stages(
-        &mut obs.trace,
-        t_worker,
-        base + fwd,
-        total - fwd,
-        &det.bwd_stages,
-    );
+    let t_worker = trace.track("worker0");
+    lay_stages(trace, t_worker, base, fwd, &det.fwd_stages);
+    lay_stages(trace, t_worker, base + fwd, total - fwd, &det.bwd_stages);
 
     // DRAM-stall tails: the overhang of the DRAM stream past compute in
     // the pipelined cost model, placed at the end of each phase window
     // (the stream drains last). Clipped to the window — phase cycles can
     // exceed the worker-local pipeline when communication dominates.
-    let t_dram = obs.trace.track("dram0");
+    let t_dram = trace.track("dram0");
     for (cost, win_start, win) in [
         (&det.fwd_cost, base, fwd),
         (&det.bwd_cost, base + fwd, total - fwd),
@@ -95,7 +85,7 @@ fn record_layer<S: SpanSink>(model: &SystemModel, res: &LayerResult, obs: &mut O
         let stall = dram_stall_cycles(&model.ndp, cost).min(win);
         if stall > 0 {
             let end = win_start + win;
-            obs.trace.span(t_dram, "dram", "stall", end - stall, end);
+            trace.span(t_dram, "dram", "stall", end - stall, end);
         }
     }
 
@@ -105,51 +95,42 @@ fn record_layer<S: SpanSink>(model: &SystemModel, res: &LayerResult, obs: &mut O
     // explicit `idle` span so NoC busy/idle accounting reads off the
     // trace directly; they can also overflow the window (per-class
     // cycles are modeled pre-overlap), in which case there is no idle.
-    let t_noc = obs.trace.track("noc");
+    let t_noc = trace.track("noc");
     let mut cursor = base;
     for ph in &det.fwd_comm {
         let end = cursor + ph.cycles.round() as u64;
-        obs.trace.span(t_noc, "noc", ph.class.name(), cursor, end);
+        trace.span(t_noc, "noc", ph.class.name(), cursor, end);
         cursor = end;
     }
     if cursor < base + fwd {
-        obs.trace
-            .span(t_noc, "idle", "noc_idle", cursor, base + fwd);
+        trace.span(t_noc, "idle", "noc_idle", cursor, base + fwd);
     }
     cursor = base + fwd;
     for ph in &det.bwd_comm {
         let end = cursor + ph.cycles.round() as u64;
-        obs.trace.span(t_noc, "noc", ph.class.name(), cursor, end);
+        trace.span(t_noc, "noc", ph.class.name(), cursor, end);
         cursor = end;
     }
     if cursor < base + total {
-        obs.trace
-            .span(t_noc, "idle", "noc_idle", cursor, base + total);
+        trace.span(t_noc, "idle", "noc_idle", cursor, base + total);
     }
 
     // Weight collective after the backward tile transfer.
     let c = res.collective;
-    let t_coll = obs.trace.track("collective");
+    let t_coll = trace.track("collective");
     let half = (c.cycles / 2.0).round() as u64;
-    obs.trace
-        .span(t_coll, "collective", "reduce", cursor, cursor + half);
-    obs.trace.span(
+    trace.span(t_coll, "collective", "reduce", cursor, cursor + half);
+    trace.span(
         t_coll,
         "collective",
         "broadcast",
         cursor + half,
         cursor + 2 * half,
     );
-    record_collective(
-        &mut obs.metrics,
-        &model.noc,
-        c.msg_bytes,
-        c.ring_len,
-        c.cycles,
-    );
+    record_collective(metrics, &model.noc, c.msg_bytes, c.ring_len, c.cycles);
 
     // ---- metrics ----
-    let reg = &mut obs.metrics;
+    let reg = metrics;
     reg.inc(MetricKey::TotalCycles, total);
     reg.inc(
         MetricKey::ComputeCycles,
@@ -215,26 +196,11 @@ pub fn simulate_network_observed<S: SpanSink>(
     sys: SystemConfig,
     obs: &mut Observer<S>,
 ) -> crate::network_eval::NetworkResult {
-    simulate_network_observed_with(model, net, sys, obs, |_, _, _| {})
-}
-
-/// [`simulate_network_observed`] with a per-layer hook: after each layer
-/// lands, `on_layer(index, result, observer)` runs — the attachment
-/// point for live progress heartbeats (see [`crate::progress`]) without
-/// any cost on the plain path.
-pub fn simulate_network_observed_with<S: SpanSink>(
-    model: &SystemModel,
-    net: &wmpt_models::Network,
-    sys: SystemConfig,
-    obs: &mut Observer<S>,
-    mut on_layer: impl FnMut(usize, &LayerResult, &Observer<S>),
-) -> crate::network_eval::NetworkResult {
-    let mut layers = Vec::with_capacity(net.layers.len());
-    for (i, l) in net.layers.iter().enumerate() {
-        let r = simulate_layer_observed(model, l, sys, obs);
-        on_layer(i, &r, obs);
-        layers.push(r);
-    }
+    let layers = net
+        .layers
+        .iter()
+        .map(|l| simulate_layer_observed(model, l, sys, obs))
+        .collect();
     crate::network_eval::NetworkResult {
         network: net.name.clone(),
         config: sys,
@@ -275,8 +241,9 @@ fn lay_stages<S: SpanSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::simulate_layer;
+    use crate::exec::{simulate_layer, simulate_layer_with};
     use wmpt_models::table2_layers;
+    use wmpt_noc::ClusterConfig;
     use wmpt_obs::TrafficClass;
 
     #[test]
@@ -312,13 +279,8 @@ mod tests {
         let m = SystemModel::paper();
         let l = &table2_layers()[4];
         let mut obs = Observer::new();
-        simulate_layer_with_observed(
-            &m,
-            l,
-            SystemConfig::WMp,
-            ClusterConfig::new(16, 16),
-            &mut obs,
-        );
+        let r = simulate_layer_with(&m, l, SystemConfig::WMp, ClusterConfig::new(16, 16));
+        record_layer(&m, &r, &mut obs.trace, &mut obs.metrics);
         for cat in ["layer", "ndp", "noc", "collective"] {
             assert!(
                 obs.trace.spans().iter().any(|s| s.cat == cat),
@@ -332,13 +294,8 @@ mod tests {
         let m = SystemModel::paper();
         let l = &table2_layers()[2];
         let mut obs = Observer::new();
-        simulate_layer_with_observed(
-            &m,
-            l,
-            SystemConfig::WMpP,
-            ClusterConfig::new(16, 16),
-            &mut obs,
-        );
+        let r = simulate_layer_with(&m, l, SystemConfig::WMpP, ClusterConfig::new(16, 16));
+        record_layer(&m, &r, &mut obs.trace, &mut obs.metrics);
         let reg = &obs.metrics;
         assert!(reg.counter(MetricKey::FlitsInjected(TrafficClass::TileScatter)) > 0);
         assert!(reg.counter(MetricKey::FlitsInjected(TrafficClass::Reduce)) > 0);

@@ -3,7 +3,7 @@
 //! from every instrumented subsystem, and whose per-phase rollup
 //! reconciles with the headline cycle count.
 
-use wmpt_core::{simulate_layer_with_observed, SystemConfig, SystemModel};
+use wmpt_core::{record_layer, simulate_layer_with, SystemConfig, SystemModel};
 use wmpt_models::ConvLayerSpec;
 use wmpt_noc::ClusterConfig;
 use wmpt_obs::json::{parse, Value};
@@ -33,13 +33,13 @@ fn events(trace: &Value) -> &[Value] {
 fn two_worker_sim_emits_valid_chrome_trace() {
     let model = tiny_model(2, 2);
     let mut obs = Observer::new();
-    let r = simulate_layer_with_observed(
+    let r = simulate_layer_with(
         &model,
         &tiny_layer(),
         SystemConfig::WMp,
         ClusterConfig::new(2, 1),
-        &mut obs,
     );
+    record_layer(&model, &r, &mut obs.trace, &mut obs.metrics);
     assert!(r.total_cycles() > 0.0);
 
     let text = obs.trace.chrome_trace().render();
@@ -75,13 +75,13 @@ fn two_worker_sim_emits_valid_chrome_trace() {
 fn four_worker_sim_covers_all_subsystems_and_reconciles() {
     let model = tiny_model(4, 2);
     let mut obs = Observer::new();
-    let r = simulate_layer_with_observed(
+    let r = simulate_layer_with(
         &model,
         &tiny_layer(),
         SystemConfig::WMpP,
         ClusterConfig::new(2, 2),
-        &mut obs,
     );
+    record_layer(&model, &r, &mut obs.trace, &mut obs.metrics);
 
     let back = parse(&obs.trace.chrome_trace().render()).expect("valid JSON");
     let cats: Vec<&str> = events(&back)
@@ -119,13 +119,13 @@ fn four_worker_sim_covers_all_subsystems_and_reconciles() {
 fn metrics_registry_round_trips_through_json() {
     let model = tiny_model(4, 2);
     let mut obs = Observer::new();
-    simulate_layer_with_observed(
+    let r = simulate_layer_with(
         &model,
         &tiny_layer(),
         SystemConfig::WMpP,
         ClusterConfig::new(2, 2),
-        &mut obs,
     );
+    record_layer(&model, &r, &mut obs.trace, &mut obs.metrics);
     assert!(!obs.metrics.is_empty());
     let text = obs.metrics.to_json().render();
     let back = MetricRegistry::from_json(&parse(&text).expect("valid JSON"))

@@ -2,17 +2,16 @@
 //! span tracing on the simulator's virtual clock, and Chrome-trace export.
 //!
 //! The simulation crates (`wmpt-noc`, `wmpt-ndp`, `wmpt-core`) expose
-//! `*_observed` variants of their entry points that accept an
-//! [`Observer`]; the plain variants stay untouched, so observability is
-//! zero-cost when not requested — no flags checked on the hot path.
+//! `record_*` functions that read a finished result into a span sink
+//! and a [`MetricRegistry`]; the plain simulation entry points stay
+//! untouched, so observability is zero-cost when not requested — no
+//! flags checked on the hot path.
 //!
 //! Three pieces:
 //!
 //! * [`MetricRegistry`] — counters/gauges/histograms keyed by the typed
 //!   [`MetricKey`] enum. Plain values, no global state; merge per-worker
-//!   registries upward, serialize to JSON, parse back. For host-parallel
-//!   runs, [`MetricShards`] gives each worker thread its own registry and
-//!   merges them in deterministic shard-index order.
+//!   registries upward, serialize to JSON, parse back.
 //! * [`Tracer`] — records `(track, category, name, start, end)` spans in
 //!   virtual cycles and exports Chrome `trace_event` JSON (open in
 //!   `chrome://tracing` or Perfetto) plus a plain-text per-phase rollup.
@@ -142,7 +141,6 @@ pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod prom;
-pub mod shard;
 pub mod stream;
 pub mod trace;
 pub mod window;
@@ -150,7 +148,6 @@ pub mod window;
 pub use log::{Level, LogBuffer, Logger};
 pub use metrics::{Histogram, MetricKey, MetricRegistry, TrafficClass};
 pub use prom::render_prometheus;
-pub use shard::MetricShards;
 pub use stream::{
     detect_format, jsonl_events, jsonl_to_chrome, read_trace_auto, StreamStats, StreamingTracer,
     TraceFormat,

@@ -569,6 +569,12 @@ impl MetricRegistry {
     /// Folds `other` into `self`: counters add, histograms merge
     /// bucket-wise, gauges take the larger magnitude reading (so a
     /// merged utilization reflects the busiest participant).
+    ///
+    /// Merging per-participant registries is *not* the same as
+    /// recording every participant serially into one registry: recording
+    /// keeps a gauge's last value rather than its largest magnitude, and
+    /// a histogram's sum adds sample by sample rather than per registry,
+    /// so its floating-point rounding can differ.
     pub fn merge(&mut self, other: &MetricRegistry) {
         for (k, v) in &other.counters {
             *self.counters.entry(*k).or_insert(0) += v;

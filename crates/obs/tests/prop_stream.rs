@@ -197,9 +197,9 @@ fn jobs_concatenation_streams_identically_to_in_memory_merge() {
     check(
         "jobs_concatenation_streams_identically_to_in_memory_merge",
         |c| {
-            // Mirror `observed_sweep`: per-config scratch tracers merge into
-            // the main sink in config order, each offset past the `layer`
-            // cycles already recorded — the `--jobs N` path of `mpt_sim`.
+            // Per-config scratch tracers merge into the main sink in config
+            // order, each offset past the `layer` cycles already recorded —
+            // how perfbench's replay concatenates a sweep's traces.
             let subs: Vec<Tracer> = (0..c.size(1, 4)).map(|_| random_subtrace(c)).collect();
             let budget = *c.pick(&BUDGETS);
             let jsonl = dir.join("t.jsonl");

@@ -16,13 +16,13 @@ use crate::request::{find_network, SimRequest};
 use crate::result::SimResult;
 use wmpt_analyze::{timeline_svg, Analysis};
 use wmpt_core::{
-    simulate_layer, simulate_layer_observed, simulate_network, simulate_network_observed,
-    simulate_network_observed_with, Heartbeat, SystemConfig, SystemModel,
+    record_layer, simulate_layer, simulate_network, Heartbeat, LayerResult, SystemConfig,
+    SystemModel,
 };
 use wmpt_fault::{demo_dataset, train_resilient, FaultPlan, GridShape, ResilienceConfig, Scenario};
 use wmpt_models::{table2_layers, ConvLayerSpec};
 use wmpt_noc::{latency_throughput_sweep, LinkKind, Topology, TrafficPattern};
-use wmpt_obs::{json, Level, Logger, MetricShards, Observer, SpanSink, Tracer};
+use wmpt_obs::{json, Level, Logger, MetricRegistry, Observer, SpanSink, Tracer};
 use wmpt_par::ParPool;
 
 fn find_layer(name: &str) -> Option<ConvLayerSpec> {
@@ -53,39 +53,24 @@ fn beat<S: SpanSink>(hb: &mut Option<Heartbeat>, unit: &str, sink: &S, log: &Log
     }
 }
 
-/// Runs one observed simulation per config on the pool, each into its
-/// own private in-memory `Observer`, then merges: metrics fold through
-/// [`MetricShards`] in shard-index order, and traces concatenate in
-/// config order with each appended past the layers already recorded
-/// ([`SpanSink::append_offset`]). The merged `obs` is therefore
-/// identical for every `--jobs` value — parallel sweeps keep their
-/// sinks, including streaming ones, which drain each config's scratch
-/// trace as it lands. The heartbeat ticks once per merged config, on
-/// the main thread, so progress lines are deterministic too.
-fn observed_sweep<S: SpanSink, R: Send>(
-    pool: &ParPool,
-    n: usize,
+/// Records one config's simulated layers into the caller's sink in
+/// order, running `on_layer` after each. The config's metrics go into a
+/// fresh registry that then merges into `obs.metrics`: recording every
+/// config into one registry would change the metrics bytes, since merge
+/// keeps a gauge's largest magnitude where recording keeps the last
+/// value, and adds histogram sums per config rather than per sample.
+fn record_config<S: SpanSink>(
+    model: &SystemModel,
+    layers: &[LayerResult],
     obs: &mut Observer<S>,
-    hb: &mut Option<Heartbeat>,
-    log: &Logger,
-    sim: impl Fn(usize, &mut Observer) -> R + Sync,
-) -> Vec<R> {
-    let shards = MetricShards::new(n);
-    let runs = pool.map_indexed(n, |i| {
-        let mut o = Observer::new();
-        let r = sim(i, &mut o);
-        shards.record(i, |reg| reg.merge(&o.metrics));
-        (r, o.trace)
-    });
-    let mut results = Vec::with_capacity(n);
-    for (r, trace) in runs {
-        let offset = obs.trace.category_cycles("layer");
-        obs.trace.append_offset(&trace, offset);
-        results.push(r);
-        beat(hb, "config", &obs.trace, log);
+    mut on_layer: impl FnMut(&S),
+) {
+    let mut metrics = MetricRegistry::new();
+    for r in layers {
+        record_layer(model, r, &mut obs.trace, &mut metrics);
+        on_layer(&obs.trace);
     }
-    obs.metrics.merge(&shards.merge());
-    results
+    obs.metrics.merge(&metrics);
 }
 
 fn layer_report<S: SpanSink>(
@@ -112,20 +97,13 @@ fn layer_report<S: SpanSink>(
         "{:<8} {:>12} {:>12} {:>12} {:>10} {:>12}",
         "config", "fwd cycles", "bwd cycles", "energy (mJ)", "power (W)", "cluster"
     );
-    let results = if observed {
-        if cfgs.len() == 1 {
-            // Single config streams straight into the caller's sink.
-            let r = simulate_layer_observed(&model, &layer, cfgs[0], obs);
+    let results = pool.map_indexed(cfgs.len(), |i| simulate_layer(&model, &layer, cfgs[i]));
+    if observed {
+        for r in &results {
+            record_config(&model, std::slice::from_ref(r), obs, |_| {});
             beat(hb, "config", &obs.trace, log);
-            vec![r]
-        } else {
-            observed_sweep(pool, cfgs.len(), obs, hb, log, |i, o| {
-                simulate_layer_observed(&model, &layer, cfgs[i], o)
-            })
         }
-    } else {
-        pool.map_indexed(cfgs.len(), |i| simulate_layer(&model, &layer, cfgs[i]))
-    };
+    }
     for (&sys, r) in cfgs.iter().zip(&results) {
         let e = r.total_energy();
         let _ = writeln!(
@@ -171,24 +149,21 @@ fn network_report<S: SpanSink>(
         "{:<8} {:>14} {:>12} {:>10} {:>24}",
         "config", "cycles/iter", "images/s", "power (W)", "organization mix"
     );
+    let results = pool.map_indexed(cfgs.len(), |i| simulate_network(&model, &net, cfgs[i]));
+    // A single config beats per layer, a sweep per config.
     let per_layer = observed && cfgs.len() == 1;
-    let results = if per_layer {
-        // Single config streams end to end, with a heartbeat per layer.
-        let r = simulate_network_observed_with(&model, &net, cfgs[0], obs, |_, _, o| {
-            if let Some(hb) = hb.as_mut() {
-                if let Some(line) = hb.tick("layer", &o.trace) {
-                    log.raw(Level::Info, &line);
+    if observed {
+        for r in &results {
+            record_config(&model, &r.layers, obs, |trace| {
+                if per_layer {
+                    beat(hb, "layer", trace, log);
                 }
+            });
+            if !per_layer {
+                beat(hb, "config", &obs.trace, log);
             }
-        });
-        vec![r]
-    } else if observed {
-        observed_sweep(pool, cfgs.len(), obs, hb, log, |i, o| {
-            simulate_network_observed(&model, &net, cfgs[i], o)
-        })
-    } else {
-        pool.map_indexed(cfgs.len(), |i| simulate_network(&model, &net, cfgs[i]))
-    };
+        }
+    }
     for (&sys, r) in cfgs.iter().zip(&results) {
         let mix = r
             .config_histogram()
@@ -271,10 +246,7 @@ fn plan_report(name: &str, cfg: &str) -> Result<String, String> {
 /// merge into `metrics_into` so CLI sinks and the server's metrics
 /// artifact both see them. A plan the event simulator contradicts is
 /// an error, not a report.
-fn plan_auto_report(
-    name: &str,
-    metrics_into: &mut wmpt_obs::MetricRegistry,
-) -> Result<String, String> {
+fn plan_auto_report(name: &str, metrics_into: &mut MetricRegistry) -> Result<String, String> {
     let Some(net) = find_network(name) else {
         return Err(format!("unknown network '{name}'"));
     };
@@ -337,7 +309,7 @@ fn faults_report(
     scenario: &str,
     seed: u64,
     iters: usize,
-    metrics_into: &mut wmpt_obs::MetricRegistry,
+    metrics_into: &mut MetricRegistry,
 ) -> Result<String, String> {
     let Some(sc) = Scenario::parse(scenario) else {
         return Err(format!("unknown scenario '{scenario}'"));
@@ -447,57 +419,30 @@ pub fn run_request_with<S: SpanSink>(
 /// This is the server's path, and what the content-addressed cache
 /// stores.
 pub fn run_request(req: &SimRequest, pool: &ParPool) -> Result<SimResult, String> {
-    match req {
-        SimRequest::Layer { .. } | SimRequest::Network { .. } => {
-            let mut obs = Observer::new();
-            let mut hb = None;
-            let report = run_request_with(req, pool, &mut obs, &mut hb, &Logger::disabled(), true)?;
-            Ok(SimResult {
-                report,
-                metrics: Some(obs.metrics.to_json().render() + "\n"),
-                trace: Some(obs.trace.chrome_trace().render()),
-                svg: Some(timeline_svg(&obs.trace)),
-            })
-        }
-        SimRequest::Noc { topo, pattern } => Ok(SimResult {
-            report: noc_report(topo, pattern)?,
+    // `analyze` renders its SVG from the parsed trace, not an observer.
+    if let SimRequest::Analyze { trace } = req {
+        let (tracer, report) = analyze_trace_text(trace)?;
+        return Ok(SimResult {
+            report,
+            svg: Some(timeline_svg(&tracer)),
             ..SimResult::default()
-        }),
-        SimRequest::Plan { network, config } => Ok(SimResult {
-            report: plan_report(network, config)?,
-            ..SimResult::default()
-        }),
-        SimRequest::PlanAuto { network } => {
-            let mut metrics = wmpt_obs::MetricRegistry::new();
-            let report = plan_auto_report(network, &mut metrics)?;
-            Ok(SimResult {
-                report,
-                metrics: Some(metrics.to_json().render() + "\n"),
-                ..SimResult::default()
-            })
-        }
-        SimRequest::Faults {
-            scenario,
-            seed,
-            iters,
-        } => {
-            let mut metrics = wmpt_obs::MetricRegistry::new();
-            let report = faults_report(scenario, *seed, *iters, &mut metrics)?;
-            Ok(SimResult {
-                report,
-                metrics: Some(metrics.to_json().render() + "\n"),
-                ..SimResult::default()
-            })
-        }
-        SimRequest::Analyze { trace } => {
-            let (tracer, report) = analyze_trace_text(trace)?;
-            Ok(SimResult {
-                report,
-                svg: Some(timeline_svg(&tracer)),
-                ..SimResult::default()
-            })
-        }
+        });
     }
+    let mut obs = Observer::new();
+    let report = run_request_with(req, pool, &mut obs, &mut None, &Logger::disabled(), true)?;
+    let (metrics, spans) = match req {
+        SimRequest::Layer { .. } | SimRequest::Network { .. } => (true, true),
+        SimRequest::PlanAuto { .. } | SimRequest::Faults { .. } => (true, false),
+        SimRequest::Noc { .. } | SimRequest::Plan { .. } | SimRequest::Analyze { .. } => {
+            (false, false)
+        }
+    };
+    Ok(SimResult {
+        report,
+        metrics: metrics.then(|| obs.metrics.to_json().render() + "\n"),
+        trace: spans.then(|| obs.trace.chrome_trace().render()),
+        svg: spans.then(|| timeline_svg(&obs.trace)),
+    })
 }
 
 #[cfg(test)]

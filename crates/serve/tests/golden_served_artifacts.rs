@@ -6,14 +6,22 @@
 //! any change to a report, trace, metrics document or SVG timeline — one
 //! byte anywhere — fails here. A refactor of the simulation stack must
 //! leave every digest as it is; a deliberate change to the output
-//! updates them in the same commit.
+//! updates them in the same commit. Layer and network requests also run
+//! unobserved, and that report must hash to the same pinned digest:
+//! observing a run never changes what it reports.
 
 use wmpt_fault::Scenario;
 use wmpt_obs::json::s;
+use wmpt_obs::{Logger, Observer};
 use wmpt_par::ParPool;
 use wmpt_serve::{
-    canonical_hash, hash_hex, run_request, SimRequest, DEFAULT_FAULT_ITERS, DEFAULT_FAULT_SEED,
+    canonical_hash, hash_hex, run_request, run_request_with, SimRequest, DEFAULT_FAULT_ITERS,
+    DEFAULT_FAULT_SEED,
 };
+
+fn digest(text: &str) -> String {
+    hash_hex(canonical_hash(&s(text)))
+}
 
 /// `(artifact, digest)` for every artifact the request produces, in
 /// report, trace, metrics, svg order; absent artifacts are skipped.
@@ -26,7 +34,7 @@ fn digests(req: &SimRequest) -> Vec<(&'static str, String)> {
         ("svg", res.svg),
     ]
     .into_iter()
-    .filter_map(|(name, text)| text.map(|t| (name, hash_hex(canonical_hash(&s(&t))))))
+    .filter_map(|(name, text)| text.map(|t| (name, digest(&t))))
     .collect()
 }
 
@@ -34,6 +42,17 @@ fn check(req: SimRequest, expect: &[(&str, &str)]) {
     let got = digests(&req);
     let got: Vec<(&str, &str)> = got.iter().map(|(n, d)| (*n, d.as_str())).collect();
     assert_eq!(got, expect, "artifact digests of {req:?}");
+    if matches!(req, SimRequest::Layer { .. } | SimRequest::Network { .. }) {
+        let pool = ParPool::new(2);
+        let log = Logger::disabled();
+        let report = run_request_with(&req, &pool, &mut Observer::new(), &mut None, &log, false)
+            .expect("unobserved request runs");
+        assert_eq!(
+            ("report", digest(&report).as_str()),
+            expect[0],
+            "unobserved report digest of {req:?}"
+        );
+    }
 }
 
 #[test]
