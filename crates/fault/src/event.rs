@@ -59,18 +59,6 @@ impl FaultEvent {
         }
     }
 
-    /// `true` for faults that corrupt state or break connectivity and so
-    /// force a rollback of the iteration they land in (stragglers only
-    /// slow the clock; host flaps stall but lose nothing by themselves).
-    pub fn is_disruptive(&self) -> bool {
-        matches!(
-            self,
-            FaultEvent::LinkDown { .. }
-                | FaultEvent::WorkerDown { .. }
-                | FaultEvent::BitFlip { .. }
-        )
-    }
-
     /// Serializes to a JSON object (`{"kind": ..., ...fields}`).
     pub fn to_json(&self) -> Value {
         match self {
@@ -224,28 +212,6 @@ mod tests {
                 FaultEvent::from_json(&wmpt_obs::json::parse(&text).expect("parse")).expect("back");
             assert_eq!(back, ev);
         }
-    }
-
-    #[test]
-    fn disruptive_classification() {
-        assert!(FaultEvent::LinkDown { a: 0, b: 1 }.is_disruptive());
-        assert!(FaultEvent::WorkerDown { node: 0 }.is_disruptive());
-        assert!(FaultEvent::BitFlip {
-            stage: 0,
-            index: 0,
-            bit: 0
-        }
-        .is_disruptive());
-        assert!(!FaultEvent::Straggler {
-            node: 0,
-            factor: 2.0
-        }
-        .is_disruptive());
-        assert!(!FaultEvent::HostLinkFlap {
-            group: 0,
-            down_for: 100
-        }
-        .is_disruptive());
     }
 
     #[test]

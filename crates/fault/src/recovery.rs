@@ -2,10 +2,10 @@
 //! [`FaultPlan`], recovering via checkpoint/rollback and degraded-grid
 //! remapping, with every fault and recovery observable.
 //!
-//! The executor interleaves real SGD steps on a [`WinogradNet`] with a
-//! virtual clock. After each iteration it drains every plan event whose
-//! cycle has passed (an index cursor, so each event fires exactly once
-//! even when recovery jumps the clock):
+//! The executor interleaves SGD steps of a [`WinogradNet`] with a virtual
+//! clock. After each iteration it drains every plan event whose cycle has
+//! passed (an index cursor, so each event fires exactly once even when
+//! recovery jumps the clock):
 //!
 //! * **link-down** — reroute on the degraded network ([`DegradedMapping`]
 //!   hop penalty charged per iteration), then roll back to the last
@@ -13,8 +13,10 @@
 //!   stays bit-identical to the fault-free one.
 //! * **worker-down** — remap `(N_g, N_c)` over the survivors with
 //!   [`wmpt_core::degraded_grid`], roll back, replay on the new grid.
-//! * **bit-flip** — flip the bit in the live Winograd-domain weights,
-//!   detect it, roll back, replay (clean state restored exactly).
+//! * **bit-flip** — the corruption of one Winograd-domain weight is
+//!   detected before a step reads it, and the rollback restores the clean
+//!   weights; the flipped bit never reaches a step, so the replay is the
+//!   fault-free one.
 //! * **straggler** — scale subsequent iteration time by the worst factor.
 //! * **host-link-flap** — stall the clock for the outage when the active
 //!   grid stitches rings through the host.
@@ -23,23 +25,22 @@
 //! — `crates/fault/tests/resilience_e2e.rs` asserts it on the rendered
 //! checkpoints.
 //!
-//! Up to the first event that touches the weights or the grid
-//! (link-down, worker-down, bit-flip), a run issues exactly the
-//! fault-free run's SGD steps — stragglers and host flaps only move the
-//! clock. So the executor reads those steps, their losses and the
-//! checkpoints of that prefix from the process-wide fault-free trajectory
-//! (see the `trajectory` module), and the report's fault-free checkpoint
-//! too. The live net takes the trajectory's weights when that event is
-//! drained, before a flip lands; every later step and every rollback
-//! replay is real computation.
+//! MPT's result depends only on the weights and the grid, and only a
+//! worker loss changes the grid. So a run is a chain of fault-free
+//! segments, each the trajectory of one checkpoint on one grid, read from
+//! the process-wide memo (see the `trajectory` module): the first starts
+//! at the initial net on the configured grid, and a rollback that finds
+//! the grid remapped starts the next at the checkpoint it restores. Every
+//! step, every replay, their losses and every checkpoint come from the
+//! current segment; the executor trains no step itself, and the report's
+//! fault-free checkpoint is the first segment's.
 
 use crate::event::{FaultEvent, FaultState};
 use crate::plan::{FaultPlan, GridShape};
 use crate::trajectory::{self, Inputs};
-use wmpt_core::{checkpoint_net, degraded_grid, restore_net, WinogradNet};
+use wmpt_core::{checkpoint_net, degraded_grid, WinogradNet};
 use wmpt_noc::{ClusterConfig, DegradedMapping, NocParams};
-use wmpt_obs::{json, MetricKey, Observer};
-use wmpt_par::ParPool;
+use wmpt_obs::{MetricKey, Observer};
 use wmpt_tensor::Tensor4;
 
 /// Knobs of a resilient training run.
@@ -113,7 +114,7 @@ pub struct ResilienceReport {
     /// these strings to assert bit-identical outcomes.
     pub final_checkpoint: String,
     /// The same document for the fault-free run of the same net, data and
-    /// config (read from the process-wide fault-free trajectory).
+    /// config (the run's first segment).
     pub fault_free_checkpoint: String,
 }
 
@@ -180,36 +181,30 @@ pub fn train_resilient(
     };
 
     // Initial checkpoint: iteration 0, pristine weights. It also keys the
-    // fault-free trajectory.
+    // first segment, the fault-free trajectory.
     let ckpt0 = checkpoint_net(0, net).render();
     let inputs = Inputs {
         checkpoint: &ckpt0,
+        start: 0,
         x,
         targets,
         lr: cfg.lr,
         grid: cfg.grid,
     };
-    let reference = trajectory::fault_free(&inputs, net, cfg.iters);
+    let mut seg = trajectory::fault_free(&inputs, net, cfg.iters);
+    let fault_free_checkpoint = seg.checkpoint(cfg.iters).to_owned();
+    // The iteration `seg` starts at and the grid it trains on.
+    let (mut seg_start, mut seg_grid) = (0usize, cfg.grid);
     let mut ckpt_iter = 0usize;
-    // The last checkpoint's text once the live net wrote it; before that,
-    // the reference's checkpoint at `ckpt_iter`.
-    let mut live_ckpt: Option<String> = None;
     checkpoints += 1;
     obs.metrics.inc(MetricKey::FaultCheckpoints, 1);
 
     let events = plan.events();
     let mut cursor = 0usize;
-    // `net` holds the run's weights from the first event that touches the
-    // weights or the grid on; until then every step is the reference's.
-    let mut live = false;
 
     for it in 0..cfg.iters {
         let t0 = clock;
-        losses[it] = if live {
-            net.train_step_with(x, targets, cfg.lr, Some(cur_grid), &ParPool::serial())
-        } else {
-            reference.loss(it)
-        };
+        losses[it] = seg.loss(it - seg_start);
         clock += iter_cycles(&state, extra_hops);
         obs.trace.span(train_track, "train", "iter", t0, clock);
 
@@ -221,16 +216,15 @@ pub fn train_resilient(
             cursor += 1;
             report_injected += 1;
             obs.metrics.inc(MetricKey::FaultEventsInjected, 1);
-            if !live && ev.is_disruptive() {
-                net.clone_from(reference.net(it + 1));
-                live = true;
-            }
             state.apply(ev);
 
             // Link and worker loss and bit flips roll back and replay;
             // stragglers and host flaps only cost time.
             let rolls_back = match ev {
                 FaultEvent::LinkDown { .. } | FaultEvent::WorkerDown { .. } => {
+                    // A run that cannot recover leaves the weights it
+                    // reached.
+                    net.clone_from(seg.net(it + 1 - seg_start));
                     let degraded = healthy.degrade(&state.dead_links, &state.dead_workers)?;
                     if let FaultEvent::WorkerDown { .. } = ev {
                         obs.metrics.inc(MetricKey::FaultWorkersLost, 1);
@@ -256,8 +250,7 @@ pub fn train_resilient(
                     obs.metrics.inc(MetricKey::FaultReroutes, 1);
                     true
                 }
-                FaultEvent::BitFlip { stage, index, bit } => {
-                    flip_weight_bit(net, *stage, *index, *bit);
+                FaultEvent::BitFlip { .. } => {
                     obs.metrics.inc(MetricKey::FaultBitFlipsDetected, 1);
                     true
                 }
@@ -277,23 +270,28 @@ pub fn train_resilient(
                 }
             };
             if rolls_back {
-                let spent = rollback_and_replay(
-                    net,
-                    x,
-                    targets,
-                    cfg,
-                    cur_grid,
-                    &state,
-                    extra_hops,
-                    live_ckpt
-                        .as_deref()
-                        .unwrap_or_else(|| reference.checkpoint(ckpt_iter)),
-                    ckpt_iter,
-                    it,
-                    &mut losses,
-                    &mut report_replayed,
-                    &iter_cycles,
-                )?;
+                // Restore the last checkpoint and replay `ckpt_iter..=it`:
+                // on the same grid those are the segment's own steps; on a
+                // remapped grid a new segment starts at the checkpoint.
+                if cur_grid != seg_grid {
+                    let k = ckpt_iter - seg_start;
+                    let inputs = Inputs {
+                        checkpoint: seg.checkpoint(k),
+                        start: ckpt_iter,
+                        x,
+                        targets,
+                        lr: cfg.lr,
+                        grid: cur_grid,
+                    };
+                    seg = trajectory::fault_free(&inputs, seg.net(k), cfg.iters - ckpt_iter);
+                    (seg_start, seg_grid) = (ckpt_iter, cur_grid);
+                }
+                let mut spent = cfg.restore_cycles;
+                for (i, loss) in losses.iter_mut().enumerate().take(it + 1).skip(ckpt_iter) {
+                    *loss = seg.loss(i - seg_start);
+                    spent += iter_cycles(&state, extra_hops);
+                    report_replayed += 1;
+                }
                 clock += spent;
                 report_rollbacks += 1;
                 report_recovery += spent;
@@ -312,21 +310,13 @@ pub fn train_resilient(
         // always holds post-recovery state).
         if (it + 1) % cfg.checkpoint_every == 0 {
             ckpt_iter = it + 1;
-            if live {
-                live_ckpt = Some(checkpoint_net(ckpt_iter as u64, net).render());
-            }
             checkpoints += 1;
             obs.metrics.inc(MetricKey::FaultCheckpoints, 1);
         }
     }
 
-    let fault_free_checkpoint = reference.checkpoint(cfg.iters).to_owned();
-    let final_checkpoint = if live {
-        checkpoint_net(cfg.iters as u64, net).render()
-    } else {
-        net.clone_from(reference.net(cfg.iters));
-        fault_free_checkpoint.clone()
-    };
+    net.clone_from(seg.net(cfg.iters - seg_start));
+    let final_checkpoint = seg.checkpoint(cfg.iters - seg_start).to_owned();
 
     obs.metrics.inc(MetricKey::FaultRollbacks, report_rollbacks);
     obs.metrics
@@ -351,47 +341,6 @@ pub fn train_resilient(
         final_checkpoint,
         fault_free_checkpoint,
     })
-}
-
-/// Restores the last checkpoint and replays `ckpt_iter..=it` on the
-/// current grid; returns the cycles spent (restore + replays).
-#[allow(clippy::too_many_arguments)]
-fn rollback_and_replay(
-    net: &mut WinogradNet,
-    x: &Tensor4,
-    targets: &[f32],
-    cfg: &ResilienceConfig,
-    grid: ClusterConfig,
-    state: &FaultState,
-    extra_hops: u64,
-    ckpt_text: &str,
-    ckpt_iter: usize,
-    it: usize,
-    losses: &mut [f64],
-    replayed: &mut u64,
-    iter_cycles: &dyn Fn(&FaultState, u64) -> u64,
-) -> Result<u64, String> {
-    let doc = json::parse(ckpt_text).map_err(|e| format!("checkpoint parse: {e}"))?;
-    let (saved_iter, restored) = restore_net(&doc)?;
-    debug_assert_eq!(saved_iter as usize, ckpt_iter);
-    net.clone_from(&restored);
-    let mut spent = cfg.restore_cycles;
-    for loss in losses.iter_mut().take(it + 1).skip(ckpt_iter) {
-        *loss = net.train_step_with(x, targets, cfg.lr, Some(grid), &ParPool::serial());
-        spent += iter_cycles(state, extra_hops);
-        *replayed += 1;
-    }
-    Ok(spent)
-}
-
-/// Flips one bit of the Winograd-domain weights in place (the injected
-/// DRAM corruption). Indices wrap so any `(stage, index, bit)` is valid.
-fn flip_weight_bit(net: &mut WinogradNet, stage: usize, index: usize, bit: u8) {
-    let depth = net.depth();
-    let conv = &mut net.stages_mut()[stage % depth].conv;
-    let data = &mut conv.weights_mut().data;
-    let i = index % data.len();
-    data[i] = f32::from_bits(data[i].to_bits() ^ (1u32 << (bit % 32)));
 }
 
 fn record_recovery(obs: &mut Observer, cycles: u64) {

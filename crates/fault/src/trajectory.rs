@@ -1,23 +1,30 @@
-//! The fault-free training trajectory, computed once per process.
+//! Fault-free training trajectories, each computed once per process.
 //!
-//! Up to its first disruptive event (link-down, worker-down, bit-flip), a
-//! resilient run issues exactly the fault-free run's SGD steps, and it
-//! reports the fault-free run's final checkpoint. Both are a pure
-//! function of the initial net, the batch, the learning rate and the
-//! grid, so runs that share those — every served `faults` request trains
-//! the same net on the same batch — share one trajectory, held in a
-//! process-wide memo in the style of `ClusterConfig::cluster_topology`.
+//! A resilient run issues exactly the fault-free run's SGD steps until a
+//! worker loss remaps the grid, and after it the fault-free steps of the
+//! new grid from the checkpoint the rollback restores: link-downs and bit
+//! flips roll back and replay on the same grid, which reproduces the same
+//! steps bit for bit. Such a trajectory is a pure function of the net it
+//! starts from, the batch, the learning rate and the grid, so runs that
+//! share those — every served `faults` request trains the same net on the
+//! same batch — share one trajectory, held in a process-wide memo in the
+//! style of `ClusterConfig::cluster_topology`.
 //!
-//! * **Key.** The rendered initial checkpoint, the bits of the inputs and
-//!   targets, the bits of the learning rate, and the grid. A lookup
-//!   compares the whole key. Two nets that render the same checkpoint
-//!   train bit-identically: the checkpoint is what a rollback restores,
-//!   and rollback replays are bit-exact.
+//! * **Key.** The rendered starting checkpoint, the bits of the inputs
+//!   and targets, the bits of the learning rate, and the grid. A key may
+//!   start at any checkpoint, on any grid; the checkpoint text carries its
+//!   iteration. A lookup compares the whole key. Two nets that render the
+//!   same checkpoint train bit-identically: the checkpoint is what a
+//!   rollback restores, and rollback replays are bit-exact.
 //! * **Contents.** Per step: the net's stages and readout after it, its
 //!   loss, and its checkpoint, rendered on first use.
 //! * **Bound.** At most [`MAX_TRAJECTORIES`] keys; a new key evicts the
 //!   least recently used one. A trajectory grows lazily to the largest
-//!   `iters` a run of its key asked for, and no further.
+//!   number of steps a run of its key asked for, and no further. The six
+//!   default served scenarios (6 iterations, a checkpoint every 2) need
+//!   four keys over any plan seed: the initial net on `(4 Ng, 2 Nc)`, and
+//!   the checkpoints of iterations 0, 2 and 4 on the `(4 Ng, 1 Nc)` grid a
+//!   worker loss remaps to.
 
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -31,8 +38,10 @@ pub(crate) const MAX_TRAJECTORIES: usize = 4;
 
 /// What a fault-free trajectory is a function of, as a run passes it in.
 pub(crate) struct Inputs<'a> {
-    /// `checkpoint_net(0, net).render()` of the initial net.
+    /// `checkpoint_net(start, net).render()` of the starting net.
     pub checkpoint: &'a str,
+    /// The iteration of that checkpoint.
+    pub start: usize,
     pub x: &'a Tensor4,
     pub targets: &'a [f32],
     pub lr: f32,
@@ -72,7 +81,7 @@ impl Key {
     }
 }
 
-/// The net after `iter` fault-free steps.
+/// The net at iteration `iter` of a trajectory.
 struct State {
     iter: u64,
     /// Stages and readout only: a clone carries no step buffers.
@@ -90,7 +99,7 @@ impl State {
 
 /// The steps of one key's trajectory recorded so far.
 struct Steps {
-    /// `states[k]`: the net after `k` steps; `states[0]` is the initial net.
+    /// `states[k]`: the net after `k` steps; `states[0]` is the starting net.
     states: Vec<Arc<State>>,
     /// `losses[k]`: the loss of step `k + 1`.
     losses: Vec<f64>,
@@ -115,8 +124,10 @@ impl Steps {
                 Some(inp.grid),
                 &ParPool::serial(),
             );
+            #[cfg(test)]
+            tests::STEPS_TRAINED.with(|n| n.set(n.get() + 1));
             self.states.push(Arc::new(State {
-                iter: self.states.len() as u64,
+                iter: self.states[0].iter + self.states.len() as u64,
                 net: self.work.clone(),
                 checkpoint: OnceLock::new(),
             }));
@@ -133,7 +144,7 @@ struct Trajectory {
 impl Trajectory {
     fn new(inp: &Inputs, net: &WinogradNet) -> Self {
         let start = State {
-            iter: 0,
+            iter: inp.start as u64,
             net: net.clone(),
             checkpoint: OnceLock::from(inp.checkpoint.to_owned()),
         };
@@ -185,30 +196,44 @@ impl Memo {
     }
 }
 
+/// The process-wide memo.
+#[cfg(not(test))]
+fn memo() -> &'static Mutex<Memo> {
+    static MEMO: OnceLock<Mutex<Memo>> = OnceLock::new();
+    MEMO.get_or_init(Mutex::default)
+}
+
+/// Unit tests run on parallel threads, so each thread gets its own memo:
+/// a test that counts trained steps sees only its own keys.
+#[cfg(test)]
+fn memo() -> &'static Mutex<Memo> {
+    thread_local!(static MEMO: &'static Mutex<Memo> = Box::leak(Box::default()));
+    MEMO.with(|m| *m)
+}
+
 /// The first `iters` fault-free steps of `net` (whose rendered
 /// checkpoint is `inp.checkpoint`) on `inp`, from the process-wide memo.
 pub(crate) fn fault_free(inp: &Inputs, net: &WinogradNet, iters: usize) -> FaultFree {
-    static MEMO: OnceLock<Mutex<Memo>> = OnceLock::new();
     // Every update removes or pushes one finished entry, so a guard
     // recovered from a poisoned lock still sees a valid list.
-    let traj = MEMO
-        .get_or_init(Mutex::default)
+    let traj = memo()
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .trajectory(inp, net);
     traj.prefix(iters, inp)
 }
 
-/// A fault-free run's first `iters` steps, as [`fault_free`] returns them.
+/// A fault-free run's first `iters` steps, as [`fault_free`] returns them;
+/// step `k` counts from the trajectory's start.
 pub(crate) struct FaultFree {
     states: Vec<Arc<State>>,
     losses: Vec<f64>,
 }
 
 impl FaultFree {
-    /// The loss of step `it + 1` (the step of iteration `it`).
-    pub fn loss(&self, it: usize) -> f64 {
-        self.losses[it]
+    /// The loss of step `k + 1`.
+    pub fn loss(&self, k: usize) -> f64 {
+        self.losses[k]
     }
 
     /// The net after `k` steps.
@@ -216,7 +241,7 @@ impl FaultFree {
         &self.states[k].net
     }
 
-    /// `checkpoint_net(k, ..).render()` of the net after `k` steps.
+    /// `checkpoint_net(start + k, ..).render()` of the net after `k` steps.
     pub fn checkpoint(&self, k: usize) -> &str {
         self.states[k].checkpoint()
     }
@@ -224,12 +249,22 @@ impl FaultFree {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
-    use crate::recovery::demo_dataset;
+    use crate::plan::{FaultPlan, GridShape, Scenario};
+    use crate::recovery::{demo_dataset, train_resilient, ResilienceConfig};
+    use wmpt_obs::Observer;
+
+    thread_local! {
+        /// Steps `Steps::extend_to` trained on this thread.
+        pub(super) static STEPS_TRAINED: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn inputs<'a>(ckpt: &'a str, x: &'a Tensor4, t: &'a [f32], lr: f32) -> Inputs<'a> {
         Inputs {
             checkpoint: ckpt,
+            start: 0,
             x,
             targets: t,
             lr,
@@ -242,23 +277,55 @@ mod tests {
         let (x, t) = demo_dataset(3, 8);
         let net = WinogradNet::new(3, 2, &[4], true);
         let ckpt = checkpoint_net(0, &net).render();
-        let lrs = [0.1f32, 0.2, 0.3, 0.4, 0.5];
+        // One learning rate per key: a full memo, and one more.
+        let cap = MAX_TRAJECTORIES;
+        let lrs: Vec<f32> = (1..=cap + 1).map(|i| i as f32 / 10.0).collect();
         let mut memo = Memo::default();
-        let first: Vec<_> = lrs
+        let first: Vec<_> = lrs[..cap]
             .iter()
-            .take(MAX_TRAJECTORIES)
             .map(|&lr| memo.trajectory(&inputs(&ckpt, &x, &t, lr), &net))
             .collect();
         // A hit returns the stored trajectory and makes it most recent.
         let again = memo.trajectory(&inputs(&ckpt, &x, &t, lrs[0]), &net);
         assert!(Arc::ptr_eq(&again, &first[0]));
         // One key past the cap evicts the least recently used: lrs[1].
-        memo.trajectory(&inputs(&ckpt, &x, &t, lrs[4]), &net);
-        assert_eq!(memo.entries.len(), MAX_TRAJECTORIES);
+        memo.trajectory(&inputs(&ckpt, &x, &t, lrs[cap]), &net);
+        assert_eq!(memo.entries.len(), cap);
         let lr_bits: Vec<u32> = memo.entries.iter().map(|e| e.key.lr).collect();
-        assert_eq!(lr_bits, [lrs[2], lrs[3], lrs[0], lrs[4]].map(f32::to_bits));
+        let want: Vec<u32> = lrs[2..cap]
+            .iter()
+            .chain([&lrs[0], &lrs[cap]])
+            .map(|lr| lr.to_bits())
+            .collect();
+        assert_eq!(lr_bits, want);
         let back = memo.trajectory(&inputs(&ckpt, &x, &t, lrs[1]), &net);
         assert!(!Arc::ptr_eq(&back, &first[1]), "evicted key was rebuilt");
+    }
+
+    #[test]
+    fn default_requests_fit_the_memo_bound() {
+        // The served `faults` request: its net, batch and config.
+        let (x, t) = demo_dataset(77, 8);
+        let cfg = ResilienceConfig::small(6);
+        let shape = GridShape::small();
+        let pass = || {
+            let before = STEPS_TRAINED.with(Cell::get);
+            for sc in Scenario::ALL {
+                for seed in 0..64 {
+                    let plan = FaultPlan::scenario(sc, shape, seed, cfg.horizon());
+                    let mut net = WinogradNet::new(55, 2, &[4], true);
+                    let mut obs = Observer::new();
+                    train_resilient(&mut net, &x, &t, shape, &plan, &cfg, &mut obs)
+                        .unwrap_or_else(|e| panic!("{sc} seed {seed}: {e}"));
+                }
+            }
+            STEPS_TRAINED.with(Cell::get) - before
+        };
+        assert!(pass() > 0, "the first pass fills the memo");
+        assert_eq!(pass(), 0, "a warm pass trains no step");
+        // No key was evicted, so the memo holds every key the runs used.
+        let keys = memo().lock().unwrap().entries.len();
+        assert_eq!(keys, 4, "keys of the default requests");
     }
 
     #[test]

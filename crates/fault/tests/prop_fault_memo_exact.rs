@@ -13,12 +13,16 @@
 //! only in the learning rate, in one target, or in one weight bit, so a
 //! key that dropped one of them would hand a run the wrong trajectory.
 //!
-//! A quarter of the plans also kill a node the grid does not have; the
-//! run fails there, and the net it leaves must hold the same weights.
+//! Two thirds of the plans merge one or two more scenario plans into the
+//! case's, so events land after a worker loss has remapped the grid —
+//! link-downs, flips and second worker-downs on the new grid, also past
+//! checkpoints written on it. A quarter
+//! of the plans also kill a node the grid does not have; the run fails
+//! there, and the net it leaves must hold the same weights.
 //!
 //! Cases run on the `wmpt-check` harness; failures shrink toward the
-//! single-link scenario, seed 0, one iteration and a one-iteration
-//! cadence, and replay via `WMPT_CHECK_REPLAY`.
+//! single-link scenario, seed 0, one iteration, a one-iteration cadence
+//! and no merged plan, and replay via `WMPT_CHECK_REPLAY`.
 
 use wmpt_check::check;
 use wmpt_core::{checkpoint_net, degraded_grid, restore_net, WinogradNet};
@@ -57,6 +61,17 @@ fn memo_served_run_equals_the_frozen_loop() {
             Some(&sc) => FaultPlan::scenario(sc, shape, plan_seed, cfg.horizon()),
             None => FaultPlan::empty(cfg.horizon()),
         };
+        // Up to two more scenarios merged in: link-downs, flips and second
+        // worker-downs after a worker loss has remapped the grid. Recovery
+        // pushes the clock past most of the case's horizon, so the merged
+        // plans spread over up to twice that horizon.
+        for _ in 0..c.size(0, 2) {
+            let sc = Scenario::ALL[c.size(0, Scenario::ALL.len() - 1)];
+            let horizon = c.u64_in(cfg.horizon() / 2, 2 * cfg.horizon());
+            let more = FaultPlan::scenario(sc, shape, c.u64_in(0, 1 << 16), horizon);
+            let events = [plan.events(), more.events()].concat();
+            plan = FaultPlan::new(plan.horizon, events);
+        }
         // Sometimes a worker-down of a node the grid does not have: the run
         // fails there, and the net it leaves holds the live weights.
         if c.size(0, 3) == 0 {
@@ -187,7 +202,13 @@ fn frozen_train_resilient(
             cursor += 1;
             injected += 1;
             obs.metrics.inc(MetricKey::FaultEventsInjected, 1);
-            if fork.is_none() && ev.is_disruptive() {
+            let disruptive = matches!(
+                ev,
+                FaultEvent::LinkDown { .. }
+                    | FaultEvent::WorkerDown { .. }
+                    | FaultEvent::BitFlip { .. }
+            );
+            if fork.is_none() && disruptive {
                 fork = Some((net.clone(), it + 1));
             }
             state.apply(ev);
