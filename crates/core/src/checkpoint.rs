@@ -14,7 +14,7 @@
 
 use crate::net_trainer::{Stage, WinogradNet};
 use wmpt_obs::json::{self, Value};
-use wmpt_winograd::{MomentumSgd, Pool2x2, PoolKind, WgWeights, WinogradLayer, WinogradTransform};
+use wmpt_winograd::{Pool2x2, PoolKind, WgWeights, WinogradLayer, WinogradTransform};
 
 fn bits(x: f32) -> Value {
     Value::Num(x.to_bits() as f64)
@@ -167,54 +167,9 @@ pub fn restore_net(v: &Value) -> Result<(u64, WinogradNet), String> {
     Ok((iter, WinogradNet::from_parts(stages, readout)))
 }
 
-/// Serializes a single [`WinogradLayer`] plus its [`MomentumSgd`] state
-/// (velocity lives where the weights live, so it checkpoints with them).
-pub fn checkpoint_layer(iter: u64, layer: &WinogradLayer, opt: &MomentumSgd) -> Value {
-    let tf = layer.transform();
-    json::obj(vec![
-        ("kind", json::s("wmpt-layer-checkpoint")),
-        ("version", json::num(1.0)),
-        ("iter", json::num(iter as f64)),
-        ("m", json::num(tf.m() as f64)),
-        ("r", json::num(tf.r() as f64)),
-        ("weights", wg_to_json(layer.weights())),
-        (
-            "opt",
-            json::obj(vec![
-                ("lr", bits(opt.lr)),
-                ("momentum", bits(opt.momentum)),
-                ("velocity", wg_to_json(opt.velocity())),
-            ]),
-        ),
-    ])
-}
-
-/// Restores a layer checkpoint: the exact inverse of [`checkpoint_layer`].
-pub fn restore_layer(v: &Value) -> Result<(u64, WinogradLayer, MomentumSgd), String> {
-    if v.get("kind").and_then(Value::as_str) != Some("wmpt-layer-checkpoint") {
-        return Err("not a wmpt-layer-checkpoint".to_string());
-    }
-    let iter = v
-        .get("iter")
-        .and_then(Value::as_u64)
-        .ok_or("missing 'iter'")?;
-    let (m, r) = (usize_field(v, "m")?, usize_field(v, "r")?);
-    let weights = wg_from_json(v.get("weights").ok_or("missing 'weights'")?)?;
-    let opt_v = v.get("opt").ok_or("missing 'opt'")?;
-    let lr = f32_back(opt_v.get("lr").ok_or("missing 'lr'")?, "lr")?;
-    let momentum = f32_back(
-        opt_v.get("momentum").ok_or("missing 'momentum'")?,
-        "momentum",
-    )?;
-    let velocity = wg_from_json(opt_v.get("velocity").ok_or("missing 'velocity'")?)?;
-    let layer = WinogradLayer::from_winograd(transform_for(m, r)?, weights);
-    Ok((iter, layer, MomentumSgd::from_state(lr, momentum, velocity)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wmpt_tensor::{DataGen, Shape4};
 
     #[test]
     fn net_checkpoint_round_trips_bitwise() {
@@ -250,29 +205,9 @@ mod tests {
     }
 
     #[test]
-    fn layer_checkpoint_round_trips_optimizer_state() {
-        let mut g = DataGen::new(5);
-        let w = g.he_weights(Shape4::new(4, 2, 3, 3));
-        let layer = WinogradLayer::from_spatial(WinogradTransform::f2x2_3x3(), &w);
-        let mut opt = MomentumSgd::new(16, 2, 4, 0.05, 0.9);
-        // Build nonzero velocity.
-        let mut weights = layer.weights().clone();
-        let grad = layer.weights().clone();
-        opt.step(&mut weights, &grad);
-        let text = checkpoint_layer(3, &layer, &opt).render();
-        let (iter, l2, o2) = restore_layer(&json::parse(&text).expect("parse")).expect("restore");
-        assert_eq!(iter, 3);
-        assert_eq!(l2.weights().data, layer.weights().data);
-        assert_eq!(o2.velocity().data, opt.velocity().data);
-        assert_eq!(o2.lr, opt.lr);
-        assert_eq!(o2.momentum, opt.momentum);
-    }
-
-    #[test]
     fn restore_rejects_wrong_kind() {
         let v = json::obj(vec![("kind", json::s("something-else"))]);
         assert!(restore_net(&v).is_err());
-        assert!(restore_layer(&v).is_err());
     }
 
     #[test]

@@ -576,19 +576,18 @@ fn assemble(
     detail: ExecDetail,
 ) -> LayerResult {
     let bwd_comm = bwd_tile_comm + collective.cycles;
-    let worker = wmpt_ndp::NdpWorker::new(model.ndp);
     let p = model.workers as f64;
     let fwd_compute = detail.fwd_cost.pipelined_cycles(&model.ndp) as f64;
     let bwd_compute = detail.bwd_cost.pipelined_cycles(&model.ndp) as f64;
 
     let fwd_cycles = fwd_compute.max(fwd_comm);
-    let mut fwd_energy = worker.energy(&detail.fwd_cost, &model.energy).scale(p);
+    let mut fwd_energy = detail.fwd_cost.energy(&model.ndp, &model.energy).scale(p);
     fwd_energy.link_j = model
         .energy
         .link_energy_j(model.enabled_link_bw_fwd(sys, cfg) * p, fwd_cycles);
 
     let bwd_cycles = bwd_compute.max(bwd_comm);
-    let mut bwd_energy = worker.energy(&detail.bwd_cost, &model.energy).scale(p);
+    let mut bwd_energy = detail.bwd_cost.energy(&model.ndp, &model.energy).scale(p);
     bwd_energy.link_j = model
         .energy
         .link_energy_j(model.enabled_link_bw_bwd(sys, cfg) * p, bwd_cycles);

@@ -9,9 +9,9 @@
 //! tile gather/scatter inside clusters, which dynamic clustering and
 //! activation prediction keep in check.
 //!
-//! * [`checkpoint`] — bit-exact JSON checkpoint/restore of the
-//!   functional trainer (weights + optimizer state), the substrate of
-//!   fault rollback in `wmpt-fault`.
+//! * [`checkpoint`] — bit-exact JSON checkpoint/restore of a
+//!   [`WinogradNet`]'s weights, the checkpoint format of `wmpt-fault`'s
+//!   resilient runs.
 //! * [`config`] — the Table IV system configurations and §V-B savings.
 //! * [`exec`] — full-system per-layer simulation (time + energy) on the
 //!   256-worker memory-centric NDP architecture (Figs 15–16).
@@ -45,23 +45,19 @@ pub mod exec;
 pub mod net_trainer;
 pub mod network_eval;
 pub mod observe;
-pub mod pipeline;
 pub mod progress;
-pub mod sweep;
 pub mod taskgraph;
 pub mod trainer;
 
-pub use checkpoint::{checkpoint_layer, checkpoint_net, restore_layer, restore_net};
+pub use checkpoint::{checkpoint_net, restore_net};
 pub use config::{PredictionSavings, SystemConfig};
 pub use exec::{
     simulate_layer, simulate_layer_with, CollectiveParams, LayerResult, PhaseResult, SystemModel,
 };
 pub use net_trainer::{Stage, WinogradNet};
-pub use network_eval::{simulate_network, speedup_vs_single, NetworkResult};
+pub use network_eval::{simulate_network, NetworkResult};
 pub use observe::{record_layer, simulate_layer_observed, simulate_network_observed};
-pub use pipeline::{pipelined_backward_cycles, pipelined_iteration_cycles, serial_backward_cycles};
 pub use progress::Heartbeat;
-pub use sweep::{batch_sweep, worker_sweep, BatchPoint, WorkerPoint};
 pub use taskgraph::{compile_forward, CompiledForward};
 pub use trainer::{
     degraded_grid, elem_owner, gather_with_prediction, reduced_gradient_distributed_par,

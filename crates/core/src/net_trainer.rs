@@ -232,8 +232,8 @@ impl WinogradNet {
         &self.stages
     }
 
-    /// Mutable access to the conv stages (fault injection flips weight
-    /// bits through this; ordinary training should not need it).
+    /// Mutable access to the conv stages. Training does not need it;
+    /// tests use it to plant chosen weight bit patterns.
     pub fn stages_mut(&mut self) -> &mut [Stage] {
         &mut self.stages
     }

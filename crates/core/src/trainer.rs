@@ -375,40 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn group_partitioned_momentum_equals_one_step() {
-        // §III-B: each group keeps the velocity of its own elements, so
-        // the per-group updates of the reduced gradient jointly equal one
-        // whole-tensor momentum step, for weights and velocity alike.
-        use wmpt_winograd::MomentumSgd;
-        let (layer, x, dy) = setup(12, 8);
-        let t2 = 16;
-        let (i_ch, j_ch) = (layer.weights().in_chans, layer.weights().out_chans);
-        let cfg = ClusterConfig::new(4, 2);
-        let pool = ParPool::new(2);
-
-        let mut whole = layer.clone();
-        let mut opt_w = MomentumSgd::new(t2, i_ch, j_ch, 0.01, 0.9);
-        let mut grouped = layer.clone();
-        let mut opt_g = MomentumSgd::new(t2, i_ch, j_ch, 0.01, 0.9);
-        // The weight gradient `X_eᵀ ∂Y_e` does not depend on the weights.
-        let grad = reduced_gradient_distributed_par(&pool, &layer, cfg, &x, &dy);
-        for _ in 0..3 {
-            opt_w.step(whole.weights_mut(), &grad);
-            for g in 0..cfg.n_g {
-                opt_g.step_elements(grouped.weights_mut(), &grad, |e| {
-                    elem_owner(e, t2, cfg.n_g) == g
-                });
-            }
-        }
-        assert_eq!(bits(&grouped.weights().data), bits(&whole.weights().data));
-        assert_eq!(
-            bits(&opt_g.velocity().data),
-            bits(&opt_w.velocity().data),
-            "velocity"
-        );
-    }
-
-    #[test]
     fn winograd_join_equals_spatial_join() {
         // Fig 14: joining (mean) in the Winograd domain then inverse-
         // transforming once == inverse-transforming each branch and

@@ -10,10 +10,10 @@
 //!   transforms, ReLU, pooling and join operations.
 //! * [`task`] — the control unit: task graphs with update-counter
 //!   dependency checking, executed with per-resource serialization.
-//! * [`comm_unit`] — the P2P (tile transfer: transform + quantize +
-//!   pointer-register packing) and collective (reduce blocks + chunk
-//!   buffers) communication elements.
 //! * [`worker`] — composition into per-phase time and energy.
+//!
+//! Tile transfer and weight collectives are priced on the network by the
+//! `wmpt-noc` crate, not here.
 //!
 //! # Example
 //!
@@ -28,8 +28,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod buffer;
-pub mod comm_unit;
 pub mod dram;
 pub mod observe;
 pub mod params;
@@ -38,12 +36,10 @@ pub mod task;
 pub mod vector;
 pub mod worker;
 
-pub use buffer::{BufferSet, DoubleBuffer};
-pub use comm_unit::{CollectiveUnit, P2pUnit, PreparedSend};
 pub use dram::{Dram, DramConfig, DramRequest};
 pub use observe::{dram_stall_cycles, record_dram_profile, record_utilization, record_worker_cost};
 pub use params::{MacPrecision, NdpParams};
 pub use systolic::{gemm, winograd_elementwise_gemms, GemmCost};
 pub use task::{Schedule, Task, TaskGraph, TaskId, TaskKind};
 pub use vector::{elementwise, transform_1d, transform_2d, VectorCost};
-pub use worker::{NdpWorker, WorkerCost};
+pub use worker::WorkerCost;

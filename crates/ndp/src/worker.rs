@@ -1,10 +1,10 @@
-//! One NDP worker: systolic array + vector unit + DRAM + communication
-//! units, with cost composition into time and energy (paper Fig 13(a)).
+//! One NDP worker's local cost: systolic array + vector unit + DRAM,
+//! composed into time and energy (paper Fig 13(a)). Tile transfer and
+//! collectives are priced by the `wmpt-noc` crate.
 
 use wmpt_energy::{EnergyBreakdown, EnergyParams};
 use wmpt_sim::Time;
 
-use crate::comm_unit::{CollectiveUnit, P2pUnit};
 use crate::params::{MacPrecision, NdpParams};
 use crate::systolic::GemmCost;
 use crate::vector::VectorCost;
@@ -79,41 +79,20 @@ impl WorkerCost {
             .max(self.vector_cycles)
             .max(self.dram_cycles(params))
     }
-}
 
-/// The worker model: parameters plus its communication units.
-#[derive(Debug, Clone, Copy)]
-pub struct NdpWorker {
-    /// Hardware parameters.
-    pub params: NdpParams,
-    /// Tile-transfer unit.
-    pub p2p: P2pUnit,
-    /// Ring-collective unit.
-    pub collective: CollectiveUnit,
-}
-
-impl NdpWorker {
-    /// Builds a worker from parameters.
-    pub fn new(params: NdpParams) -> Self {
-        Self {
-            params,
-            p2p: P2pUnit::new(&params),
-            collective: CollectiveUnit::paper(),
-        }
-    }
-
-    /// Converts a local cost into its energy breakdown. Link energy is
-    /// accounted at the system level (it depends on wall-clock time and
-    /// enabled links, not on one worker's activity).
-    pub fn energy(&self, cost: &WorkerCost, ep: &EnergyParams) -> EnergyBreakdown {
-        let compute_j = match self.params.precision {
-            MacPrecision::Fp32 => ep.mac_energy_j(cost.macs),
-            MacPrecision::Fp16 => ep.mac16_energy_j(cost.macs),
-        } + ep.add_energy_j(cost.vector_ops);
+    /// Converts the cost into its energy breakdown on a worker with
+    /// `params`. Link energy is accounted at the system level (it depends
+    /// on wall-clock time and enabled links, not on one worker's
+    /// activity).
+    pub fn energy(&self, params: &NdpParams, ep: &EnergyParams) -> EnergyBreakdown {
+        let compute_j = match params.precision {
+            MacPrecision::Fp32 => ep.mac_energy_j(self.macs),
+            MacPrecision::Fp16 => ep.mac16_energy_j(self.macs),
+        } + ep.add_energy_j(self.vector_ops);
         EnergyBreakdown {
             compute_j,
-            sram_j: ep.sram_energy_j(cost.sram_bytes),
-            dram_j: ep.dram_energy_j(cost.dram_bytes),
+            sram_j: ep.sram_energy_j(self.sram_bytes),
+            dram_j: ep.dram_energy_j(self.dram_bytes),
             link_j: 0.0,
         }
     }
@@ -164,11 +143,11 @@ mod tests {
 
     #[test]
     fn energy_components_track_traffic() {
-        let w = NdpWorker::new(NdpParams::paper_fp32());
+        let p = NdpParams::paper_fp32();
         let ep = EnergyParams::paper();
-        let g = gemm(&w.params, 512, 512, 512, 0.5);
+        let g = gemm(&p, 512, 512, 512, 0.5);
         let c = WorkerCost::default().with_gemm(&g);
-        let e = w.energy(&c, &ep);
+        let e = c.energy(&p, &ep);
         assert!(e.compute_j > 0.0 && e.dram_j > 0.0 && e.sram_j > 0.0);
         assert_eq!(e.link_j, 0.0);
         // 512^3 MACs at 4.6 pJ.
@@ -183,8 +162,8 @@ mod tests {
             macs: 1_000_000,
             ..Default::default()
         };
-        let e32 = NdpWorker::new(NdpParams::paper_fp32()).energy(&c, &ep);
-        let e16 = NdpWorker::new(NdpParams::paper_fp16()).energy(&c, &ep);
+        let e32 = c.energy(&NdpParams::paper_fp32(), &ep);
+        let e16 = c.energy(&NdpParams::paper_fp16(), &ep);
         assert!(e16.compute_j < e32.compute_j);
     }
 

@@ -419,8 +419,9 @@ impl WinogradLayer {
         &self.weights
     }
 
-    /// Mutable access to the weights (used by the distributed trainer to
-    /// install reduced gradients).
+    /// Mutable access to the weights. Training updates them through
+    /// [`Self::apply_grad`]; tests use this to plant chosen weight bit
+    /// patterns.
     pub fn weights_mut(&mut self) -> &mut WgWeights {
         &mut self.weights
     }

@@ -15,7 +15,7 @@
 //! * [`noc`] — memory-centric network: rings, flattened butterfly, hybrid
 //!   topologies, pipelined collectives, tile transfer, dynamic clustering.
 //! * [`ndp`] — near-data-processing worker model (systolic array, HMC DRAM,
-//!   buffers, vector unit, task graph, communication units).
+//!   vector unit, task graph, per-phase cost and energy).
 //! * [`energy`] — compute/SRAM/DRAM/link energy accounting.
 //! * [`models`] — CNN zoo (Table II layers, WRN-40-10, ResNet-34,
 //!   FractalNet) and workload derivation.
