@@ -28,9 +28,6 @@ pub struct NdpParams {
     pub input_buffer_bytes: usize,
     /// Systolic output buffer, bytes (128 KiB).
     pub output_buffer_bytes: usize,
-    /// Vector-processor scratchpad per buffer, bytes (512 KiB, double
-    /// buffered).
-    pub scratchpad_bytes: usize,
     /// Vector-processor lanes (elements per cycle for streaming ops);
     /// the paper notes scratchpads "can support wide vector processing
     /// units efficiently".
@@ -48,7 +45,6 @@ impl NdpParams {
             dram_latency: 50,
             input_buffer_bytes: 512 * 1024,
             output_buffer_bytes: 128 * 1024,
-            scratchpad_bytes: 512 * 1024,
             vector_lanes: 256,
         }
     }
