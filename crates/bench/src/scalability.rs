@@ -92,6 +92,18 @@ mod tests {
     }
 
     #[test]
+    fn more_workers_speed_up_late_1() {
+        let (few, many) = (
+            cycles_at(64, 3, SystemConfig::WMpPD),
+            cycles_at(256, 3, SystemConfig::WMpPD),
+        );
+        assert!(
+            many < few,
+            "more workers should help Late-1: {few} -> {many}"
+        );
+    }
+
+    #[test]
     fn report_table_has_all_rows() {
         let t = table();
         assert_eq!(t.rows.len(), WORKER_COUNTS.len());
